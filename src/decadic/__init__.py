@@ -41,8 +41,6 @@ from .shooting import (
     wronskian_mismatch,
 )
 from .solvers import (
-    CoupledPair,
-    CoupledSolution,
     NotRankDeficientError,
     SturmianResult,
     WrongModeError,
@@ -65,7 +63,7 @@ __all__ = [
     "Poly", "BiPoly", "Root", "RootSet", "DegenerateResultantError",
     "char_poly", "det_bipoly", "roots", "resultant", "real_filter",
     "QuadDiagonalMatrix", "coeffs", "main_matrix", "small_matrix", "full_system",
-    "SturmianResult", "CoupledPair", "CoupledSolution",
+    "SturmianResult",
     "WrongModeError", "NotRankDeficientError",
     "solve_sturmian", "sturmian_multiplet", "shifted_coupling_poly",
     "solve_energies", "solve_coupled", "null_vector", "shifted_coupling",

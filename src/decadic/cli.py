@@ -3,7 +3,9 @@
 Subcommands: sturmian (M = 1 coupling multiplets), energies (M = 2 energy
 multiplets), coupled (simultaneous secular system, M >= 2), wedges (decay
 sectors and mirror pairs), shoot (contour shooting cross-check) and sweep
-(reality-domain grid, CSV).
+(reality-domain grid, CSV, one point after another).  The three solver
+subcommands share one handler: each names the solvers function it calls,
+and every one of those returns a Multiplet.
 
 Exit codes: 0 solutions emitted, 1 valid run with an empty result (or a
 non-converged shot), 2 usage or validation error.  JSON output is
@@ -16,9 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from . import __version__, shooting, solvers, verify, wedges
+from . import __version__, shooting, solvers, wedges
 from .model import ModelSpec, potential_coeffs
 
 __all__ = ["main"]
@@ -81,14 +82,14 @@ def _solution_doc(spec, solutions, tolerances) -> str:
     return _canonical(doc) + "\n"
 
 
-def _entry_dict(spec, energy, coupling, h, residual, validated) -> dict:
+def _entry_dict(spec, entry) -> dict:
     return {
-        "E": float(energy),
-        "d": float(coupling),
-        "F": float(solvers.shifted_coupling(coupling, spec)),
-        "h": [float(x) for x in h],
-        "residual": float(residual),
-        "validated": bool(validated),
+        "E": float(entry.energy),
+        "d": float(entry.quadratic_coupling),
+        "F": float(solvers.shifted_coupling(entry.quadratic_coupling, spec)),
+        "h": [float(x) for x in entry.h],
+        "residual": float(entry.recurrence_residual),
+        "validated": bool(entry.validated),
     }
 
 
@@ -99,51 +100,25 @@ def _build_spec(args) -> ModelSpec:
                      n_states=args.n_states, dimension=args.dimension, ell=args.ell)
 
 
-def _tolerances(args) -> dict:
+def _require_positive(*tols) -> None:
+    # "not t > 0" rather than "t <= 0", so that NaN is rejected too
+    if not all(t > 0 for t in tols):
+        raise ValueError("tolerances must be positive")
+
+
+def cmd_solve(args) -> int:
+    spec = _build_spec(args)
     tols = {"reality": args.reality_tol, "rank": args.rank_tol,
             "residual": args.residual_tol}
-    if any(t <= 0 for t in tols.values()):
-        raise ValueError("tolerances must be positive")
-    return tols
-
-
-def cmd_sturmian(args) -> int:
-    spec = _build_spec(args)
-    tols = _tolerances(args)
-    multiplet = solvers.sturmian_multiplet(
-        spec, reality_tol=args.reality_tol, rank_rtol=args.rank_tol,
-        residual_tol=args.residual_tol)
-    solutions = [_entry_dict(spec, e.energy, e.quadratic_coupling, e.h,
-                             e.recurrence_residual, e.validated)
-                 for e in multiplet]
-    _emit(_solution_doc(spec, solutions, tols), args.out)
-    return 0 if solutions else 1
-
-
-def cmd_energies(args) -> int:
-    spec = _build_spec(args)
-    tols = _tolerances(args)
-    multiplet = solvers.solve_energies(
-        spec, reality_tol=args.reality_tol, rank_rtol=args.rank_tol,
-        residual_tol=args.residual_tol)
-    solutions = [_entry_dict(spec, e.energy, e.quadratic_coupling, e.h,
-                             e.recurrence_residual, e.validated)
-                 for e in multiplet]
-    _emit(_solution_doc(spec, solutions, tols), args.out)
-    return 0 if solutions else 1
-
-
-def cmd_coupled(args) -> int:
-    spec = _build_spec(args)
-    tols = _tolerances(args)
-    result = solvers.solve_coupled(
-        spec, reality_tol=args.reality_tol, rank_rtol=args.rank_tol,
-        det_tol=args.det_tol)
-    solutions = []
-    for p in result:
-        residual = verify.recurrence_residual(spec, p.energy, p.quadratic_coupling, p.h)
-        solutions.append(_entry_dict(spec, p.energy, p.quadratic_coupling, p.h,
-                                     residual, residual <= args.residual_tol))
+    # only coupled has --det-tol; it stays out of the emitted tolerances
+    extra = {"det_tol": args.det_tol} if "det_tol" in args else {}
+    _require_positive(*tols.values(), *extra.values())
+    # looked up on the module at call time, so that a wrapper installed on
+    # solvers (a tracer, a test double) is the function called
+    solve = getattr(solvers, args.solver)
+    multiplet = solve(spec, reality_tol=args.reality_tol, rank_rtol=args.rank_tol,
+                      residual_tol=args.residual_tol, **extra)
+    solutions = [_entry_dict(spec, e) for e in multiplet]
     _emit(_solution_doc(spec, solutions, tols), args.out)
     return 0 if solutions else 1
 
@@ -201,17 +176,9 @@ def _sweep_point(spec_template, alpha, beta, residual_tol):
     spec = ModelSpec(alpha=alpha, beta=beta, big_m=spec_template.big_m,
                      n_states=spec_template.n_states,
                      dimension=spec_template.dimension, ell=spec_template.ell)
-    if spec.big_m == 1:
-        result = solvers.solve_sturmian(spec)
-        n_real = len(result.d_values)
-        residuals = [verify.recurrence_residual(spec, 0.0, d, h)
-                     for d, h in zip(result.d_values, result.h_vectors)]
-        ok = all(r <= residual_tol for r in residuals)
-    else:
-        multiplet = solvers.solve_energies(spec, residual_tol=residual_tol)
-        n_real = len(multiplet)
-        ok = all(e.validated for e in multiplet)
-    return alpha, beta, n_real, ok
+    solve = solvers.sturmian_multiplet if spec.big_m == 1 else solvers.solve_energies
+    multiplet = solve(spec, residual_tol=residual_tol)
+    return alpha, beta, len(multiplet), all(e.validated for e in multiplet)
 
 
 def cmd_sweep(args) -> int:
@@ -219,6 +186,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep supports M = 1 and M = 2 only")
     if args.alpha_steps < 1 or args.beta_steps < 1:
         raise ValueError("grid steps must be >= 1")
+    _require_positive(args.residual_tol)
     template = ModelSpec(alpha=0.0, beta=0.0, big_m=args.big_m,
                          n_states=args.n_states, dimension=args.dimension,
                          ell=args.ell)
@@ -230,12 +198,7 @@ def cmd_sweep(args) -> int:
 
     points = [(a, b) for a in grid(args.alpha_min, args.alpha_max, args.alpha_steps)
               for b in grid(args.beta_min, args.beta_max, args.beta_steps)]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(
-                lambda p: _sweep_point(template, p[0], p[1], args.residual_tol), points))
-    else:
-        rows = [_sweep_point(template, a, b, args.residual_tol) for a, b in points]
+    rows = [_sweep_point(template, a, b, args.residual_tol) for a, b in points]
     lines = ["alpha,beta,n_real,validated"]
     for alpha, beta, n_real, ok in rows:
         lines.append(f"{alpha:.12e},{beta:.12e},{n_real},{'true' if ok else 'false'}")
@@ -285,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p, default_m=1, m_choices_help="must be 1")
     _add_tol_args(p)
     _add_out_arg(p)
-    p.set_defaults(handler=cmd_sturmian)
+    p.set_defaults(handler=cmd_solve, solver="sturmian_multiplet")
 
     p = sub.add_parser("energies", help="energy multiplet at M = 2 (d = E^2/4)")
     _add_spec_args(p, default_m=2, m_choices_help="must be 2")
     _add_tol_args(p)
     _add_out_arg(p)
-    p.set_defaults(handler=cmd_energies)
+    p.set_defaults(handler=cmd_solve, solver="solve_energies")
 
     p = sub.add_parser("coupled", help="simultaneous (E, d) pairs at M >= 2")
     _add_spec_args(p, m_choices_help="integer M >= 2")
@@ -299,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det-tol", type=float, default=1e-8,
                    help="relative tolerance for both secular determinants")
     _add_out_arg(p)
-    p.set_defaults(handler=cmd_coupled)
+    p.set_defaults(handler=cmd_solve, solver="solve_coupled")
 
     p = sub.add_parser("wedges", help="decay sectors and mirror pairs")
     p.add_argument("--degree", type=int, default=None,
@@ -336,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-max", type=float, required=True)
     p.add_argument("--beta-steps", type=int, required=True)
     p.add_argument("--residual-tol", type=float, default=1e-10)
-    p.add_argument("--jobs", type=int, default=4, help="concurrent grid workers")
     _add_out_arg(p)
     p.set_defaults(handler=cmd_sweep)
 

@@ -8,14 +8,22 @@ Three regimes:
   main determinant leaves a single polynomial whose real roots are the
   energies.
 * M >= 2 general: treat the small and main determinants as a coupled
-  bivariate system, eliminate d with a resultant, back-substitute, and keep
-  only pairs whose full (N+1) x N recurrence system is genuinely rank
-  deficient.  The rank test is what rejects extraneous resultant roots.
+  bivariate system, eliminate d with a resultant and back-substitute.
+
+The M = 2 and coupled routes only propose (E, d) candidates.  Both send
+them through one acceptance gate, which keeps a candidate only when the
+full (N+1) x N recurrence system is genuinely rank deficient there (this is
+what rejects extraneous resultant roots) and returns one entry per null
+direction, with its recurrence residual.  sturmian_multiplet,
+solve_energies and solve_coupled all return a Multiplet; solve_sturmian,
+which sturmian_multiplet wraps, also gives the raw couplings and, built on
+first read, the exact coupling polynomial.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,8 +36,6 @@ from .model import ModelSpec, Multiplet, MultipletEntry
 
 __all__ = [
     "SturmianResult",
-    "CoupledPair",
-    "CoupledSolution",
     "WrongModeError",
     "NotRankDeficientError",
     "solve_sturmian",
@@ -68,13 +74,16 @@ def null_vector(matrix, rtol: float = 1e-8):
     Raises NotRankDeficientError when the smallest singular value exceeds
     rtol times the largest (the signature of a spurious root).
     """
-    a = np.asarray(matrix, dtype=float)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] > 0 and s[-1] > rtol * s[0]:
+    _, s, vt = np.linalg.svd(np.asarray(matrix, dtype=float))
+    if _full_rank(s, rtol):
         raise NotRankDeficientError(
             f"smallest singular value {s[-1]:.3e} exceeds {rtol:.1e} * {s[0]:.3e}")
-    _, _, vt = np.linalg.svd(a)
     return _normalize_first_nonzero(vt[-1], rtol)
+
+
+def _full_rank(s, rtol):
+    """The rank test on singular values s (descending)."""
+    return s[0] > 0 and s[-1] > rtol * s[0]
 
 
 def _normalize_first_nonzero(v, rtol):
@@ -86,20 +95,12 @@ def _normalize_first_nonzero(v, rtol):
     return tuple(float(t) for t in v)
 
 
-def _null_space(a, rtol):
-    """Independent null directions, each normalized first-nonzero-to-1."""
-    a = np.asarray(a, dtype=float)
-    _, s, vt = np.linalg.svd(a)
-    if s.size == 0 or s[0] == 0:
-        cutoff = np.inf
-    else:
-        cutoff = rtol * s[0]
-    out = []
-    for k in range(vt.shape[0] - 1, -1, -1):
-        sigma = s[k] if k < s.size else 0.0
-        if sigma <= cutoff:
-            out.append(_normalize_first_nonzero(vt[k], rtol))
-    return out
+def _null_space(s, vt, rtol):
+    """Independent null directions from the SVD (s, vt) of a tall matrix,
+    each normalized first-nonzero-to-1."""
+    cutoff = rtol * s[0] if s[0] > 0 else np.inf
+    return [_normalize_first_nonzero(vt[k], rtol)
+            for k in range(vt.shape[0] - 1, -1, -1) if s[k] <= cutoff]
 
 
 def _eigvals_hessenberg(dense):
@@ -127,13 +128,18 @@ class SturmianResult:
     d_values are the real eigen-couplings (ascending); shifted_couplings
     are d - beta^2 + 2*N*alpha in the same order; h_vectors are the matching
     series coefficients.  coupling_poly is the characteristic polynomial in
-    the shifted coupling.
+    the shifted coupling, built exactly on first read: the float solution
+    does not need it.
     """
 
     d_values: tuple
     shifted_couplings: tuple
     h_vectors: tuple
-    coupling_poly: pl.Poly
+    _spec: ModelSpec
+
+    @functools.cached_property
+    def coupling_poly(self) -> pl.Poly:
+        return shifted_coupling_poly(self._spec)
 
 
 def shifted_coupling_poly(spec: ModelSpec) -> pl.Poly:
@@ -168,7 +174,7 @@ def solve_sturmian(spec: ModelSpec, reality_tol: float = 1e-8,
         d_values=tuple(d_values),
         shifted_couplings=shifts,
         h_vectors=tuple(h_vectors),
-        coupling_poly=shifted_coupling_poly(spec),
+        _spec=spec,
     )
 
 
@@ -213,13 +219,14 @@ def solve_energies(spec: ModelSpec, reality_tol: float = 1e-8,
 
 
 def _validated_entries(spec, e0, d0, rank_rtol, residual_tol):
-    """Entries for one (E, d) candidate; empty when the rank test fails."""
+    """The acceptance gate: entries for one (E, d) candidate, one per null
+    direction of the full recurrence system; empty when the rank test fails."""
     full = np.asarray(recurrence.full_system(spec, e0, d0), dtype=float)
-    s = np.linalg.svd(full, compute_uv=False)
-    if s[0] > 0 and s[-1] > rank_rtol * s[0]:
+    _, s, vt = np.linalg.svd(full)
+    if _full_rank(s, rank_rtol):
         return []
     entries = []
-    for h in _null_space(full, rank_rtol):
+    for h in _null_space(s, vt, rank_rtol):
         res = verify.recurrence_residual(spec, e0, d0, h)
         entries.append(MultipletEntry(
             energy=float(e0), quadratic_coupling=float(d0), h=tuple(map(float, h)),
@@ -227,34 +234,18 @@ def _validated_entries(spec, e0, d0, rank_rtol, residual_tol):
     return entries
 
 
-@dataclass(frozen=True)
-class CoupledPair:
-    energy: float
-    quadratic_coupling: float
-    h: tuple
-    smallest_singular_value: float
-
-
-@dataclass(frozen=True)
-class CoupledSolution:
-    pairs: tuple
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-
 def solve_coupled(spec: ModelSpec, reality_tol: float = 1e-8,
-                  rank_rtol: float = 1e-8, det_tol: float = 1e-8) -> CoupledSolution:
-    """Simultaneous (E, d) pairs from the coupled secular system at M >= 2.
+                  rank_rtol: float = 1e-8, det_tol: float = 1e-8,
+                  residual_tol: float = 1e-10) -> Multiplet:
+    """Simultaneous (E, d) multiplet from the coupled secular system at M >= 2.
 
     Eliminates d between the small and main determinants with a Sylvester
-    resultant, back-substitutes each real E into the small determinant to
-    recover d, and accepts a pair only when both determinants vanish to
-    det_tol (relative to a cancellation-free scale) and the full recurrence
-    system is rank deficient.  An empty result is a valid outcome.
+    resultant and back-substitutes each real E into both determinants to
+    recover d.  A candidate whose determinants both vanish to det_tol
+    (relative to a cancellation-free scale) goes through the acceptance
+    gate that solve_energies uses: the full recurrence system must be rank
+    deficient, and each entry is validated when its recurrence residual is
+    at most residual_tol.  An empty result is a valid outcome.
     """
     if spec.big_m < 2:
         raise WrongModeError(f"the coupled solver requires M >= 2, got M = {spec.big_m}")
@@ -270,7 +261,7 @@ def solve_coupled(spec: ModelSpec, reality_tol: float = 1e-8,
     small_f = pl.BiPoly(tuple(tuple(float(c) for c in row) for row in p_small.coeffs))
     main_f = pl.BiPoly(tuple(tuple(float(c) for c in row) for row in p_main.coeffs))
 
-    pairs = []
+    entries = []
     seen = []
     for root in pl.roots(eliminant).roots:
         if abs(root.value.imag) > reality_tol * (1 + abs(root.value)):
@@ -302,15 +293,8 @@ def solve_coupled(spec: ModelSpec, reality_tol: float = 1e-8,
                 continue
             if abs(main_f(e0, d0)) > det_tol * scale_m:
                 continue
-            full = np.asarray(recurrence.full_system(spec, e0, d0), dtype=float)
-            s = np.linalg.svd(full, compute_uv=False)
-            if s[0] > 0 and s[-1] > rank_rtol * s[0]:
-                continue
-            h = null_vector(full, rank_rtol)
-            seen.append((e0, d0))
-            pairs.append(CoupledPair(
-                energy=float(e0), quadratic_coupling=float(d0),
-                h=tuple(map(float, h)),
-                smallest_singular_value=float(s[-1] / s[0] if s[0] > 0 else 0.0)))
-    pairs.sort(key=lambda p: (p.energy, p.quadratic_coupling, p.h))
-    return CoupledSolution(pairs=tuple(pairs))
+            accepted = _validated_entries(spec, e0, d0, rank_rtol, residual_tol)
+            if accepted:
+                seen.append((e0, d0))
+                entries.extend(accepted)
+    return Multiplet.from_entries(entries)

@@ -91,6 +91,14 @@ class TestCoupledCommand:
         assert code == 1
         assert json.loads(out)["solutions"] == []
 
+    def test_non_positive_det_tol_exits_two(self, capsys):
+        for det_tol in ("0", "-1", "nan"):
+            code, out, err = run_cli(capsys, "coupled", "-M", "3", "-N", "3",
+                                     "--det-tol", det_tol)
+            assert code == 2
+            assert out == ""
+            assert "tolerances must be positive" in err
+
     def test_degenerate_small_system_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "coupled", "--alpha", "0", "--beta", "0",
                                "-M", "4", "-N", "2")
@@ -172,8 +180,7 @@ class TestSweepCommand:
     def test_single_point_grid(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "-M", "1", "-N", "2",
                                "--alpha-min", "2", "--alpha-max", "2", "--alpha-steps", "1",
-                               "--beta-min", "0", "--beta-max", "0", "--beta-steps", "1",
-                               "--jobs", "1")
+                               "--beta-min", "0", "--beta-max", "0", "--beta-steps", "1")
         assert code == 0
         lines = out.strip().split("\n")
         assert len(lines) == 2
@@ -184,6 +191,17 @@ class TestSweepCommand:
                              "--alpha-min", "0", "--alpha-max", "1", "--alpha-steps", "0",
                              "--beta-min", "0", "--beta-max", "1", "--beta-steps", "3")
         assert code == 2
+
+    def test_non_positive_residual_tol_exits_two(self, capsys):
+        for residual_tol in ("-1", "nan"):
+            code, out, err = run_cli(capsys, "sweep", "-M", "1", "-N", "2",
+                                     "--alpha-min", "-4", "--alpha-max", "4",
+                                     "--alpha-steps", "3", "--beta-min", "-4",
+                                     "--beta-max", "4", "--beta-steps", "3",
+                                     "--residual-tol", residual_tol)
+            assert code == 2
+            assert out == ""
+            assert "tolerances must be positive" in err
 
     def test_unsupported_m_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "-M", "3", "-N", "2",

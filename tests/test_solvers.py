@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import decadic.recurrence as recurrence
+import decadic.solvers as solvers
 from decadic import (
     BiPoly,
     ModelSpec,
@@ -22,6 +23,7 @@ from decadic import (
     solve_sturmian,
     sturmian_multiplet,
 )
+from decadic.cli import main
 
 CBRT192 = 192 ** (1 / 3)
 
@@ -97,6 +99,22 @@ class TestSturmian:
             assert entry.energy == 0.0
             assert entry.validated
             assert entry.recurrence_residual <= 1e-10
+
+
+class TestLazyCouplingPoly:
+    def test_float_solves_never_build_the_exact_polynomial(self, monkeypatch, capsys):
+        def refuse(spec):
+            raise AssertionError("exact coupling polynomial built")
+
+        monkeypatch.setattr(solvers, "shifted_coupling_poly", refuse)
+        assert main(["sturmian", "--alpha", "2", "--beta", "0", "-N", "2"]) == 0
+        assert main(["sweep", "-M", "1", "-N", "2",
+                     "--alpha-min", "-4", "--alpha-max", "4", "--alpha-steps", "3",
+                     "--beta-min", "-4", "--beta-max", "4", "--beta-steps", "3"]) == 0
+        spec = ModelSpec(alpha=Fraction(3, 2), beta=Fraction(-1, 4), big_m=1, n_states=2)
+        result = solve_sturmian(spec)
+        monkeypatch.undo()
+        assert result.coupling_poly == table_poly(2, spec.alpha, spec.beta)
 
 
 class TestShiftedCouplingPoly:
@@ -245,7 +263,7 @@ class TestCoupled:
         # tolerance makes the gate reject every candidate
         spec = ModelSpec(alpha=1.0, beta=2.0, big_m=3, n_states=2)
         result = solve_coupled(spec, rank_rtol=1e-30)
-        assert result.pairs == ()
+        assert result.entries == ()
 
     def test_degenerate_coupling_found_through_main_determinant(self):
         # at E = 0 the small determinant here vanishes identically in d;
