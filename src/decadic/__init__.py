@@ -31,7 +31,7 @@ from .polynomial import (
     resultant,
     roots,
 )
-from .recurrence import QuadDiagonalMatrix, coeffs, full_system, main_matrix, small_matrix
+from .recurrence import coeffs, full_system, main_matrix, small_matrix
 from .shooting import (
     Contour,
     PoleError,
@@ -62,7 +62,7 @@ __all__ = [
     "wavefunction_eval",
     "Poly", "BiPoly", "Root", "RootSet", "DegenerateResultantError",
     "char_poly", "det_bipoly", "roots", "resultant", "real_filter",
-    "QuadDiagonalMatrix", "coeffs", "main_matrix", "small_matrix", "full_system",
+    "coeffs", "main_matrix", "small_matrix", "full_system",
     "SturmianResult",
     "WrongModeError", "NotRankDeficientError",
     "solve_sturmian", "sturmian_multiplet", "shifted_coupling_poly",

@@ -149,6 +149,9 @@ def cmd_wedges(args) -> int:
 
 
 def cmd_shoot(args) -> int:
+    _require_positive(args.residual_tol, args.e_bound)
+    if args.max_iter < 1:
+        raise ValueError("--max-iter must be at least 1")
     spec = _build_spec(args)
     coeffs = potential_coeffs(spec, args.coupling_d)
     contour = shooting.Contour(epsilon=args.epsilon, x_max=args.x_max)

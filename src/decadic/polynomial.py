@@ -350,8 +350,6 @@ def _is_zero(v) -> bool:
 
 
 def _dense_rows(m):
-    if hasattr(m, "dense"):
-        m = m.dense()
     rows = [list(r) for r in m]
     n = len(rows)
     if any(len(r) != n for r in rows):

@@ -1,4 +1,4 @@
-"""Recurrence coefficients and the banded secular matrices.
+"""Recurrence coefficients and the secular matrices.
 
 Inserting the closed-form state into the radial equation yields the
 four-term recurrence
@@ -10,89 +10,20 @@ with
     A_n = (2n+2)(2n+2-2M)          B_n = E - beta (4n+2-2M)
     C_n = beta^2 - d - alpha (4n-2M)   D_n = 4 (N+1-n).
 
-Rows 1..N close into the N x N "main" matrix (A_{-1} = 0 and D_{N+1} = 0
-structurally), and rows 0..M-1 close into the M x M "small" matrix
-(A_{M-1} = 0).  Passing Poly/BiPoly objects as energy or coupling builds
-the same matrices with symbolic entries.
+Its rows n = 0..N over (h_0 .. h_{N-1}) form the (N+1) x N "full" system.
+The two square secular matrices are row slices of it: rows 1..N are the
+N x N "main" matrix (A_{-1} = 0 and D_{N+1} = 0 structurally), and rows
+0..M-1, over the columns h_0 .. h_{M-1}, are the M x M "small" matrix
+(A_{M-1} = 0).  All three are plain lists of rows.  Passing Poly/BiPoly
+objects as energy or coupling builds the same matrices with symbolic
+entries.
 """
 
 from __future__ import annotations
 
 from .model import ModelSpec
 
-__all__ = ["QuadDiagonalMatrix", "coeffs", "main_matrix", "small_matrix", "full_system"]
-
-
-class QuadDiagonalMatrix:
-    """Square matrix with exactly four nonzero diagonals.
-
-    Bands are keyed by offset (column - row).  The main secular matrix has
-    offsets (-1, 0, +1, +2) holding the (D, C, B, A) coefficient bands; it
-    is upper Hessenberg, so its characteristic polynomial and eigenvalues
-    can be obtained by Hessenberg-aware methods.  The small matrix has
-    offsets (-2, -1, 0, +1) holding (D, C, B, A).
-    """
-
-    __slots__ = ("size", "bands")
-
-    def __init__(self, size: int, bands: dict):
-        if size < 1:
-            raise ValueError("size must be >= 1")
-        clean = {}
-        for offset, entries in bands.items():
-            entries = tuple(entries)
-            expected = size - abs(offset)
-            if expected < 0:
-                if entries:
-                    raise ValueError(f"offset {offset} out of range for size {size}")
-                continue
-            if len(entries) != expected:
-                raise ValueError(
-                    f"band {offset} has {len(entries)} entries, expected {expected}")
-            clean[offset] = entries
-        self.size = size
-        self.bands = clean
-
-    def band(self, offset: int):
-        return self.bands.get(offset, tuple([0] * max(0, self.size - abs(offset))))
-
-    @property
-    def sub(self):
-        return self.band(-1)
-
-    @property
-    def diag(self):
-        return self.band(0)
-
-    @property
-    def sup1(self):
-        return self.band(1)
-
-    @property
-    def sup2(self):
-        return self.band(2)
-
-    @property
-    def lower_bandwidth(self) -> int:
-        widths = [-o for o, entries in self.bands.items()
-                  if o < 0 and any(e != 0 for e in entries)]
-        return max(widths, default=0)
-
-    def dense(self):
-        rows = [[0] * self.size for _ in range(self.size)]
-        for offset, entries in self.bands.items():
-            for k, v in enumerate(entries):
-                i = k if offset >= 0 else k - offset
-                rows[i][i + offset] = v
-        return rows
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadDiagonalMatrix):
-            return NotImplemented
-        return self.size == other.size and self.dense() == other.dense()
-
-    def __repr__(self):
-        return f"QuadDiagonalMatrix(size={self.size}, bands={self.bands})"
+__all__ = ["coeffs", "main_matrix", "small_matrix", "full_system"]
 
 
 def coeffs(spec: ModelSpec, n: int, energy, coupling):
@@ -107,61 +38,14 @@ def coeffs(spec: ModelSpec, n: int, energy, coupling):
     return a, b, c, d
 
 
-def main_matrix(spec: ModelSpec, energy, coupling) -> QuadDiagonalMatrix:
-    """N x N matrix of rows n = 1..N over (h_0 .. h_{N-1}).
+def _rows(spec: ModelSpec, energy, coupling, first: int, last: int, n_cols: int):
+    """Recurrence rows n = first..last over (h_0 .. h_{n_cols-1}).
 
     Row n carries D_n at column n-2, C_n at n-1, B_n at n and A_n at n+1;
     entries falling outside the column range are dropped.
     """
-    n_dim = spec.n_states
-    sub, diag, sup1, sup2 = [], [], [], []
-    for n in range(1, n_dim + 1):
-        a, b, c, d = coeffs(spec, n, energy, coupling)
-        diag.append(c)
-        if n >= 2:
-            sub.append(d)
-        if n <= n_dim - 1:
-            sup1.append(b)
-        if n <= n_dim - 2:
-            sup2.append(a)
-    return QuadDiagonalMatrix(n_dim, {-1: sub, 0: diag, 1: sup1, 2: sup2})
-
-
-def small_matrix(spec: ModelSpec, energy, coupling) -> QuadDiagonalMatrix:
-    """M x M matrix of rows n = 0..M-1 over (h_0 .. h_{M-1}).
-
-    Row n carries D_n at column n-2, C_n at n-1, B_n at n and A_n at n+1;
-    the last row needs no column M because A_{M-1} = 0 structurally.
-    Requires M <= N + 1: beyond that the rows would fall outside the
-    recurrence range n = 0..N and the construction loses its meaning.
-    """
-    if spec.big_m > spec.n_states + 1:
-        raise ValueError(
-            f"small matrix needs rows 0..{spec.big_m - 1}, but the recurrence "
-            f"terminates at row N = {spec.n_states}; require M <= N + 1")
-    m_dim = spec.big_m
-    sub2, sub, diag, sup1 = [], [], [], []
-    for n in range(m_dim):
-        a, b, c, d = coeffs(spec, n, energy, coupling)
-        diag.append(b)
-        if n >= 1:
-            sub.append(c)
-        if n >= 2:
-            sub2.append(d)
-        if n <= m_dim - 2:
-            sup1.append(a)
-    return QuadDiagonalMatrix(m_dim, {-2: sub2, -1: sub, 0: diag, 1: sup1})
-
-
-def full_system(spec: ModelSpec, energy, coupling):
-    """All N+1 recurrence rows (n = 0..N) over (h_0 .. h_{N-1}) as a dense list.
-
-    Rank deficiency of this overdetermined system is the ground truth for a
-    genuine solution; solvers use it to reject spurious determinant roots.
-    """
-    n_cols = spec.n_states
     rows = []
-    for n in range(spec.n_states + 1):
+    for n in range(first, last + 1):
         a, b, c, d = coeffs(spec, n, energy, coupling)
         row = [0] * n_cols
         for col, value in ((n - 2, d), (n - 1, c), (n, b), (n + 1, a)):
@@ -169,3 +53,31 @@ def full_system(spec: ModelSpec, energy, coupling):
                 row[col] = value
         rows.append(row)
     return rows
+
+
+def main_matrix(spec: ModelSpec, energy, coupling):
+    """N x N matrix of rows n = 1..N over (h_0 .. h_{N-1}); upper Hessenberg."""
+    return _rows(spec, energy, coupling, 1, spec.n_states, spec.n_states)
+
+
+def small_matrix(spec: ModelSpec, energy, coupling):
+    """M x M matrix of rows n = 0..M-1 over (h_0 .. h_{M-1}).
+
+    The last row needs no column M because A_{M-1} = 0 structurally.
+    Requires M <= N + 1: beyond that the rows would fall outside the
+    recurrence range n = 0..N and the construction loses its meaning.
+    """
+    if spec.big_m > spec.n_states + 1:
+        raise ValueError(
+            f"small matrix needs rows 0..{spec.big_m - 1}, but the recurrence "
+            f"terminates at row N = {spec.n_states}; require M <= N + 1")
+    return _rows(spec, energy, coupling, 0, spec.big_m - 1, spec.big_m)
+
+
+def full_system(spec: ModelSpec, energy, coupling):
+    """All N+1 recurrence rows (n = 0..N) over (h_0 .. h_{N-1}).
+
+    Rank deficiency of this overdetermined system is the ground truth for a
+    genuine solution; solvers use it to reject spurious determinant roots.
+    """
+    return _rows(spec, energy, coupling, 0, spec.n_states, spec.n_states)

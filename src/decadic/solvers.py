@@ -103,18 +103,17 @@ def _null_space(s, vt, rtol):
             for k in range(vt.shape[0] - 1, -1, -1) if s[k] <= cutoff]
 
 
-def _eigvals_hessenberg(dense):
-    """Eigenvalues of the (already upper-Hessenberg) main matrix.
+def _eigvals_hessenberg(a):
+    """Eigenvalues of the (already upper-Hessenberg) float main matrix a.
 
     LAPACK's general eigensolver runs Hessenberg QR after a reduction step
     that is trivial here; if it fails to converge, fall back to the roots
     of the characteristic polynomial via the companion matrix.
     """
-    a = np.asarray(dense, dtype=float)
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError:
-        rs = pl.roots(pl.char_poly([list(map(float, row)) for row in dense]))
+        rs = pl.roots(pl.char_poly(a.tolist()))
         vals = []
         for r in rs.roots:
             vals.extend([r.value] * r.multiplicity)
@@ -160,12 +159,10 @@ def solve_sturmian(spec: ModelSpec, reality_tol: float = 1e-8,
     null vectors.  Any N is admissible."""
     if spec.big_m != 1:
         raise WrongModeError(f"coupling multiplets require M = 1, got M = {spec.big_m}")
-    dense = [[float(v) for v in row]
-             for row in recurrence.main_matrix(spec, 0.0, 0.0).dense()]
-    vals = _eigvals_hessenberg(dense)
+    a = np.array(recurrence.main_matrix(spec, 0.0, 0.0), dtype=float)
+    vals = _eigvals_hessenberg(a)
     d_values = sorted(float(v.real) for v in vals
                       if abs(v.imag) <= reality_tol * (1 + abs(v)))
-    a = np.asarray(dense, dtype=float)
     h_vectors = []
     for d in d_values:
         h_vectors.append(null_vector(a - d * np.eye(spec.n_states), rank_rtol))

@@ -153,6 +153,17 @@ class TestShootCommand:
         assert code == 1
         assert json.loads(out)["result"]["converged"] is False
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--residual-tol", "0"), ("--residual-tol", "nan"), ("--e-bound", "0"),
+        ("--max-iter", "0"), ("--max-iter", "-1")])
+    def test_invalid_numeric_option_exits_two(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "shoot", "-M", "2", "-N", "3",
+                                 "--d", "8.320335292207618", "--e-guess", "5.5",
+                                 flag, value)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
 
 class TestSweepCommand:
     def test_grid_shape_and_discriminant(self, capsys, tmp_path):

@@ -94,7 +94,7 @@ class TestCharPoly:
                              big_m=rng.randint(1, 3), n_states=n)
             m = main_matrix(spec, rng.uniform(-1, 1), rng.uniform(-1, 1))
             p = char_poly(m)
-            dense = np.array([[float(v) for v in row] for row in m.dense()])
+            dense = np.array([[float(v) for v in row] for row in m])
             for _ in range(10):
                 lam = rng.uniform(-10, 10)
                 direct = np.linalg.det(dense - lam * np.eye(n))
@@ -113,7 +113,7 @@ class TestCharPoly:
         spec = ModelSpec(alpha=Fraction(1), beta=Fraction(2), big_m=3, n_states=4)
         m = small_matrix(spec, Fraction(0), Fraction(0))
         p = char_poly(m)
-        dense = np.array([[float(v) for v in row] for row in m.dense()])
+        dense = np.array([[float(v) for v in row] for row in m])
         for lam in (-2.0, 0.5, 3.0):
             assert abs(p(lam) - np.linalg.det(dense - lam * np.eye(3))) < 1e-9
 
@@ -144,7 +144,7 @@ class TestDetBipoly:
         spec = ModelSpec(alpha=Fraction(3, 5), beta=Fraction(1, 9), big_m=3, n_states=3)
         m = small_matrix(spec, BiPoly.energy(), BiPoly.coupling())
         direct = det_bipoly(m)
-        transposed = det_bipoly([list(col) for col in zip(*m.dense())])
+        transposed = det_bipoly([list(col) for col in zip(*m)])
         assert direct == transposed
 
 

@@ -7,7 +7,6 @@ import pytest
 from decadic import (
     BiPoly,
     ModelSpec,
-    QuadDiagonalMatrix,
     coeffs,
     full_system,
     main_matrix,
@@ -54,44 +53,65 @@ class TestCoeffs:
 class TestMainMatrix:
     def test_pinned_two_by_two(self):
         spec = spec_of(2, 0, 1, 2)
-        assert main_matrix(spec, 0, 0).dense() == [[-4, 0], [4, -12]]
+        assert main_matrix(spec, 0, 0) == [[-4, 0], [4, -12]]
 
     def test_one_by_one_is_c1(self):
         spec = spec_of(Fraction(3), Fraction(2), 1, 1)
-        dense = main_matrix(spec, 0, 0).dense()
+        dense = main_matrix(spec, 0, 0)
         assert dense == [[Fraction(2) ** 2 - 2 * 3]]
 
     def test_m2_n3_with_quadratic_coupling(self):
         # rows must read [[-E^2/4, E, 0], [8, -E^2/4, E], [0, 4, -E^2/4]]
         spec = spec_of(0, 0, 2, 3)
         e0 = 2.0
-        dense = main_matrix(spec, e0, e0 * e0 / 4).dense()
+        dense = main_matrix(spec, e0, e0 * e0 / 4)
         assert dense == [[-1.0, 2.0, 0], [8, -1.0, 2.0], [0, 4, -1.0]]
 
     def test_entries_match_coeffs_elementwise(self):
+        # the same expected-row rule checks main (rows 1..N), small (rows
+        # 0..M-1 over M columns) and full (rows 0..N); M = N + 1 gives the
+        # small matrix a column the full system lacks
         rng = random.Random(3)
+        cases = []
         for _ in range(20):
             spec = spec_of(rng.uniform(-3, 3), rng.uniform(-3, 3),
                            rng.randint(1, 5), rng.randint(1, 7))
-            e0, d0 = rng.uniform(-5, 5), rng.uniform(-5, 5)
-            dense = main_matrix(spec, e0, d0).dense()
-            n = spec.n_states
-            expected = [[0.0] * n for _ in range(n)]
-            for row in range(1, n + 1):
-                a, b, c, d = coeffs(spec, row, e0, d0)
-                for col, val in ((row - 2, d), (row - 1, c), (row, b), (row + 1, a)):
-                    if 0 <= col < n:
-                        expected[row - 1][col] = val
-            assert dense == expected
+            cases.append((spec, rng.uniform(-5, 5), rng.uniform(-5, 5)))
+        for n in range(1, 5):
+            spec = spec_of(rng.uniform(-3, 3), rng.uniform(-3, 3), n + 1, n)
+            cases.append((spec, rng.uniform(-5, 5), rng.uniform(-5, 5)))
+        for spec, e0, d0 in cases:
+            n, m = spec.n_states, spec.big_m
+
+            def expected(first, last, n_cols):
+                rows = [[0.0] * n_cols for _ in range(first, last + 1)]
+                for row in range(first, last + 1):
+                    a, b, c, d = coeffs(spec, row, e0, d0)
+                    for col, val in ((row - 2, d), (row - 1, c), (row, b), (row + 1, a)):
+                        if 0 <= col < n_cols:
+                            rows[row - first][col] = val
+                return rows
+
+            assert main_matrix(spec, e0, d0) == expected(1, n, n)
+            assert full_system(spec, e0, d0) == expected(0, n, n)
+            if m <= n + 1:
+                assert small_matrix(spec, e0, d0) == expected(0, m - 1, m)
 
     def test_upper_hessenberg(self):
         spec = spec_of(1, 1, 2, 6)
-        m = main_matrix(spec, 0.5, 0.5)
-        assert m.lower_bandwidth == 1
-        dense = m.dense()
+        dense = main_matrix(spec, 0.5, 0.5)
+        assert any(dense[i + 1][i] != 0 for i in range(5))
         for i in range(6):
             for j in range(6):
                 if i - j > 1:
+                    assert dense[i][j] == 0
+
+    def test_outside_band_entries_are_zero(self):
+        spec = spec_of(0.1, 0.2, 2, 5)
+        dense = main_matrix(spec, 1.0, 2.0)
+        for i in range(5):
+            for j in range(5):
+                if j - i not in (-1, 0, 1, 2):
                     assert dense[i][j] == 0
 
 
@@ -99,7 +119,7 @@ class TestSmallMatrix:
     def test_m2_symbolic(self):
         spec = spec_of(Fraction(1), Fraction(5), 2, 3)
         e, d = BiPoly.energy(), BiPoly.coupling()
-        dense = small_matrix(spec, e, d).dense()
+        dense = small_matrix(spec, e, d)
         beta = Fraction(5)
         assert dense[0][0] == e + 2 * beta
         assert dense[0][1] == BiPoly.constant(-4)
@@ -109,11 +129,11 @@ class TestSmallMatrix:
     def test_m1_is_b0(self):
         spec = spec_of(0.5, 1.5, 1, 2)
         e = BiPoly.energy()
-        assert small_matrix(spec, e, BiPoly.coupling()).dense() == [[e]]
+        assert small_matrix(spec, e, BiPoly.coupling()) == [[e]]
 
     def test_m3_structural(self):
         spec = spec_of(0, 0, 3, 3)
-        dense = small_matrix(spec, 0, 0).dense()
+        dense = small_matrix(spec, 0, 0)
         assert dense == [[0, -8, 0], [0, 0, -8], [8, 0, 0]]
 
     def test_closed_without_column_m(self):
@@ -122,7 +142,7 @@ class TestSmallMatrix:
             spec = spec_of(1.0, -2.0, m, m + 1)
             a, _, _, _ = coeffs(spec, m - 1, 0.0, 0.0)
             assert a == 0
-            assert len(small_matrix(spec, 0.0, 0.0).dense()) == m
+            assert len(small_matrix(spec, 0.0, 0.0)) == m
 
 
 class TestFullSystem:
@@ -143,34 +163,3 @@ class TestFullSystem:
             spec = spec_of(0.3, 0.9, 2, n)
             assert len(full_system(spec, 1.0, 1.0)) == n + 1
 
-
-class TestQuadDiagonalMatrix:
-    def test_band_round_trip(self):
-        m = QuadDiagonalMatrix(4, {-1: [1, 2, 3], 0: [4, 5, 6, 7], 1: [8, 9, 10], 2: [11, 12]})
-        dense = m.dense()
-        assert dense == [[4, 8, 11, 0], [1, 5, 9, 12], [0, 2, 6, 10], [0, 0, 3, 7]]
-        rebuilt = QuadDiagonalMatrix(4, {off: m.band(off) for off in (-1, 0, 1, 2)})
-        assert rebuilt == m
-
-    def test_outside_band_entries_are_zero(self):
-        spec = spec_of(0.1, 0.2, 2, 5)
-        m = main_matrix(spec, 1.0, 2.0)
-        dense = m.dense()
-        for i in range(5):
-            for j in range(5):
-                if j - i not in (-1, 0, 1, 2):
-                    assert dense[i][j] == 0
-
-    def test_band_length_validation(self):
-        with pytest.raises(ValueError):
-            QuadDiagonalMatrix(3, {0: [1, 2]})
-        with pytest.raises(ValueError):
-            QuadDiagonalMatrix(0, {})
-
-    def test_named_bands(self):
-        spec = spec_of(0.0, 0.0, 1, 3)
-        m = main_matrix(spec, 0.0, 0.0)
-        assert m.diag == m.band(0)
-        assert m.sub == m.band(-1)
-        assert m.sup1 == m.band(1)
-        assert m.sup2 == m.band(2)

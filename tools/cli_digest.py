@@ -1,0 +1,79 @@
+"""Digest of the decadic CLI's stdout and exit codes over a fixed grid.
+
+Runs 1916 invocations in-process through ``decadic.cli.main`` and prints one
+line per invocation: the exit code, the sha256 of stdout and the argv.  Two
+checkouts whose digests are equal line for line give the same exit codes and
+byte-identical stdout on the whole grid (stderr is not compared).
+
+The grid:
+
+* ``sturmian`` with N in {1, 2, 3, 5, 8, 12, 20};
+* ``energies`` with N in {1, 2, 3, 5, 8, 12};
+* ``coupled`` with M in 2..5 and N in max(1, M-1)..8;
+* each of the three at every (alpha, beta) in
+  {-3, -1.5, -0.625, 0, 0.375, 1, 2.25}^2;
+* five sweeps over [-4, 4]^2 with (M, N, steps) in (1, 2, 41), (1, 10, 21),
+  (2, 6, 21), (2, 12, 9) and (2, 3, 11).
+
+Uses only the stdlib and the ``decadic`` found on ``sys.path``, so point
+PYTHONPATH at the checkout to digest:
+
+    PYTHONPATH=src python3 tools/cli_digest.py > digest.txt
+
+A count of invocations and of each exit code goes to stderr.
+"""
+
+from __future__ import annotations
+
+import collections
+import contextlib
+import hashlib
+import io
+import sys
+
+from decadic.cli import main
+
+VALUES = ("-3", "-1.5", "-0.625", "0", "0.375", "1", "2.25")
+SWEEPS = ((1, 2, 41), (1, 10, 21), (2, 6, 21), (2, 12, 9), (2, 3, 11))
+
+
+def grid():
+    """The argv lists of the grid, in a fixed order."""
+    sizes = [("sturmian", 1, n) for n in (1, 2, 3, 5, 8, 12, 20)]
+    sizes += [("energies", 2, n) for n in (1, 2, 3, 5, 8, 12)]
+    sizes += [("coupled", m, n) for m in range(2, 6) for n in range(max(1, m - 1), 9)]
+    for command, m, n in sizes:
+        for alpha in VALUES:
+            for beta in VALUES:
+                yield [command, "-M", str(m), "-N", str(n),
+                       f"--alpha={alpha}", f"--beta={beta}"]
+    for m, n, steps in SWEEPS:
+        yield ["sweep", "-M", str(m), "-N", str(n),
+               "--alpha-min=-4", "--alpha-max=4", f"--alpha-steps={steps}",
+               "--beta-min=-4", "--beta-max=4", f"--beta-steps={steps}"]
+
+
+def run(argv):
+    """(exit code, stdout) of one in-process CLI invocation."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue()
+
+
+def main_digest() -> None:
+    codes = collections.Counter()
+    for argv in grid():
+        code, out = run(argv)
+        codes[code] += 1
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        print(code, digest, " ".join(argv))
+    summary = ", ".join(f"exit {c}: {k}" for c, k in sorted(codes.items()))
+    print(f"{sum(codes.values())} invocations ({summary})", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main_digest()
