@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__, shooting, solvers, wedges
@@ -149,9 +150,14 @@ def cmd_wedges(args) -> int:
 
 
 def cmd_shoot(args) -> int:
-    _require_positive(args.residual_tol, args.e_bound)
+    _require_positive(args.residual_tol)
+    if not args.e_bound > 0:
+        raise ValueError("--e-bound must be positive")
     if args.max_iter < 1:
         raise ValueError("--max-iter must be at least 1")
+    for flag, value in (("--e-guess", args.e_guess), ("--d", args.coupling_d)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     spec = _build_spec(args)
     coeffs = potential_coeffs(spec, args.coupling_d)
     contour = shooting.Contour(epsilon=args.epsilon, x_max=args.x_max)

@@ -11,6 +11,12 @@ isolated poles.  Both ends start on the decaying branch (y ~ -r^5 at large
 |r|) and integrate toward a matching point, where an eigenvalue announces
 itself by equal left and right log-derivatives.  Bent contours ending in
 other decay wedges are supported through explicit waypoints.
+
+With real potential coefficients and a real energy, V(-conj r) = conj V(r),
+so on a contour that is its own PT mirror (r -> -conj r) the left
+log-derivative is -conj of the right one, bit for bit: IEEE complex
+arithmetic and cmath.sqrt commute with conjugation, and DOP853 takes the
+same steps.  wronskian_mismatch then integrates the left half only.
 """
 
 from __future__ import annotations
@@ -66,10 +72,12 @@ class Contour:
     transit_depth: float = 0.5
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.x_max > 0:
-            raise ValueError(f"x_max must be positive, got {self.x_max}")
+        # "not 0 < v < inf" also rejects NaN; an infinite transit_depth is
+        # harmless, because only min(epsilon, transit_depth) is used
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0 < self.x_max < math.inf:
+            raise ValueError(f"x_max must be positive and finite, got {self.x_max}")
         if not self.transit_depth > 0:
             raise ValueError(f"transit_depth must be positive, got {self.transit_depth}")
         if self.waypoints is not None:
@@ -213,14 +221,23 @@ def wronskian_mismatch(coeffs: PotentialCoeffs, big_l, energy: float, contour: C
                        pole_threshold: float = 1e8) -> float:
     """Dimensionless mismatch of left and right log-derivatives at the match
     point; vanishes exactly at eigenvalues.  On the symmetric contour the
-    complex parts cancel, so only the real part carries information."""
+    complex parts cancel, so only the real part carries information.
+
+    The right half is taken as -conj of the left one, not integrated, when
+    the contour is its own PT mirror at this match point, the potential is
+    the built-in one and the energy is real (see the module docstring)."""
     _, ys_l = integrate_log_derivative(coeffs, big_l, energy, contour, "from_left",
                                        potential=potential, match_x=match_x,
                                        rtol=rtol, atol=atol, pole_threshold=pole_threshold)
-    _, ys_r = integrate_log_derivative(coeffs, big_l, energy, contour, "from_right",
-                                       potential=potential, match_x=match_x,
-                                       rtol=rtol, atol=atol, pole_threshold=pole_threshold)
-    yl, yr = ys_l[-1], ys_r[-1]
+    yl = ys_l[-1]
+    mirrored = [-z.conjugate() for z in contour.right_nodes(match_x)]
+    if potential is None and complex(energy).imag == 0 and contour.left_nodes(match_x) == mirrored:
+        yr = -yl.conjugate()
+    else:
+        _, ys_r = integrate_log_derivative(coeffs, big_l, energy, contour, "from_right",
+                                           potential=potential, match_x=match_x,
+                                           rtol=rtol, atol=atol, pole_threshold=pole_threshold)
+        yr = ys_r[-1]
     return float(((yl - yr) / (1 + abs(yl) + abs(yr))).real)
 
 

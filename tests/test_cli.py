@@ -155,14 +155,21 @@ class TestShootCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--residual-tol", "0"), ("--residual-tol", "nan"), ("--e-bound", "0"),
-        ("--max-iter", "0"), ("--max-iter", "-1")])
+        ("--max-iter", "0"), ("--max-iter", "-1"), ("--e-guess", "nan"),
+        ("--e-guess", "inf"), ("--d", "nan"), ("--d", "-inf"), ("--x-max", "inf"),
+        ("--epsilon", "inf")])
     def test_invalid_numeric_option_exits_two(self, capsys, flag, value):
+        # "--flag=value", so that argparse takes "-inf" as a value
         code, out, err = run_cli(capsys, "shoot", "-M", "2", "-N", "3",
                                  "--d", "8.320335292207618", "--e-guess", "5.5",
-                                 flag, value)
+                                 f"{flag}={value}")
         assert code == 2
         assert out == ""
         assert "error:" in err
+        # rejected by decadic's own checks, not by scipy's on the initial state
+        assert "y0" not in err
+        if flag in ("--e-guess", "--d", "--e-bound"):
+            assert f"error: {flag} must be" in err
 
 
 class TestSweepCommand:

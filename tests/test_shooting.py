@@ -18,8 +18,13 @@ from decadic import (
     wavefunction_eval,
     wronskian_mismatch,
 )
+from decadic import shooting
 
 CBRT192 = 192 ** (1 / 3)
+# the mirrored polyline of TestPoles and the bent pair of TestBentContour,
+# whose endpoints are mirror images only up to the last bits
+POLE_TEST_WAYPOINTS = (complex(-4, -0.5), complex(0, -1), complex(4, -0.5))
+BENT_WAYPOINTS = (4 * cmath.exp(-2j * math.pi / 3), -0.5j, 4 * cmath.exp(-1j * math.pi / 3))
 
 
 def reference_m2_n3():
@@ -38,6 +43,11 @@ class TestContourValidation:
             Contour(x_max=-1.0)
         with pytest.raises(ValueError):
             Contour(transit_depth=0.0)
+        for bad in ({"epsilon": math.inf}, {"epsilon": math.nan}, {"x_max": math.inf}):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                Contour(**bad)
+        # only min(epsilon, transit_depth) is used, so an infinite depth is fine
+        assert Contour(transit_depth=math.inf).left_nodes() == Contour().left_nodes()
 
     def test_waypoints_must_be_odd_polyline(self):
         with pytest.raises(ValueError):
@@ -134,6 +144,49 @@ class TestMismatch:
         assert min(values) < 0 < max(values)
 
 
+class TestMirrorHalf:
+    """On a PT-mirror contour (r -> -conj(r)) with real coefficients and a
+    real energy, wronskian_mismatch integrates the left half only and takes
+    the right log-derivative as -conj of the left one."""
+
+    @staticmethod
+    def two_half_mismatch(coeffs, big_l, energy, contour):
+        _, ys_l = integrate_log_derivative(coeffs, big_l, energy, contour, "from_left")
+        _, ys_r = integrate_log_derivative(coeffs, big_l, energy, contour, "from_right")
+        yl, yr = ys_l[-1], ys_r[-1]
+        return float(((yl - yr) / (1 + abs(yl) + abs(yr))).real)
+
+    @pytest.mark.parametrize("contour", [
+        Contour(epsilon=0.25), Contour(epsilon=0.5), Contour(epsilon=1.0),
+        Contour(waypoints=POLE_TEST_WAYPOINTS)], ids=["eps0.25", "eps0.5", "eps1", "waypoints"])
+    @pytest.mark.parametrize("energy", [5.5, CBRT192], ids=["E5.5", "E_exact"])
+    def test_equals_two_half_mismatch_bit_for_bit(self, contour, energy):
+        spec, _, coeffs, _ = reference_m2_n3()
+        big_l = spec.angular_momentum
+        assert (wronskian_mismatch(coeffs, big_l, energy, contour)
+                == self.two_half_mismatch(coeffs, big_l, energy, contour))
+
+    def test_integrates_both_halves_only_off_the_mirror(self, monkeypatch):
+        calls = []
+        solve_ivp = shooting.solve_ivp
+
+        def counting_solve_ivp(*args, **kwargs):
+            calls.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "solve_ivp", counting_solve_ivp)
+        spec, energy, coeffs, _ = reference_m2_n3()
+        big_l = spec.angular_momentum
+        # one solve_ivp call per straight segment of each integrated half
+        cases = [(Contour(), None, 1), (Contour(waypoints=POLE_TEST_WAYPOINTS), None, 1),
+                 (Contour(waypoints=BENT_WAYPOINTS), None, 2),
+                 (Contour(), lambda r: r * r, 2)]
+        for contour, potential, expected in cases:
+            calls.clear()
+            wronskian_mismatch(coeffs, big_l, energy, contour, potential=potential)
+            assert len(calls) == expected, (contour, potential)
+
+
 class TestFindEigenvalue:
     def test_sturmian_state_recovered_at_zero_energy(self):
         spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
@@ -208,7 +261,7 @@ class TestPoles:
         # matching point straight into the zero at -i
         spec = ModelSpec(alpha=0.0, beta=0.0, big_m=2, n_states=2)
         coeffs = potential_coeffs(spec, 4.0)
-        contour = Contour(waypoints=(complex(-4, -0.5), complex(0, -1), complex(4, -0.5)))
+        contour = Contour(waypoints=POLE_TEST_WAYPOINTS)
         with pytest.raises(PoleError) as info:
             integrate_log_derivative(coeffs, spec.angular_momentum, 4.0, contour,
                                      "from_right", pole_threshold=1e4)
@@ -217,7 +270,7 @@ class TestPoles:
     def test_find_eigenvalue_survives_poles(self):
         spec = ModelSpec(alpha=0.0, beta=0.0, big_m=2, n_states=2)
         coeffs = potential_coeffs(spec, 4.0)
-        contour = Contour(waypoints=(complex(-4, -0.5), complex(0, -1), complex(4, -0.5)))
+        contour = Contour(waypoints=POLE_TEST_WAYPOINTS)
         result = find_eigenvalue(coeffs, spec.angular_momentum, 4.0, contour,
                                  pole_threshold=1e4)
         assert not result.converged
@@ -229,8 +282,7 @@ class TestBentContour:
         # and -pi/3) must agree with the real-axis pair at the closed-form
         # solution
         spec, energy, coeffs, _ = reference_m2_n3()
-        contour = Contour(waypoints=(4 * cmath.exp(-2j * math.pi / 3), -0.5j,
-                                     4 * cmath.exp(-1j * math.pi / 3)))
+        contour = Contour(waypoints=BENT_WAYPOINTS)
         m = wronskian_mismatch(coeffs, spec.angular_momentum, energy, contour)
         assert abs(m) <= 1e-6
         result = find_eigenvalue(coeffs, spec.angular_momentum, 5.6, contour)

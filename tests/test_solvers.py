@@ -91,6 +91,18 @@ class TestSturmian:
         for f in result.shifted_couplings:
             assert abs(result.coupling_poly(f)) <= 1e-9 * scale
 
+    def test_eigvals_failure_falls_back_to_characteristic_roots(self, monkeypatch):
+        spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
+        expected = solve_sturmian(spec)
+
+        def failing_eigvals(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing_eigvals)
+        result = solve_sturmian(spec)
+        assert result.d_values == pytest.approx(expected.d_values, abs=1e-9)
+        assert result.shifted_couplings == pytest.approx(expected.shifted_couplings, abs=1e-9)
+
     def test_multiplet_wrapper_validates(self):
         spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
         mult = sturmian_multiplet(spec)

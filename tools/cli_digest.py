@@ -1,6 +1,6 @@
 """Digest of the decadic CLI's stdout and exit codes over a fixed grid.
 
-Runs 1916 invocations in-process through ``decadic.cli.main`` and prints one
+Runs 1921 invocations in-process through ``decadic.cli.main`` and prints one
 line per invocation: the exit code, the sha256 of stdout and the argv.  Two
 checkouts whose digests are equal line for line give the same exit codes and
 byte-identical stdout on the whole grid (stderr is not compared).
@@ -13,7 +13,11 @@ The grid:
 * each of the three at every (alpha, beta) in
   {-3, -1.5, -0.625, 0, 0.375, 1, 2.25}^2;
 * five sweeps over [-4, 4]^2 with (M, N, steps) in (1, 2, 41), (1, 10, 21),
-  (2, 6, 21), (2, 12, 9) and (2, 3, 11).
+  (2, 6, 21), (2, 12, 9) and (2, 3, 11);
+* five shots: the README reference state (M=2, N=3, d=8.320335292207618,
+  E guess 5.5) at epsilon 0.25, 0.5 and 1.0, the same state from -50 with
+  an escape bound of 100 (exit 1), and the M=1, N=2, alpha=2, beta=0 state
+  at d=-4 from E guess 0.3.
 
 Uses only the stdlib and the ``decadic`` found on ``sys.path``, so point
 PYTHONPATH at the checkout to digest:
@@ -35,6 +39,10 @@ from decadic.cli import main
 
 VALUES = ("-3", "-1.5", "-0.625", "0", "0.375", "1", "2.25")
 SWEEPS = ((1, 2, 41), (1, 10, 21), (2, 6, 21), (2, 12, 9), (2, 3, 11))
+REFERENCE_SHOT = ["shoot", "-M", "2", "-N", "3", "--d=8.320335292207618"]
+SHOTS = [REFERENCE_SHOT + ["--e-guess=5.5", f"--epsilon={eps}"] for eps in ("0.25", "0.5", "1.0")]
+SHOTS += [REFERENCE_SHOT + ["--e-guess=-50", "--e-bound=100"],
+          ["shoot", "--alpha=2", "--beta=0", "-M", "1", "-N", "2", "--d=-4", "--e-guess=0.3"]]
 
 
 def grid():
@@ -51,6 +59,7 @@ def grid():
         yield ["sweep", "-M", str(m), "-N", str(n),
                "--alpha-min=-4", "--alpha-max=4", f"--alpha-steps={steps}",
                "--beta-min=-4", "--beta-max=4", f"--beta-steps={steps}"]
+    yield from SHOTS
 
 
 def run(argv):
