@@ -70,6 +70,10 @@ class ModelSpec:
     ell: int = 0
 
     def __post_init__(self):
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.big_m < 1:
             raise ValueError(f"big_m must be >= 1, got {self.big_m}")
         if self.n_states < 1:

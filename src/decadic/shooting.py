@@ -17,16 +17,23 @@ so on a contour that is its own PT mirror (r -> -conj r) the left
 log-derivative is -conj of the right one, bit for bit: IEEE complex
 arithmetic and cmath.sqrt commute with conjugation, and DOP853 takes the
 same steps.  wronskian_mismatch then integrates the left half only.
+
+The integrator is scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+section II.10) run on one complex scalar in this module: scipy's tableau,
+error estimate and step control, without solve_ivp's per-step numpy work on
+a two-element real state.  The tableau is imported from scipy on the first
+integration, so importing decadic does not load scipy.integrate.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .model import PotentialCoeffs
 from .wedges import sectors_for_degree
@@ -163,33 +170,163 @@ def _wkb_start(q, node0: complex, node1: complex) -> complex:
     return -s - dq / (4 * q0)
 
 
+# step control of scipy.integrate's explicit Runge-Kutta methods
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
+_RTOL_FLOOR = 100 * sys.float_info.epsilon
+
+
+@dataclass(frozen=True)
+class IvpResult:
+    t: list  # accepted times, starting at t_span[0]
+    y: list  # complex solution at those times
+    nfev: int  # counted as scipy counts: 2 for the start, 12 per attempted step
+    status: int  # 0 reached t_span[1], -1 step too small, 1 pole
+    t_pole: "float | None" = None
+
+
+@functools.cache
+def _dop853():
+    """scipy's DOP853 tableau as Python floats without its zero entries:
+    (c, ((j, a_j), ...)) for each stage after the first, ((j, b_j), ...),
+    and ((j, e3_j, e5_j), ...) for the two error estimates."""
+    from scipy.integrate import DOP853
+
+    def nonzero(row):
+        return tuple((j, float(v)) for j, v in enumerate(row) if v != 0)
+
+    stages = tuple((float(DOP853.C[s]), nonzero(DOP853.A[s, :s]))
+                   for s in range(1, DOP853.n_stages))
+    errors = tuple((j, float(e3), float(e5))
+                   for j, (e3, e5) in enumerate(zip(DOP853.E3, DOP853.E5)) if e3 or e5)
+    return stages, nonzero(DOP853.B), errors
+
+
+def _rms(z: complex, scale_re: float, scale_im: float) -> float:
+    """scipy's RMS norm of [re, im] / scale."""
+    a, b = z.real / scale_re, z.imag / scale_im
+    return math.sqrt(a * a + b * b) / math.sqrt(2.0)
+
+
+def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
+    """scipy.integrate._ivp.common.select_initial_step for error order 7."""
+    interval = t_bound - t0
+    scale_re = atol + abs(y0.real) * rtol
+    scale_im = atol + abs(y0.imag) * rtol
+    d0 = _rms(y0, scale_re, scale_im)
+    d1 = _rms(f0, scale_re, scale_im)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms(f1 - f0, scale_re, scale_im) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval)
+
+
+def solve_ivp(fun, t_span, y0, rtol, atol, pole_threshold) -> IvpResult:
+    """Integrate the complex scalar y' = fun(t, y) over t_span with DOP853.
+
+    A line-for-line port of scipy.integrate.solve_ivp(method="DOP853") with
+    a terminal event on the upward crossing of |y| - pole_threshold: the
+    real and imaginary parts are scaled and normed separately, as scipy
+    does on the state [re, im], so the steps are scipy's.  Sums run in
+    sequence rather than through BLAS, so results may differ from scipy's
+    in the last bits.  The pole is placed by linear interpolation of |y|
+    within the step that crosses the threshold.
+    """
+    stages, weights, errors = _dop853()
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    y = complex(y0)
+    if not cmath.isfinite(y):
+        raise ValueError(f"y0 must be finite, got {y}")
+    if atol < 0:
+        raise ValueError(f"atol must be non-negative, got {atol}")
+    if not t_bound > t:
+        raise ValueError(f"t_span must be increasing, got {t_span}")
+    rtol = max(rtol, _RTOL_FLOOR)
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
+    nfev = 2
+    ts, ys = [t], [y]
+    g = abs(y) - pole_threshold
+    k = [0j] * (len(stages) + 2)  # scipy's K: the 12 stages, then f_new
+    while t < t_bound:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # also ends a NaN step size
+                return IvpResult(ts, ys, nfev, -1)
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            k[0] = f
+            for s, (c, row) in enumerate(stages, 1):
+                dy = 0j
+                for j, a in row:
+                    dy += k[j] * a
+                k[s] = fun(t + c * h, y + dy * h)
+            dy = 0j
+            for j, b in weights:
+                dy += k[j] * b
+            y_new = y + h * dy
+            f_new = k[-1] = fun(t_new, y_new)
+            nfev += 12
+            err3 = err5 = 0j
+            for j, e3, e5 in errors:
+                err3 += k[j] * e3
+                err5 += k[j] * e5
+            scale_re = atol + max(abs(y.real), abs(y_new.real)) * rtol
+            scale_im = atol + max(abs(y.imag), abs(y_new.imag)) * rtol
+            err5_2 = (err5.real / scale_re) ** 2 + (err5.imag / scale_im) ** 2
+            err3_2 = (err3.real / scale_re) ** 2 + (err3.imag / scale_im) ** 2
+            denom = err5_2 + 0.01 * err3_2
+            error_norm = h * err5_2 / math.sqrt(denom * 2) if denom else 0.0
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        ts.append(t_new)
+        ys.append(y_new)
+        g_new = abs(y_new) - pole_threshold
+        if g <= 0 <= g_new:
+            crossing = g / (g - g_new) if g < g_new else 0.0
+            return IvpResult(ts, ys, nfev, 1, t + crossing * (t_new - t))
+        t, y, f, g = t_new, y_new, f_new, g_new
+    return IvpResult(ts, ys, nfev, 0)
+
+
 def _integrate_nodes(q, nodes, rtol, atol, pole_threshold):
     y = _wkb_start(q, nodes[0], nodes[1])
+    if not cmath.isfinite(y):
+        raise ValueError(f"the log-derivative overflows at the contour end {nodes[0]}: "
+                         "x_max or epsilon is too large")
     rs = [nodes[0]]
     ys = [y]
     for z0, z1 in zip(nodes[:-1], nodes[1:]):
         dr = z1 - z0
 
-        def rhs(t, state):
-            yv = complex(state[0], state[1])
-            if not (math.isfinite(yv.real) and math.isfinite(yv.imag)) or abs(yv) > 1e100:
-                return [0.0, 0.0]
-            dy = dr * (q(z0 + t * dr) - yv * yv)
-            return [dy.real, dy.imag]
+        def rhs(t, y):
+            # stage values far past a pole would overflow y * y; the pole
+            # event ends the run on the accepted values
+            if not abs(y) <= 1e100:
+                return 0j
+            return dr * (q(z0 + t * dr) - y * y)
 
-        def blowup(t, state):
-            return math.hypot(state[0], state[1]) - pole_threshold
-
-        blowup.terminal = True
-        blowup.direction = 1.0
-        sol = solve_ivp(rhs, (0.0, 1.0), [y.real, y.imag], method="DOP853",
-                        rtol=rtol, atol=atol, events=blowup)
-        if sol.t_events[0].size > 0:
-            raise PoleError(z0 + sol.t_events[0][0] * dr)
-        if sol.status != 0 or sol.t[-1] < 1.0:
-            raise PoleError(z0 + sol.t[-1] * dr)
+        sol = solve_ivp(rhs, (0.0, 1.0), y, rtol, atol, pole_threshold)
+        if sol.status != 0:
+            raise PoleError(z0 + (sol.t_pole if sol.status == 1 else sol.t[-1]) * dr)
         rs.extend(z0 + t * dr for t in sol.t[1:])
-        ys.extend(complex(a, b) for a, b in zip(sol.y[0][1:], sol.y[1][1:]))
+        ys.extend(sol.y[1:])
         y = ys[-1]
     return np.array(rs), np.array(ys)
 

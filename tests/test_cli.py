@@ -157,7 +157,7 @@ class TestShootCommand:
         ("--residual-tol", "0"), ("--residual-tol", "nan"), ("--e-bound", "0"),
         ("--max-iter", "0"), ("--max-iter", "-1"), ("--e-guess", "nan"),
         ("--e-guess", "inf"), ("--d", "nan"), ("--d", "-inf"), ("--x-max", "inf"),
-        ("--epsilon", "inf")])
+        ("--epsilon", "inf"), ("--x-max", "1e40"), ("--epsilon", "1e40")])
     def test_invalid_numeric_option_exits_two(self, capsys, flag, value):
         # "--flag=value", so that argparse takes "-inf" as a value
         code, out, err = run_cli(capsys, "shoot", "-M", "2", "-N", "3",
@@ -170,6 +170,9 @@ class TestShootCommand:
         assert "y0" not in err
         if flag in ("--e-guess", "--d", "--e-bound"):
             assert f"error: {flag} must be" in err
+        if value == "1e40":
+            # r^10 overflows at the contour end
+            assert "x_max or epsilon is too large" in err
 
 
 class TestSweepCommand:
@@ -226,6 +229,34 @@ class TestSweepCommand:
                              "--alpha-min", "0", "--alpha-max", "1", "--alpha-steps", "2",
                              "--beta-min", "0", "--beta-max", "1", "--beta-steps", "2")
         assert code == 2
+
+
+@pytest.mark.parametrize("name, value", [("alpha", "inf"), ("alpha", "-inf"),
+                                         ("beta", "nan")])
+@pytest.mark.parametrize("command", [
+    ["sturmian", "-N", "2"], ["energies", "-N", "3"], ["coupled", "-M", "3", "-N", "4"],
+    ["shoot", "-M", "2", "-N", "3", "--d", "8.32", "--e-guess", "5.5"]],
+    ids=["sturmian", "energies", "coupled", "shoot"])
+def test_non_finite_shape_parameter_exits_two(capsys, command, name, value):
+    # "--name=value", so that argparse takes "-inf" as a value
+    code, out, err = run_cli(capsys, *command, f"--{name}={value}")
+    assert code == 2
+    assert out == ""
+    assert f"error: {name} must be finite" in err
+
+
+@pytest.mark.parametrize("name, value", [("alpha", "inf"), ("alpha", "-inf"),
+                                         ("beta", "nan")])
+def test_non_finite_sweep_grid_exits_two(capsys, name, value):
+    bounds = {"alpha": "0", "beta": "0", name: value}
+    code, out, err = run_cli(capsys, "sweep", "-M", "1", "-N", "2",
+                             f"--alpha-min={bounds['alpha']}", f"--alpha-max={bounds['alpha']}",
+                             "--alpha-steps", "1",
+                             f"--beta-min={bounds['beta']}", f"--beta-max={bounds['beta']}",
+                             "--beta-steps", "1")
+    assert code == 2
+    assert out == ""
+    assert f"error: {name} must be finite" in err
 
 
 class TestCanonicalJson:

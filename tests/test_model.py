@@ -64,6 +64,13 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(alpha=0, beta=0, big_m=1, n_states=1, ell=-1)
 
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_shape_parameter_rejected(self, name, value):
+        shape = {"alpha": 0.0, "beta": 0.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModelSpec(**shape, big_m=1, n_states=2)
+
     def test_derived_quantities(self):
         spec = ModelSpec(alpha=1, beta=2, big_m=3, n_states=2, dimension=4, ell=1)
         assert spec.angular_momentum == Fraction(5, 2)

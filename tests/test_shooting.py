@@ -1,5 +1,7 @@
 import cmath
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -185,6 +187,89 @@ class TestMirrorHalf:
             calls.clear()
             wronskian_mismatch(coeffs, big_l, energy, contour, potential=potential)
             assert len(calls) == expected, (contour, potential)
+
+
+class TestScalarDop853:
+    """shooting.solve_ivp is scipy's DOP853 on one complex scalar; scipy's own
+    solve_ivp on the [re, im] state is the reference."""
+
+    @staticmethod
+    def segments(contour, direction, energy):
+        """The right-hand sides of the straight segments of one contour half,
+        and the WKB start value at its far end."""
+        spec, _, coeffs, _ = reference_m2_n3()
+        q = shooting._q_func(coeffs, spec.angular_momentum, energy, None)
+        nodes = contour.left_nodes() if direction == "from_left" else contour.right_nodes()
+
+        def riccati(z0, dr):
+            def rhs(t, y):
+                # the guard of shooting._integrate_nodes
+                return dr * (q(z0 + t * dr) - y * y) if abs(y) <= 1e100 else 0j
+
+            return rhs
+
+        return ([riccati(z0, z1 - z0) for z0, z1 in zip(nodes[:-1], nodes[1:])],
+                shooting._wkb_start(q, nodes[0], nodes[1]))
+
+    @staticmethod
+    def scipy_dop853(rhs, y0):
+        from scipy.integrate import solve_ivp
+
+        def real_rhs(t, state):
+            dy = rhs(t, complex(state[0], state[1]))
+            return [dy.real, dy.imag]
+
+        def blowup(t, state):
+            return math.hypot(state[0], state[1]) - 1e8
+
+        blowup.terminal = True
+        blowup.direction = 1.0
+        return solve_ivp(real_rhs, (0.0, 1.0), [y0.real, y0.imag], method="DOP853",
+                         rtol=1e-10, atol=1e-10, events=blowup)
+
+    @pytest.mark.parametrize("contour", [
+        Contour(epsilon=0.25), Contour(epsilon=0.5), Contour(epsilon=1.0),
+        Contour(waypoints=BENT_WAYPOINTS)], ids=["eps0.25", "eps0.5", "eps1", "bent"])
+    @pytest.mark.parametrize("direction", ["from_left", "from_right"])
+    @pytest.mark.parametrize("energy", [5.5, CBRT192], ids=["E5.5", "E_exact"])
+    def test_matches_scipy_dop853(self, contour, direction, energy):
+        rhss, y0 = self.segments(contour, direction, energy)
+        for rhs in rhss:
+            ours = shooting.solve_ivp(rhs, (0.0, 1.0), y0, 1e-10, 1e-10, 1e8)
+            ref = self.scipy_dop853(rhs, y0)
+            assert ours.status == ref.status == 0
+            steps, ref_steps = len(ours.t) - 1, len(ref.t) - 1
+            assert abs(steps - ref_steps) <= 0.01 * ref_steps
+            assert ours.nfev > steps
+            y_ref = complex(ref.y[0][-1], ref.y[1][-1])
+            assert abs(ours.y[-1] - y_ref) <= 1e-9 * abs(y_ref)
+            # both integrators start the next segment from the same value
+            y0 = ours.y[-1]
+
+    def test_non_finite_start_raises_at_once(self):
+        def rhs(t, y):
+            raise AssertionError("the right-hand side must not be called")
+
+        for y0 in (complex(math.nan, 0), complex(0, math.inf)):
+            with pytest.raises(ValueError, match="y0 must be finite"):
+                shooting.solve_ivp(rhs, (0.0, 1.0), y0, 1e-10, 1e-10, 1e8)
+        with pytest.raises(ValueError, match="atol"):
+            shooting.solve_ivp(rhs, (0.0, 1.0), 1j, 1e-10, -1.0, 1e8)
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # the tableau is imported on the first integration
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, decadic; print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_pole_status_and_location(self):
+        # y' = y^2 from y(0) = 1 is 1 / (1 - t), with a pole at t = 1
+        sol = shooting.solve_ivp(lambda t, y: y * y, (0.0, 2.0), 1 + 0j, 1e-10, 1e-10, 1e4)
+        assert sol.status == 1
+        assert sol.t_pole == pytest.approx(1 - 1e-4, abs=1e-3)
+        assert sol.t[-1] >= sol.t_pole
 
 
 class TestFindEigenvalue:
