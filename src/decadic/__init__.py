@@ -26,6 +26,7 @@ from .polynomial import (
     Root,
     RootSet,
     char_poly,
+    det,
     det_bipoly,
     real_filter,
     resultant,
@@ -61,7 +62,7 @@ __all__ = [
     "angular_momentum", "potential_coeffs", "potential_eval", "spike_strength",
     "wavefunction_eval",
     "Poly", "BiPoly", "Root", "RootSet", "DegenerateResultantError",
-    "char_poly", "det_bipoly", "roots", "resultant", "real_filter",
+    "det", "char_poly", "det_bipoly", "roots", "resultant", "real_filter",
     "coeffs", "main_matrix", "small_matrix", "full_system",
     "SturmianResult",
     "WrongModeError", "NotRankDeficientError",

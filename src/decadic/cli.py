@@ -8,7 +8,8 @@ subcommands share one handler: each names the solvers function it calls,
 and every one of those returns a Multiplet.
 
 Exit codes: 0 solutions emitted, 1 valid run with an empty result (or a
-non-converged shot), 2 usage or validation error.  JSON output is
+non-converged shot), 2 usage or validation error, or an --out path that
+cannot be written.  JSON output is
 canonical: fixed key order and %.12e floats, so parse -> re-serialize is
 byte-identical.
 """
@@ -319,7 +320,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, TypeError, ArithmeticError) as exc:
+    except (ValueError, TypeError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

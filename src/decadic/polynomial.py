@@ -2,10 +2,11 @@
 
 Univariate Poly and bivariate BiPoly (in the energy E and the quadratic
 coupling d) with exact arithmetic whenever the coefficients are ints or
-Fractions.  Determinants of the banded secular matrices are expanded by a
-last-column minor recurrence that is exact and evaluation-order
-independent; elimination between the two secular determinants uses the
-Sylvester resultant.
+Fractions.  det expands the banded secular matrices by a last-column minor
+recurrence that is exact and evaluation-order independent; its entries may
+be scalars, Poly or BiPoly, so a substitution such as d = E^2/4 goes into
+the entries and the determinant is expanded once.  Elimination between the
+two secular determinants uses the Sylvester resultant.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "BiPoly",
     "Root",
     "RootSet",
+    "det",
     "char_poly",
     "det_bipoly",
     "roots",
@@ -49,14 +51,6 @@ class Poly:
         coeffs = tuple(coeffs) or (0,)
         object.__setattr__(self, "coeffs", _trim(coeffs))
 
-    @staticmethod
-    def variable():
-        return Poly((0, 1))
-
-    @staticmethod
-    def constant(c):
-        return Poly((c,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -75,17 +69,6 @@ class Poly:
         if self.degree == 0:
             return Poly((0,))
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-    def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)) by Horner over Poly arithmetic."""
-        acc = Poly((0,))
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly((c,))
-        return acc
-
-    def shifted_argument(self, offset) -> "Poly":
-        """self(x + offset)."""
-        return self.compose(Poly((offset, 1)))
 
     def as_float(self) -> "Poly":
         return Poly(tuple(float(c) for c in self.coeffs))
@@ -236,19 +219,9 @@ class BiPoly:
             out.append(Poly(tuple(row[j] if j < len(row) else 0 for row in self.coeffs)))
         return out
 
-    def energy_coeffs(self):
-        out = []
-        for i in range(self.degree_energy + 1):
-            out.append(Poly(self.coeffs[i]))
-        return out
-
     def poly_in_coupling(self, energy_value) -> Poly:
         """Substitute a numeric E; returns a Poly in d."""
         return Poly(tuple(p(energy_value) for p in self.coupling_coeffs()))
-
-    def poly_in_energy(self, coupling_value) -> Poly:
-        """Substitute a numeric d; returns a Poly in E."""
-        return Poly(tuple(Poly(row)(coupling_value) for row in self.coeffs))
 
     def substitute_coupling(self, d_of_e: Poly) -> Poly:
         """Substitute d = d_of_e(E); returns a Poly in E."""
@@ -336,7 +309,6 @@ class Root:
 @dataclass(frozen=True)
 class RootSet:
     roots: tuple
-    real_tolerance: float = 1e-8
 
     @property
     def total_multiplicity(self) -> int:
@@ -347,14 +319,6 @@ def _is_zero(v) -> bool:
     if isinstance(v, (Poly, BiPoly)):
         return v.is_zero
     return v == 0
-
-
-def _dense_rows(m):
-    rows = [list(r) for r in m]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    return rows
 
 
 def _lower_bandwidth(rows) -> int:
@@ -423,7 +387,12 @@ def _det_memo(rows):
     return minor(full, 0)
 
 
-def _det(rows):
+def det(m):
+    """Division-free determinant of a square matrix whose entries are
+    scalars, Poly or BiPoly; exact for rational coefficients."""
+    rows = [list(r) for r in m]
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("matrix must be square")
     if len(rows) == 1:
         return rows[0][0]
     if _lower_bandwidth(rows) <= 1:
@@ -436,39 +405,34 @@ def _det(rows):
 
 def char_poly(m) -> Poly:
     """det(m - lambda*I) as a Poly in lambda; exact for rational entries."""
-    rows = _dense_rows(m)
-    n = len(rows)
-    work = [[Poly((rows[i][j],)) for j in range(n)] for i in range(n)]
     lam = Poly((0, 1))
-    for i in range(n):
-        work[i][i] = work[i][i] - lam
-    return _det(work)
+    return det([[Poly((v,)) - lam if i == j else Poly((v,)) for j, v in enumerate(row)]
+                for i, row in enumerate(m)])
 
 
 def det_bipoly(m) -> BiPoly:
     """Exact determinant of a matrix whose entries are BiPoly or scalars."""
-    rows = _dense_rows(m)
-    work = []
-    for row in rows:
-        out = []
+    for row in m:
         for v in row:
-            if isinstance(v, BiPoly):
-                out.append(v)
-            elif isinstance(v, (int, float, Fraction)):
-                out.append(BiPoly.constant(v))
-            else:
+            if not isinstance(v, (BiPoly, int, float, Fraction)):
                 raise TypeError(f"entry {v!r} is not a BiPoly or a scalar")
-        work.append(out)
-    result = _det(work)
+    result = det(m)
     return result if isinstance(result, BiPoly) else BiPoly.constant(result)
 
 
-def roots(p: Poly, residual_tol: float = 1e-9, cluster_radius: float = 1e-6,
-          real_tolerance: float = 1e-8) -> RootSet:
+# roots: a cluster's centre must satisfy |p| <= _RESIDUAL_TOL * max|coeff|;
+# roots within _CLUSTER_RADIUS * (1 + |root|) of a cluster's first member
+# join it; real_filter keeps |Im| <= _REAL_TOLERANCE * (1 + |root|)
+_RESIDUAL_TOL = 1e-9
+_CLUSTER_RADIUS = 1e-6
+_REAL_TOLERANCE = 1e-8
+
+
+def roots(p: Poly) -> RootSet:
     """All complex roots via companion-matrix eigenvalues plus Newton polish.
 
     Multiplicities are assigned by clustering within
-    cluster_radius * (1 + |root|).
+    _CLUSTER_RADIUS * (1 + |root|).
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no well-defined roots")
@@ -502,7 +466,7 @@ def roots(p: Poly, residual_tol: float = 1e-9, cluster_radius: float = 1e-6,
     for z in polished:
         for cl in clusters:
             ref = cl[0]
-            if abs(z - ref) <= cluster_radius * (1 + abs(ref)):
+            if abs(z - ref) <= _CLUSTER_RADIUS * (1 + abs(ref)):
                 cl.append(z)
                 break
         else:
@@ -511,19 +475,17 @@ def roots(p: Poly, residual_tol: float = 1e-9, cluster_radius: float = 1e-6,
     scale = pf.max_abs_coeff()
     for cl in clusters:
         center = sum(cl) / len(cl)
-        if abs(pf(center)) > residual_tol * scale:
+        if abs(pf(center)) > _RESIDUAL_TOL * scale:
             raise ArithmeticError(
                 f"root {center} has residual {abs(pf(center)):.3e} above "
-                f"{residual_tol:.1e} * {scale:.3e}")
+                f"{_RESIDUAL_TOL:.1e} * {scale:.3e}")
         out.append(Root(value=center, multiplicity=len(cl)))
     out.sort(key=lambda r: (r.value.real, r.value.imag))
-    return RootSet(roots=tuple(out), real_tolerance=real_tolerance)
+    return RootSet(roots=tuple(out))
 
 
-def real_filter(rs: RootSet, tol: "float | None" = None):
+def real_filter(rs: RootSet, tol: float = _REAL_TOLERANCE):
     """Real roots (|Im| <= tol*(1+|root|)), multiplicities expanded, ascending."""
-    if tol is None:
-        tol = rs.real_tolerance
     vals = []
     for r in rs.roots:
         if abs(r.value.imag) <= tol * (1 + abs(r.value)):
@@ -531,23 +493,18 @@ def real_filter(rs: RootSet, tol: "float | None" = None):
     return sorted(vals)
 
 
-def resultant(p: BiPoly, q: BiPoly, eliminate: str = "coupling") -> Poly:
-    """Sylvester resultant of p and q, eliminating one indeterminate.
+def resultant(p: BiPoly, q: BiPoly) -> Poly:
+    """Sylvester resultant of p and q, eliminating the coupling d.
 
-    Returns a Poly in the surviving indeterminate; it vanishes exactly at
-    the projections of common roots.
+    Returns a Poly in E; it vanishes exactly at the projections of common
+    roots.
     """
-    if eliminate in ("coupling", "d"):
-        pc, qc = p.coupling_coeffs(), q.coupling_coeffs()
-    elif eliminate in ("energy", "E"):
-        pc, qc = p.energy_coeffs(), q.energy_coeffs()
-    else:
-        raise ValueError(f"unknown indeterminate {eliminate!r}")
+    pc, qc = p.coupling_coeffs(), q.coupling_coeffs()
     m, n = len(pc) - 1, len(qc) - 1
     if m < 1 or n < 1:
         raise DegenerateResultantError(
-            f"cannot eliminate {eliminate!r}: degrees are {m} and {n}; "
-            "both inputs must depend on the eliminated indeterminate")
+            f"cannot eliminate d: degrees in d are {m} and {n}; "
+            "both inputs must depend on d")
     size = m + n
     zero = Poly((0,))
     rows = []
@@ -564,4 +521,4 @@ def resultant(p: BiPoly, q: BiPoly, eliminate: str = "coupling") -> Poly:
         for k, c in enumerate(qc):
             row[i + k] = c
         rows.append(row)
-    return _det(rows)
+    return det(rows)

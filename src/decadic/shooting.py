@@ -56,10 +56,16 @@ class PoleError(RuntimeError):
         self.location = location
 
 
+# deepest point of the default contour's inner stretch (see Contour)
+_TRANSIT_DEPTH = 0.5
+# the secant stops when a step is at most _E_TOL * (1 + |E|)
+_E_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class Contour:
     """Integration path.  Default: endpoints at +-x_max - i*epsilon, with
-    the inner stretch transiting at depth min(epsilon, transit_depth).
+    the inner stretch transiting at depth min(epsilon, _TRANSIT_DEPTH).
 
     The log-derivative is single-valued and meromorphic, so the quadrature
     route between the two wedge endpoints is a free choice; only the
@@ -76,17 +82,13 @@ class Contour:
     epsilon: float = 0.5
     x_max: float = 4.0
     waypoints: "tuple | None" = None
-    transit_depth: float = 0.5
 
     def __post_init__(self):
-        # "not 0 < v < inf" also rejects NaN; an infinite transit_depth is
-        # harmless, because only min(epsilon, transit_depth) is used
+        # "not 0 < v < inf" also rejects NaN
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0 < self.x_max < math.inf:
             raise ValueError(f"x_max must be positive and finite, got {self.x_max}")
-        if not self.transit_depth > 0:
-            raise ValueError(f"transit_depth must be positive, got {self.transit_depth}")
         if self.waypoints is not None:
             pts = tuple(complex(w) for w in self.waypoints)
             object.__setattr__(self, "waypoints", pts)
@@ -103,7 +105,7 @@ class Contour:
     def _half(self, sign: float, match_x: float):
         if not -self.x_max < match_x < self.x_max:
             raise ValueError("matching point must lie strictly inside the contour")
-        depth = min(self.epsilon, self.transit_depth)
+        depth = min(self.epsilon, _TRANSIT_DEPTH)
         nodes = [complex(sign * self.x_max, -self.epsilon)]
         if depth != self.epsilon:
             nodes.append(complex(sign * self.x_max, -depth))
@@ -244,8 +246,11 @@ def solve_ivp(fun, t_span, y0, rtol, atol, pole_threshold) -> IvpResult:
     y = complex(y0)
     if not cmath.isfinite(y):
         raise ValueError(f"y0 must be finite, got {y}")
-    if atol < 0:
-        raise ValueError(f"atol must be non-negative, got {atol}")
+    # atol = 0 would divide by a zero scale where a part of y stays 0
+    if not atol > 0:
+        raise ValueError(f"atol must be positive, got {atol}")
+    if math.isnan(rtol):
+        raise ValueError("rtol must not be NaN")
     if not t_bound > t:
         raise ValueError(f"t_span must be increasing, got {t_span}")
     rtol = max(rtol, _RTOL_FLOOR)
@@ -379,8 +384,7 @@ def wronskian_mismatch(coeffs: PotentialCoeffs, big_l, energy: float, contour: C
 
 
 def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Contour,
-                    potential=None, residual_tol: float = 1e-6,
-                    e_tol: float = 1e-9, max_iter: int = 40,
+                    potential=None, residual_tol: float = 1e-6, max_iter: int = 40,
                     e_bound: float = 1e6, pole_threshold: float = 1e8) -> ShootingResult:
     """Secant refinement of the Wronskian mismatch starting from e_guess.
 
@@ -392,7 +396,7 @@ def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Con
     for mx in match_points:
         try:
             return _secant(coeffs, big_l, e_guess, contour, potential, mx,
-                           residual_tol, e_tol, max_iter, e_bound, pole_threshold)
+                           residual_tol, max_iter, e_bound, pole_threshold)
         except PoleError:
             continue
     return ShootingResult(energy=float(e_guess), wronskian_residual=math.inf,
@@ -400,7 +404,7 @@ def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Con
 
 
 def _secant(coeffs, big_l, e_guess, contour, potential, match_x,
-            residual_tol, e_tol, max_iter, e_bound, pole_threshold):
+            residual_tol, max_iter, e_bound, pole_threshold):
     def g(e):
         return wronskian_mismatch(coeffs, big_l, e, contour,
                                   potential=potential, match_x=match_x,
@@ -421,7 +425,7 @@ def _secant(coeffs, big_l, e_guess, contour, potential, match_x,
         e0, f0 = e1, f1
         e1 = e2
         f1 = g(e1)
-        if abs(e1 - e0) <= e_tol * (1 + abs(e1)):
+        if abs(e1 - e0) <= _E_TOL * (1 + abs(e1)):
             step_converged = True
             break
     residual = abs(f1)

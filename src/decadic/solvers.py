@@ -5,8 +5,8 @@ Three regimes:
 * M = 1: the energy is pinned to E = 0 and the quadratic coupling d is the
   eigenvalue of the main matrix (a coupling multiplet, any N).
 * M = 2: the small determinant forces d = E^2/4; substituting it into the
-  main determinant leaves a single polynomial whose real roots are the
-  energies.
+  entries of the main matrix leaves a single determinant, a polynomial in E
+  whose real roots are the energies.
 * M >= 2 general: treat the small and main determinants as a coupled
   bivariate system, eliminate d with a resultant and back-substitute.
 
@@ -142,14 +142,14 @@ class SturmianResult:
 
 
 def shifted_coupling_poly(spec: ModelSpec) -> pl.Poly:
-    """Characteristic polynomial det(main - F*I) rewritten in the shifted
-    coupling F = d - beta^2 + 2*N*alpha.  Exact for rational alpha, beta."""
+    """The main determinant at E = 0 as a polynomial in the shifted coupling
+    F = d - beta^2 + 2*N*alpha: the main matrix is built with d = F + shift
+    and expanded once.  Exact for rational alpha, beta."""
     if spec.big_m != 1:
         raise WrongModeError(f"coupling multiplets require M = 1, got M = {spec.big_m}")
     exact, was_float = _exact_spec(spec)
-    p = pl.char_poly(recurrence.main_matrix(exact, 0, 0))
     shift = exact.beta * exact.beta - 2 * exact.n_states * exact.alpha
-    result = p.shifted_argument(shift)
+    result = pl.det(recurrence.main_matrix(exact, 0, pl.Poly((shift, 1))))
     return result.as_float() if was_float else result
 
 
@@ -194,16 +194,16 @@ def solve_energies(spec: ModelSpec, reality_tol: float = 1e-8,
                    residual_tol: float = 1e-10) -> Multiplet:
     """Energy multiplet at M = 2, where the small determinant fixes d = E^2/4.
 
-    The main determinant with d = E^2/4 substituted is expanded exactly to a
-    polynomial in E; each distinct real root is accepted only if the full
-    recurrence system is rank deficient there.
+    The main matrix is built with energy E and coupling E^2/4 as Poly
+    entries and its determinant expanded exactly once, to a polynomial in E;
+    each distinct real root is accepted only if the full recurrence system
+    is rank deficient there.
     """
     if spec.big_m != 2:
         raise WrongModeError(f"energy multiplets require M = 2, got M = {spec.big_m}")
     exact, _ = _exact_spec(spec)
-    sym = recurrence.main_matrix(exact, pl.BiPoly.energy(), pl.BiPoly.coupling())
-    det = pl.det_bipoly(sym)
-    poly_e = det.substitute_coupling(pl.Poly((0, 0, Fraction(1, 4))))
+    poly_e = pl.det(recurrence.main_matrix(
+        exact, pl.Poly((0, 1)), pl.Poly((0, 0, Fraction(1, 4)))))
     root_set = pl.roots(poly_e.as_float())
     entries = []
     for root in root_set.roots:
@@ -250,7 +250,7 @@ def solve_coupled(spec: ModelSpec, reality_tol: float = 1e-8,
     e_sym, d_sym = pl.BiPoly.energy(), pl.BiPoly.coupling()
     p_small = pl.det_bipoly(recurrence.small_matrix(exact, e_sym, d_sym))
     p_main = pl.det_bipoly(recurrence.main_matrix(exact, e_sym, d_sym))
-    eliminant = pl.resultant(p_small, p_main, "coupling").as_float()
+    eliminant = pl.resultant(p_small, p_main).as_float()
     if eliminant.is_zero:
         raise pl.DegenerateResultantError(
             "the resultant vanishes identically; the secular determinants "

@@ -37,8 +37,8 @@ def _wrap(angle: float) -> float:
     return a
 
 
-def _same_angle(a: float, b: float, tol: float = _MIRROR_TOL) -> bool:
-    return abs(_wrap(a - b)) <= tol
+def _same_angle(a: float, b: float) -> bool:
+    return abs(_wrap(a - b)) <= _MIRROR_TOL
 
 
 @dataclass(frozen=True)
@@ -106,26 +106,17 @@ def pt_pairs(z: int):
     no fixed sectors; even z gives z - 1 pairs and two fixed sectors.
     """
     sectors = sectors_for_degree(z)
-    unpaired = list(range(2 * z))
     raw_pairs = []
     self_symmetric = []
-    while unpaired:
-        k = unpaired.pop(0)
-        target = math.pi - sectors[k].center
-        partner = None
-        for j in unpaired:
-            if _same_angle(sectors[j].center, target, 1e-9):
-                partner = j
-                break
-        if partner is None:
-            if not _same_angle(sectors[k].center, target, 1e-9):
-                raise AssertionError("mirror image of a decay sector must be a decay sector")
+    for k in range(2 * z):
+        # the mirror takes the centre k*pi/z to (z - k)*pi/z
+        partner = (z - k) % (2 * z)
+        if partner == k:
             self_symmetric.append(sectors[k])
-            continue
-        unpaired.remove(partner)
-        a, b = sectors[k], sectors[partner]
-        right, left = (a, b) if math.cos(a.center) > 0 else (b, a)
-        raw_pairs.append((left, right))
+        elif k < partner:
+            a, b = sectors[k], sectors[partner]
+            right, left = (a, b) if math.cos(a.center) > 0 else (b, a)
+            raw_pairs.append((left, right))
 
     def sort_key(pair):
         c = _wrap(pair[1].center)

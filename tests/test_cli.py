@@ -282,6 +282,19 @@ class TestCanonicalJson:
         doc = json.loads(path.read_text())
         assert doc["spec"]["alpha"] == 2.0
 
+    @pytest.mark.parametrize("argv", [
+        ("sturmian", "--alpha", "2", "--beta", "0", "-N", "2"),
+        ("sweep", "-N", "2", "--alpha-min=-4", "--alpha-max=4", "--alpha-steps=3",
+         "--beta-min=-4", "--beta-max=4", "--beta-steps=3"),
+    ], ids=["sturmian", "sweep"])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, argv):
+        missing = tmp_path / "no-such-dir" / "result.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(missing))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "no-such-dir" in err
+        assert not missing.parent.exists()
+
 
 class TestEntryPoint:
     def test_console_script(self):

@@ -43,13 +43,9 @@ class TestContourValidation:
             Contour(epsilon=0.0)
         with pytest.raises(ValueError):
             Contour(x_max=-1.0)
-        with pytest.raises(ValueError):
-            Contour(transit_depth=0.0)
         for bad in ({"epsilon": math.inf}, {"epsilon": math.nan}, {"x_max": math.inf}):
             with pytest.raises(ValueError, match="must be positive and finite"):
                 Contour(**bad)
-        # only min(epsilon, transit_depth) is used, so an infinite depth is fine
-        assert Contour(transit_depth=math.inf).left_nodes() == Contour().left_nodes()
 
     def test_waypoints_must_be_odd_polyline(self):
         with pytest.raises(ValueError):
@@ -253,8 +249,11 @@ class TestScalarDop853:
         for y0 in (complex(math.nan, 0), complex(0, math.inf)):
             with pytest.raises(ValueError, match="y0 must be finite"):
                 shooting.solve_ivp(rhs, (0.0, 1.0), y0, 1e-10, 1e-10, 1e8)
-        with pytest.raises(ValueError, match="atol"):
-            shooting.solve_ivp(rhs, (0.0, 1.0), 1j, 1e-10, -1.0, 1e8)
+        for atol in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="atol"):
+                shooting.solve_ivp(rhs, (0.0, 1.0), 1j, 1e-10, atol, 1e8)
+        with pytest.raises(ValueError, match="rtol"):
+            shooting.solve_ivp(rhs, (0.0, 1.0), 1j, math.nan, 1e-10, 1e8)
 
     def test_import_leaves_scipy_integrate_unloaded(self):
         # the tableau is imported on the first integration

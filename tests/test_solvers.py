@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import decadic.polynomial as pl
 import decadic.recurrence as recurrence
 import decadic.solvers as solvers
 from decadic import (
@@ -12,6 +13,7 @@ from decadic import (
     NotRankDeficientError,
     Poly,
     WrongModeError,
+    char_poly,
     det_bipoly,
     main_matrix,
     null_vector,
@@ -45,6 +47,33 @@ def table_poly(n, al, be):
                      8192 * be * al**2 - 1024 * al**4 - 16384 * be**2,
                      5376, 80 * al**2 - 320 * be, 0, -1))
     raise ValueError(n)
+
+
+def rational_specs(seed, big_m, sizes):
+    """One spec with small random rational alpha, beta per size."""
+    rng = random.Random(seed)
+    for n in sizes:
+        yield ModelSpec(alpha=Fraction(rng.randint(-15, 15), rng.randint(1, 4)),
+                        beta=Fraction(rng.randint(-15, 15), rng.randint(1, 4)),
+                        big_m=big_m, n_states=n)
+
+
+class _Expanded(Exception):
+    """Carries the determinant a solver expanded, and stops the solver."""
+
+
+def expanded_determinant(monkeypatch, solve, spec):
+    """The exact polynomial that solve(spec) gets from its pl.det call."""
+    real_det = pl.det
+
+    def spy(m):
+        raise _Expanded(real_det(m))
+
+    monkeypatch.setattr(pl, "det", spy)
+    with pytest.raises(_Expanded) as caught:
+        solve(spec)
+    monkeypatch.undo()
+    return caught.value.args[0]
 
 
 class TestSturmian:
@@ -139,6 +168,18 @@ class TestShiftedCouplingPoly:
                 spec = ModelSpec(alpha=al, beta=be, big_m=1, n_states=n)
                 assert shifted_coupling_poly(spec) == table_poly(n, al, be)
 
+    def test_substitution_in_entries_equals_shifted_char_poly(self):
+        # d = F + shift in the matrix entries, expanded once, against the
+        # characteristic polynomial of main(0, 0) evaluated at F + shift
+        for spec in rational_specs(31, 1, [1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24]):
+            shift = spec.beta ** 2 - 2 * spec.n_states * spec.alpha
+            p = shifted_coupling_poly(spec)
+            reference = char_poly(main_matrix(spec, 0, 0))
+            assert p.degree == spec.n_states
+            for k in range(spec.n_states + 1):
+                f = Fraction(2 * k - spec.n_states, 3)
+                assert p(f) == reference(f + shift)
+
     def test_float_inputs_give_float_poly(self):
         spec = ModelSpec(alpha=0.5, beta=0.25, big_m=1, n_states=2)
         p = shifted_coupling_poly(spec)
@@ -193,6 +234,15 @@ class TestEnergies:
     def test_wrong_mode(self):
         with pytest.raises(WrongModeError):
             solve_energies(ModelSpec(alpha=0, beta=0, big_m=1, n_states=2))
+
+    def test_substitution_in_entries_equals_bivariate_route(self, monkeypatch):
+        # d = E^2/4 in the matrix entries, expanded once, against the
+        # bivariate determinant with d = E^2/4 substituted afterwards
+        quarter = Poly((0, 0, Fraction(1, 4)))
+        for spec in rational_specs(29, 2, [n for n in range(1, 13) for _ in range(2)]):
+            poly_e = expanded_determinant(monkeypatch, solve_energies, spec)
+            det = det_bipoly(main_matrix(spec, BiPoly.energy(), BiPoly.coupling()))
+            assert poly_e == det.substitute_coupling(quarter)
 
     def test_quintic_roots_are_determinant_roots(self):
         # the degree-5 reference polynomial's roots must all satisfy our

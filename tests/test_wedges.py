@@ -97,7 +97,7 @@ class TestMirrorPairs:
         assert len(pairs) == 1 and fixed == []
 
     def test_counts_against_direct_enumeration(self):
-        for z in range(1, 9):
+        for z in range(1, 41):
             sectors = sectors_for_degree(z)
             # enumerate mirror partners directly from the sector intervals
             matched, fixed_count = set(), 0
@@ -113,6 +113,9 @@ class TestMirrorPairs:
             pairs, fixed = pt_pairs(z)
             assert len(pairs) == len(matched)
             assert len(fixed) == fixed_count
+            assert {frozenset((sectors.index(p.left), sectors.index(p.right)))
+                    for p in pairs} == matched
+            assert all(math.cos(p.right.center) > 0 for p in pairs)
             if z % 2 == 1:
                 assert len(pairs) == z and len(fixed) == 0
             else:
