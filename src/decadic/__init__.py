@@ -20,7 +20,8 @@ from .model import (
     wavefunction_eval,
 )
 from .polynomial import (
-    BiPoly,
+    COUPLING,
+    ENERGY,
     DegenerateResultantError,
     Poly,
     Root,
@@ -61,7 +62,7 @@ __all__ = [
     "ModelSpec", "Multiplet", "MultipletEntry", "PotentialCoeffs",
     "angular_momentum", "potential_coeffs", "potential_eval", "spike_strength",
     "wavefunction_eval",
-    "Poly", "BiPoly", "Root", "RootSet", "DegenerateResultantError",
+    "Poly", "ENERGY", "COUPLING", "Root", "RootSet", "DegenerateResultantError",
     "det", "char_poly", "det_bipoly", "roots", "resultant", "real_filter",
     "coeffs", "main_matrix", "small_matrix", "full_system",
     "SturmianResult",

@@ -1,12 +1,14 @@
 """Dense polynomial arithmetic for the secular determinants.
 
-Univariate Poly and bivariate BiPoly (in the energy E and the quadratic
-coupling d) with exact arithmetic whenever the coefficients are ints or
-Fractions.  det expands the banded secular matrices by a last-column minor
-recurrence that is exact and evaluation-order independent; its entries may
-be scalars, Poly or BiPoly, so a substitution such as d = E^2/4 goes into
-the entries and the determinant is expanded once.  Elimination between the
-two secular determinants uses the Sylvester resultant.
+One polynomial type, Poly, generic over its coefficients and exact
+whenever they are ints or Fractions.  A polynomial in the energy E and the
+quadratic coupling d is a Poly in d whose coefficients are Polys in E; the
+generators are ENERGY and COUPLING, and p(d)(E) evaluates one.  det expands
+the banded secular matrices by a last-column minor recurrence that is exact
+and evaluation-order independent; its entries may be scalars or Polys, so a
+substitution such as d = E^2/4 goes into the entries and the determinant is
+expanded once.  Elimination of d between the two secular determinants uses
+the Sylvester resultant.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 
 __all__ = [
     "Poly",
-    "BiPoly",
+    "ENERGY",
+    "COUPLING",
     "Root",
     "RootSet",
     "det",
@@ -128,14 +131,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        acc = Poly((1,))
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
     def __eq__(self, other):
         other = Poly._coerce(other)
         if other is None:
@@ -149,155 +144,13 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
 
-def _trim_matrix(rows):
-    rows = [list(r) for r in rows]
-    while len(rows) > 1 and all(c == 0 for c in rows[-1]):
-        rows.pop()
-    width = max(len(r) for r in rows)
-    for r in rows:
-        r.extend([0] * (width - len(r)))
-    while width > 1 and all(r[width - 1] == 0 for r in rows):
-        width -= 1
-    return tuple(tuple(r[:width]) for r in rows)
+# generators of the polynomials in (E, d): Polys in d over Polys in E
+ENERGY = Poly((Poly((0, 1)),))
+COUPLING = Poly((0, 1))
 
 
-class BiPoly:
-    """Bivariate polynomial in (E, d); coeffs[i][j] multiplies E^i * d^j."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=((0,),)):
-        object.__setattr__(self, "coeffs", _trim_matrix(coeffs))
-
-    @staticmethod
-    def energy():
-        return BiPoly(((0,), (1,)))
-
-    @staticmethod
-    def coupling():
-        return BiPoly(((0, 1),))
-
-    @staticmethod
-    def constant(c):
-        return BiPoly(((c,),))
-
-    @property
-    def degree_energy(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def degree_coupling(self) -> int:
-        return len(self.coeffs[0]) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == ((0,),)
-
-    def __call__(self, energy, coupling):
-        acc = 0
-        for row in reversed(self.coeffs):
-            inner = 0
-            for c in reversed(row):
-                inner = inner * coupling + c
-            acc = acc * energy + inner
-        return acc
-
-    def eval_abs(self, energy, coupling) -> float:
-        """Sum of |coeff| * |E|^i * |d|^j; a cancellation-free scale."""
-        e, d = abs(float(energy)), abs(float(coupling))
-        total = 0.0
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c != 0:
-                    total += abs(float(c)) * e**i * d**j
-        return total
-
-    def coupling_coeffs(self):
-        """Coefficients of powers of d, each a Poly in E (ascending in d)."""
-        out = []
-        for j in range(self.degree_coupling + 1):
-            out.append(Poly(tuple(row[j] if j < len(row) else 0 for row in self.coeffs)))
-        return out
-
-    def poly_in_coupling(self, energy_value) -> Poly:
-        """Substitute a numeric E; returns a Poly in d."""
-        return Poly(tuple(p(energy_value) for p in self.coupling_coeffs()))
-
-    def substitute_coupling(self, d_of_e: Poly) -> Poly:
-        """Substitute d = d_of_e(E); returns a Poly in E."""
-        acc = Poly((0,))
-        for p_e in reversed(self.coupling_coeffs()):
-            acc = acc * d_of_e + p_e
-        return acc
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, BiPoly):
-            return other
-        if isinstance(other, (int, float, Fraction)):
-            return BiPoly(((other,),))
-        return None
-
-    def __add__(self, other):
-        other = BiPoly._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        ne = max(len(a), len(b))
-        nd = max(len(a[0]), len(b[0]))
-        out = [[0] * nd for _ in range(ne)]
-        for src in (a, b):
-            for i, row in enumerate(src):
-                for j, c in enumerate(row):
-                    out[i][j] += c
-        return BiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly(tuple(tuple(-c for c in row) for row in self.coeffs))
-
-    def __sub__(self, other):
-        other = BiPoly._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = BiPoly._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = BiPoly._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        out = [[0] * (len(a[0]) + len(b[0]) - 1) for _ in range(len(a) + len(b) - 1)]
-        for i, ra in enumerate(a):
-            for j, x in enumerate(ra):
-                if x == 0:
-                    continue
-                for k, rb in enumerate(b):
-                    for l, y in enumerate(rb):
-                        if y != 0:
-                            out[i + k][j + l] += x * y
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = BiPoly._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"BiPoly({[list(r) for r in self.coeffs]})"
+def _as_poly(v) -> Poly:
+    return v if isinstance(v, Poly) else Poly((v,))
 
 
 @dataclass(frozen=True)
@@ -316,7 +169,7 @@ class RootSet:
 
 
 def _is_zero(v) -> bool:
-    if isinstance(v, (Poly, BiPoly)):
+    if isinstance(v, Poly):
         return v.is_zero
     return v == 0
 
@@ -338,7 +191,7 @@ def _det_lower_hessenberg(rows):
 
         p_k = sum_j (+/-) rows[j][k-1] * (prod of subdiagonal j..k-2) * p_j
 
-    which is division-free, hence exact over Fraction/Poly/BiPoly entries.
+    which is division-free, hence exact over Fraction and Poly entries.
     """
     n = len(rows)
     minors = [1] + [None] * n
@@ -389,7 +242,7 @@ def _det_memo(rows):
 
 def det(m):
     """Division-free determinant of a square matrix whose entries are
-    scalars, Poly or BiPoly; exact for rational coefficients."""
+    scalars or Poly; exact for rational coefficients."""
     rows = [list(r) for r in m]
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
@@ -410,14 +263,14 @@ def char_poly(m) -> Poly:
                 for i, row in enumerate(m)])
 
 
-def det_bipoly(m) -> BiPoly:
-    """Exact determinant of a matrix whose entries are BiPoly or scalars."""
+def det_bipoly(m) -> Poly:
+    """Exact determinant of a matrix whose entries are polynomials in (E, d)
+    or scalars: a Poly in d whose coefficients are all Polys in E."""
     for row in m:
         for v in row:
-            if not isinstance(v, (BiPoly, int, float, Fraction)):
-                raise TypeError(f"entry {v!r} is not a BiPoly or a scalar")
-    result = det(m)
-    return result if isinstance(result, BiPoly) else BiPoly.constant(result)
+            if not isinstance(v, (Poly, int, float, Fraction)):
+                raise TypeError(f"entry {v!r} is not a Poly or a scalar")
+    return Poly(tuple(_as_poly(c) for c in _as_poly(det(m)).coeffs))
 
 
 # roots: a cluster's centre must satisfy |p| <= _RESIDUAL_TOL * max|coeff|;
@@ -493,13 +346,14 @@ def real_filter(rs: RootSet, tol: float = _REAL_TOLERANCE):
     return sorted(vals)
 
 
-def resultant(p: BiPoly, q: BiPoly) -> Poly:
-    """Sylvester resultant of p and q, eliminating the coupling d.
+def resultant(p: Poly, q: Poly) -> Poly:
+    """Sylvester resultant of p and q, Polys in d over Polys in E (or
+    scalars), eliminating the coupling d.
 
     Returns a Poly in E; it vanishes exactly at the projections of common
     roots.
     """
-    pc, qc = p.coupling_coeffs(), q.coupling_coeffs()
+    pc, qc = p.coeffs, q.coeffs
     m, n = len(pc) - 1, len(qc) - 1
     if m < 1 or n < 1:
         raise DegenerateResultantError(
@@ -521,4 +375,4 @@ def resultant(p: BiPoly, q: BiPoly) -> Poly:
         for k, c in enumerate(qc):
             row[i + k] = c
         rows.append(row)
-    return det(rows)
+    return _as_poly(det(rows))

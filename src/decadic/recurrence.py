@@ -14,9 +14,9 @@ Its rows n = 0..N over (h_0 .. h_{N-1}) form the (N+1) x N "full" system.
 The two square secular matrices are row slices of it: rows 1..N are the
 N x N "main" matrix (A_{-1} = 0 and D_{N+1} = 0 structurally), and rows
 0..M-1, over the columns h_0 .. h_{M-1}, are the M x M "small" matrix
-(A_{M-1} = 0).  All three are plain lists of rows.  Passing Poly/BiPoly
-objects as energy or coupling builds the same matrices with symbolic
-entries.
+(A_{M-1} = 0).  All three are plain lists of rows.  Passing Poly objects
+as energy or coupling (polynomial.ENERGY and polynomial.COUPLING for the
+two variables) builds the same matrices with symbolic entries.
 """
 
 from __future__ import annotations

@@ -141,6 +141,8 @@ def _poly_potential(coeffs: PotentialCoeffs):
     if coeffs.d is None:
         raise TypeError("quadratic coupling d is unsolved; shooting needs a numeric d")
     a, b, c, d = (float(coeffs.a), float(coeffs.b), float(coeffs.c), float(coeffs.d))
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise ValueError(f"potential coefficients must be finite, got {(a, b, c, d)}")
 
     def v(r: complex) -> complex:
         r2 = r * r
@@ -390,8 +392,19 @@ def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Con
 
     Non-convergence (wild steps, |E| escaping e_bound, persistent poles) is
     reported in the result, never raised.  A pole at the default matching
-    point triggers retries at x = +0.3 and x = -0.3.
+    point triggers retries at x = +0.3 and x = -0.3.  A non-finite e_guess,
+    an e_bound or residual_tol that is not positive (NaN included) and a
+    max_iter below 1 raise ValueError before any integration.
     """
+    if not math.isfinite(e_guess):
+        raise ValueError(f"e_guess must be finite, got {e_guess}")
+    # "not v > 0" rather than "v <= 0", so that NaN is rejected too
+    if not e_bound > 0:
+        raise ValueError(f"e_bound must be positive, got {e_bound}")
+    if not residual_tol > 0:
+        raise ValueError(f"residual_tol must be positive, got {residual_tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     match_points = (0.0,) if contour.waypoints is not None else (0.0, 0.3, -0.3)
     for mx in match_points:
         try:

@@ -7,8 +7,9 @@ Three regimes:
 * M = 2: the small determinant forces d = E^2/4; substituting it into the
   entries of the main matrix leaves a single determinant, a polynomial in E
   whose real roots are the energies.
-* M >= 2 general: treat the small and main determinants as a coupled
-  bivariate system, eliminate d with a resultant and back-substitute.
+* M >= 2 general: expand the small and main determinants as polynomials
+  in d over polynomials in E, eliminate d with a resultant and
+  back-substitute each real E.
 
 The M = 2 and coupled routes only propose (E, d) candidates.  Both send
 them through one acceptance gate, which keeps a candidate only when the
@@ -247,16 +248,21 @@ def solve_coupled(spec: ModelSpec, reality_tol: float = 1e-8,
     if spec.big_m < 2:
         raise WrongModeError(f"the coupled solver requires M >= 2, got M = {spec.big_m}")
     exact, _ = _exact_spec(spec)
-    e_sym, d_sym = pl.BiPoly.energy(), pl.BiPoly.coupling()
-    p_small = pl.det_bipoly(recurrence.small_matrix(exact, e_sym, d_sym))
-    p_main = pl.det_bipoly(recurrence.main_matrix(exact, e_sym, d_sym))
+    p_small = pl.det_bipoly(recurrence.small_matrix(exact, pl.ENERGY, pl.COUPLING))
+    p_main = pl.det_bipoly(recurrence.main_matrix(exact, pl.ENERGY, pl.COUPLING))
     eliminant = pl.resultant(p_small, p_main).as_float()
     if eliminant.is_zero:
         raise pl.DegenerateResultantError(
             "the resultant vanishes identically; the secular determinants "
             "share a common factor in d")
-    small_f = pl.BiPoly(tuple(tuple(float(c) for c in row) for row in p_small.coeffs))
-    main_f = pl.BiPoly(tuple(tuple(float(c) for c in row) for row in p_main.coeffs))
+    # float copies of both determinants, and copies with |coefficients|:
+    # evaluated at (|E|, |d|) those give a cancellation-free scale
+    dets_f = [pl.Poly(tuple(c.as_float() for c in p.coeffs)) for p in (p_small, p_main)]
+    dets_abs = [pl.Poly(tuple(pl.Poly(tuple(abs(x) for x in c.coeffs)) for c in p.coeffs))
+                for p in dets_f]
+
+    def at_energy(p, e):
+        return pl.Poly(tuple(c(e) for c in p.coeffs))
 
     entries = []
     seen = []
@@ -264,14 +270,14 @@ def solve_coupled(spec: ModelSpec, reality_tol: float = 1e-8,
         if abs(root.value.imag) > reality_tol * (1 + abs(root.value)):
             continue
         e0 = root.value.real
+        backs = [at_energy(p, e0) for p in dets_f]
+        scales = [at_energy(p, abs(e0)) for p in dets_abs]
         # back-substitute through both determinants: at special energies one
         # of them can degenerate to the zero polynomial in d (every d then
         # satisfies it) and only the other carries the coupling information
         d_candidates = []
-        for source in (small_f, main_f):
-            back = source.poly_in_coupling(e0)
-            scale = max(abs(c) for c in back.coeffs)
-            if back.degree < 1 or scale == 0:
+        for back in backs:
+            if back.degree < 1:
                 continue
             try:
                 d_roots = pl.roots(back)
@@ -284,11 +290,8 @@ def solve_coupled(spec: ModelSpec, reality_tol: float = 1e-8,
             if any(abs(e0 - e) <= 1e-9 * (1 + abs(e)) and abs(d0 - d) <= 1e-9 * (1 + abs(d))
                    for e, d in seen):
                 continue
-            scale_s = max(small_f.eval_abs(e0, d0), 1.0)
-            scale_m = max(main_f.eval_abs(e0, d0), 1.0)
-            if abs(small_f(e0, d0)) > det_tol * scale_s:
-                continue
-            if abs(main_f(e0, d0)) > det_tol * scale_m:
+            if any(abs(back(d0)) > det_tol * max(scale(abs(d0)), 1.0)
+                   for back, scale in zip(backs, scales)):
                 continue
             accepted = _validated_entries(spec, e0, d0, rank_rtol, residual_tol)
             if accepted:

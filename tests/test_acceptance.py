@@ -11,7 +11,8 @@ import pytest
 
 import decadic.recurrence as recurrence
 from decadic import (
-    BiPoly,
+    COUPLING,
+    ENERGY,
     Contour,
     ModelSpec,
     Poly,
@@ -78,8 +79,8 @@ def test_criterion_02_m2_precondition_identity():
         spec = ModelSpec(alpha=Fraction(rng.randint(-9, 9), 3),
                          beta=Fraction(rng.randint(-9, 9), 3),
                          big_m=2, n_states=rng.randint(2, 6))
-        det = det_bipoly(small_matrix(spec, BiPoly.energy(), BiPoly.coupling()))
-        assert det == BiPoly.energy() * BiPoly.energy() - 4 * BiPoly.coupling()
+        det = det_bipoly(small_matrix(spec, ENERGY, COUPLING))
+        assert det == ENERGY * ENERGY - 4 * COUPLING
     report("criterion 2 PASS: small determinant at M=2 is identically E^2 - 4d")
 
 
@@ -100,8 +101,8 @@ def test_criterion_04_quintic_root_containment():
     for _ in range(20):
         al, be = rng.uniform(-3, 3), rng.uniform(-3, 3)
         exact = ModelSpec(alpha=Fraction(al), beta=Fraction(be), big_m=2, n_states=3)
-        det = det_bipoly(main_matrix(exact, BiPoly.energy(), BiPoly.coupling()))
-        secular = det.substitute_coupling(Poly((0, 0, Fraction(1, 4)))).as_float()
+        det = det_bipoly(main_matrix(exact, ENERGY, COUPLING))
+        secular = det(Poly((0, 0, Fraction(1, 4)))).as_float()
         quintic = Poly((
             -1024 * be * al**2 - 1280 * be**2 + 4096 * al - 32 * be**5 + 384 * be**3 * al,
             -256 * be - 512 * al**2 + 192 * be**2 * al - 16 * be**4,

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from decadic import (
-    BiPoly,
+    COUPLING,
+    ENERGY,
     DegenerateResultantError,
     ModelSpec,
     Poly,
     char_poly,
+    det,
     det_bipoly,
     main_matrix,
     real_filter,
@@ -20,6 +22,31 @@ from decadic import (
 )
 
 CBRT192 = 192 ** (1 / 3)
+
+
+def energy_degree(p):
+    """Highest power of E in a Poly in d whose coefficients are Polys in E
+    or scalars."""
+    return max(c.degree if isinstance(c, Poly) else 0 for c in p.coeffs)
+
+
+def gauss_det(m):
+    """Determinant by exact Gaussian elimination: a reference for det that
+    shares none of its code."""
+    rows = [[Fraction(v) for v in row] for row in m]
+    out = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            out = -out
+        out *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+    return out
 
 
 class TestPolyArithmetic:
@@ -34,7 +61,7 @@ class TestPolyArithmetic:
         assert p * q == Poly((-1, 0, 1))
         assert p + q == Poly((0, 2))
         assert 3 - p == Poly((2, -1))
-        assert (p ** 3)(2) == 27
+        assert (p * p * p)(2) == 27
 
     def test_eval_types(self):
         p = Poly((Fraction(1, 2), Fraction(3)))
@@ -45,25 +72,25 @@ class TestPolyArithmetic:
         assert Poly((5, 3, 0, 2)).derivative() == Poly((3, 0, 6))
 
 
-class TestBiPoly:
+class TestEnergyCouplingPoly:
     def test_vars_and_eval(self):
-        e, d = BiPoly.energy(), BiPoly.coupling()
+        e, d = ENERGY, COUPLING
         p = e * e - 4 * d
-        assert p(3, 2) == 1
-        assert p.degree_energy == 2 and p.degree_coupling == 1
+        assert p(2)(3) == 1
+        assert energy_degree(p) == 2 and p.degree == 1
 
     def test_substitute_coupling(self):
-        e, d = BiPoly.energy(), BiPoly.coupling()
+        e, d = ENERGY, COUPLING
         p = e * e - 4 * d
-        assert p.substitute_coupling(Poly((0, 0, Fraction(1, 4)))) == Poly((0,))
+        assert p(Poly((0, 0, Fraction(1, 4)))) == Poly((0,))
 
     def test_poly_in_each_variable(self):
-        e, d = BiPoly.energy(), BiPoly.coupling()
+        e, d = ENERGY, COUPLING
         p = 2 * e * d + e * e - 3
-        assert p.poly_in_coupling(2.0) == Poly((1.0, 4.0))
+        assert Poly(tuple(c(2.0) for c in p.coeffs)) == Poly((1.0, 4.0))
 
     def test_trimming(self):
-        assert (BiPoly.energy() - BiPoly.energy()).coeffs == ((0,),)
+        assert (ENERGY - ENERGY).coeffs == (Poly((0,)),)
 
 
 class TestCharPoly:
@@ -116,28 +143,52 @@ class TestCharPoly:
 class TestDetBipoly:
     def test_small_m2_identity(self):
         spec = ModelSpec(alpha=Fraction(2, 3), beta=Fraction(-5, 7), big_m=2, n_states=3)
-        det = det_bipoly(small_matrix(spec, BiPoly.energy(), BiPoly.coupling()))
-        assert det == BiPoly.energy() * BiPoly.energy() - 4 * BiPoly.coupling()
+        det = det_bipoly(small_matrix(spec, ENERGY, COUPLING))
+        assert det == ENERGY * ENERGY - 4 * COUPLING
 
     def test_main_m2_n3_with_coupling_substituted(self):
         spec = ModelSpec(alpha=Fraction(0), beta=Fraction(0), big_m=2, n_states=3)
-        det = det_bipoly(main_matrix(spec, BiPoly.energy(), BiPoly.coupling()))
-        poly_e = det.substitute_coupling(Poly((0, 0, Fraction(1, 4))))
+        det = det_bipoly(main_matrix(spec, ENERGY, COUPLING))
+        poly_e = det(Poly((0, 0, Fraction(1, 4))))
         assert poly_e == Poly((0, 0, 0, Fraction(3), 0, 0, Fraction(-1, 64)))
 
     def test_one_by_one(self):
-        assert det_bipoly([[BiPoly.energy()]]) == BiPoly.energy()
+        assert det_bipoly([[ENERGY]]) == ENERGY
 
     def test_scalar_promotion_and_rejection(self):
-        assert det_bipoly([[2]]) == BiPoly.constant(2)
+        assert det_bipoly([[2]]) == Poly((Poly((2,)),))
         with pytest.raises(TypeError):
             det_bipoly([[object()]])
+
+    def test_nested_evaluation_equals_numeric_determinant(self):
+        # p(d0)(E0) of the expanded (E, d) determinant equals the determinant
+        # of the matrix built at (E0, d0), exactly, for both secular matrices
+        rng = random.Random(43)
+        checked = 0
+        for big_m in range(2, 6):
+            for n in range(big_m - 1, 9):
+                spec = ModelSpec(alpha=Fraction(rng.randint(-15, 15), rng.randint(1, 4)),
+                                 beta=Fraction(rng.randint(-15, 15), rng.randint(1, 4)),
+                                 big_m=big_m, n_states=n)
+                points = [(Fraction(rng.randint(-40, 40), rng.randint(1, 6)),
+                           Fraction(rng.randint(-40, 40), rng.randint(1, 6)))
+                          for _ in range(3)]
+                for build in (small_matrix, main_matrix):
+                    p = det_bipoly(build(spec, ENERGY, COUPLING))
+                    assert all(isinstance(c, Poly) for c in p.coeffs)
+                    for e0, d0 in points:
+                        value = p(d0)(e0)
+                        assert isinstance(value, Fraction)
+                        assert value == det(build(spec, e0, d0))
+                        assert value == gauss_det(build(spec, e0, d0))
+                checked += 1
+        assert checked >= 20
 
     def test_order_independent_exactness(self):
         # same determinant through the banded recurrence and through an
         # explicitly transposed matrix must agree bit-exact
         spec = ModelSpec(alpha=Fraction(3, 5), beta=Fraction(1, 9), big_m=3, n_states=3)
-        m = small_matrix(spec, BiPoly.energy(), BiPoly.coupling())
+        m = small_matrix(spec, ENERGY, COUPLING)
         direct = det_bipoly(m)
         transposed = det_bipoly([list(col) for col in zip(*m)])
         assert direct == transposed
@@ -210,30 +261,36 @@ class TestRealFilter:
 
 class TestResultant:
     def test_substitution_case(self):
-        e, d = BiPoly.energy(), BiPoly.coupling()
+        e, d = ENERGY, COUPLING
         r = resultant(e * e - 4 * d, d - 1)
+        assert isinstance(r, Poly)
         assert r == Poly((-4, 0, 1))
 
     def test_linear_case(self):
-        e, d = BiPoly.energy(), BiPoly.coupling()
+        e, d = ENERGY, COUPLING
         # res_y(x - y, y - 2) = x - 2 with x = energy, y = coupling
         r = resultant(e - d, d - 2)
+        assert isinstance(r, Poly)
         assert r == Poly((-2, 1))
+        # no energy anywhere: the determinant is a scalar, returned as a Poly
+        r = resultant(d - 2, d - 1)
+        assert isinstance(r, Poly)
+        assert r == Poly((-1,))
 
     def test_matches_direct_elimination_for_m2_n3(self):
         spec = ModelSpec(alpha=Fraction(0), beta=Fraction(0), big_m=2, n_states=3)
-        e, d = BiPoly.energy(), BiPoly.coupling()
+        e, d = ENERGY, COUPLING
         p_small = det_bipoly(small_matrix(spec, e, d))
         p_main = det_bipoly(main_matrix(spec, e, d))
         r = resultant(p_small, p_main).as_float()
-        direct = p_main.substitute_coupling(Poly((0, 0, Fraction(1, 4)))).as_float()
+        direct = p_main(Poly((0, 0, Fraction(1, 4)))).as_float()
         direct_reals = real_filter(roots(direct))
         for root in set(round(v, 9) for v in direct_reals):
             assert abs(r(root)) <= 1e-8 * r.max_abs_coeff() * max(1.0, abs(root)) ** r.degree
 
     def test_vanishes_at_common_roots(self):
         rng = random.Random(17)
-        e, d = BiPoly.energy(), BiPoly.coupling()
+        e, d = ENERGY, COUPLING
         for _ in range(10):
             a, b = rng.randint(-4, 4), rng.randint(-4, 4)
             # p has the common root (E, d) = (a, b) built in
@@ -243,6 +300,6 @@ class TestResultant:
             assert abs(r(a)) <= 1e-9 * max(1.0, r.max_abs_coeff())
 
     def test_degenerate_inputs_rejected(self):
-        e, d = BiPoly.energy(), BiPoly.coupling()
+        e, d = ENERGY, COUPLING
         with pytest.raises(DegenerateResultantError):
             resultant(e * e - 1, d - 1)

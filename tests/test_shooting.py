@@ -308,6 +308,32 @@ class TestFindEigenvalue:
                                  max_iter=1)
         assert not result.converged
 
+    @pytest.mark.parametrize("change, message", [
+        ({"e_bound": math.nan}, "e_bound"),
+        ({"e_bound": 0.0}, "e_bound"),
+        ({"residual_tol": math.nan}, "residual_tol"),
+        ({"residual_tol": 0.0}, "residual_tol"),
+        ({"max_iter": 0}, "max_iter"),
+        ({"e_guess": math.inf}, "e_guess"),
+        ({"e_guess": math.nan}, "e_guess"),
+        ({"d": math.nan}, "coefficients"),
+    ], ids=["e_bound-nan", "e_bound-0", "residual_tol-nan", "residual_tol-0",
+            "max_iter-0", "e_guess-inf", "e_guess-nan", "d-nan"])
+    def test_invalid_input_raises_before_integrating(self, monkeypatch, change, message):
+        # the reference state shot from -50, where e_bound=nan used to report
+        # convergence at E ~ 825.73 and a non-finite e_guess or d was blamed
+        # on the contour
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before validating the input")
+
+        monkeypatch.setattr(shooting, "solve_ivp", no_integration)
+        kwargs = dict(change)
+        spec = ModelSpec(alpha=0.0, beta=0.0, big_m=2, n_states=3)
+        coeffs = potential_coeffs(spec, kwargs.pop("d", 8.320335292207618))
+        e_guess = kwargs.pop("e_guess", -50.0)
+        with pytest.raises(ValueError, match=message):
+            find_eigenvalue(coeffs, spec.angular_momentum, e_guess, Contour(), **kwargs)
+
     def test_algebraic_solutions_pass_shooting(self):
         # every validated multiplet entry seeds a shot that converges back.
         # Single-monomial states (one nonzero h entry with positive power,

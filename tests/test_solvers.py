@@ -8,7 +8,8 @@ import decadic.polynomial as pl
 import decadic.recurrence as recurrence
 import decadic.solvers as solvers
 from decadic import (
-    BiPoly,
+    COUPLING,
+    ENERGY,
     ModelSpec,
     NotRankDeficientError,
     Poly,
@@ -223,8 +224,8 @@ class TestEnergies:
         # reject the other root
         beta = 1.5
         spec = ModelSpec(alpha=0.7, beta=beta, big_m=2, n_states=1)
-        det = det_bipoly(main_matrix(spec, BiPoly.energy(), BiPoly.coupling()))
-        poly_e = det.substitute_coupling(Poly((0, 0, 0.25))).as_float()
+        det = det_bipoly(main_matrix(spec, ENERGY, COUPLING))
+        poly_e = det(Poly((0, 0, 0.25))).as_float()
         from decadic import real_filter, roots
         assert sorted(real_filter(roots(poly_e))) == pytest.approx([-2 * beta, 2 * beta])
         mult = solve_energies(spec)
@@ -241,8 +242,8 @@ class TestEnergies:
         quarter = Poly((0, 0, Fraction(1, 4)))
         for spec in rational_specs(29, 2, [n for n in range(1, 13) for _ in range(2)]):
             poly_e = expanded_determinant(monkeypatch, solve_energies, spec)
-            det = det_bipoly(main_matrix(spec, BiPoly.energy(), BiPoly.coupling()))
-            assert poly_e == det.substitute_coupling(quarter)
+            det = det_bipoly(main_matrix(spec, ENERGY, COUPLING))
+            assert poly_e == det(quarter)
 
     def test_quintic_roots_are_determinant_roots(self):
         # the degree-5 reference polynomial's roots must all satisfy our
@@ -253,8 +254,8 @@ class TestEnergies:
             spec = ModelSpec(alpha=al, beta=be, big_m=2, n_states=3)
             det = det_bipoly(main_matrix(
                 ModelSpec(alpha=Fraction(al), beta=Fraction(be), big_m=2, n_states=3),
-                BiPoly.energy(), BiPoly.coupling()))
-            our_poly = det.substitute_coupling(Poly((0, 0, Fraction(1, 4)))).as_float()
+                ENERGY, COUPLING))
+            our_poly = det(Poly((0, 0, Fraction(1, 4)))).as_float()
             quintic = Poly((
                 -1024 * be * al**2 - 1280 * be**2 + 4096 * al - 32 * be**5 + 384 * be**3 * al,
                 -256 * be - 512 * al**2 + 192 * be**2 * al - 16 * be**4,
