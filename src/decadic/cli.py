@@ -5,7 +5,9 @@ multiplets), coupled (simultaneous secular system, M >= 2), wedges (decay
 sectors and mirror pairs), shoot (contour shooting cross-check) and sweep
 (reality-domain grid, CSV, one point after another).  The three solver
 subcommands share one handler: each names the solvers function it calls,
-and every one of those returns a Multiplet.
+and every one of those returns a Multiplet.  The solver tolerances are the
+fixed constants the solvers read; every solver document reports them under
+"tolerances".
 
 Exit codes: 0 solutions emitted, 1 valid run with an empty result (or a
 non-converged shot), 2 usage or validation error, or an --out path that
@@ -21,7 +23,7 @@ import json
 import math
 import sys
 
-from . import __version__, shooting, solvers, wedges
+from . import __version__, polynomial, shooting, solvers, verify, wedges
 from .model import ModelSpec, potential_coeffs
 
 __all__ = ["main"]
@@ -74,11 +76,13 @@ def _pair_dict(p: wedges.WedgePair) -> dict:
     return {"index": p.index, "left": _sector_dict(p.left), "right": _sector_dict(p.right)}
 
 
-def _solution_doc(spec, solutions, tolerances) -> str:
+def _solution_doc(spec, solutions) -> str:
     doc = {
         "spec": _spec_dict(spec),
         "solutions": solutions,
-        "tolerances": tolerances,
+        "tolerances": {"reality": polynomial._REAL_TOLERANCE,
+                       "rank": solvers._RANK_RTOL,
+                       "residual": verify._RESIDUAL_TOL},
         "version": __version__,
     }
     return _canonical(doc) + "\n"
@@ -102,26 +106,13 @@ def _build_spec(args) -> ModelSpec:
                      n_states=args.n_states, dimension=args.dimension, ell=args.ell)
 
 
-def _require_positive(*tols) -> None:
-    # "not t > 0" rather than "t <= 0", so that NaN is rejected too
-    if not all(t > 0 for t in tols):
-        raise ValueError("tolerances must be positive")
-
-
 def cmd_solve(args) -> int:
     spec = _build_spec(args)
-    tols = {"reality": args.reality_tol, "rank": args.rank_tol,
-            "residual": args.residual_tol}
-    # only coupled has --det-tol; it stays out of the emitted tolerances
-    extra = {"det_tol": args.det_tol} if "det_tol" in args else {}
-    _require_positive(*tols.values(), *extra.values())
     # looked up on the module at call time, so that a wrapper installed on
     # solvers (a tracer, a test double) is the function called
     solve = getattr(solvers, args.solver)
-    multiplet = solve(spec, reality_tol=args.reality_tol, rank_rtol=args.rank_tol,
-                      residual_tol=args.residual_tol, **extra)
-    solutions = [_entry_dict(spec, e) for e in multiplet]
-    _emit(_solution_doc(spec, solutions, tols), args.out)
+    solutions = [_entry_dict(spec, e) for e in solve(spec)]
+    _emit(_solution_doc(spec, solutions), args.out)
     return 0 if solutions else 1
 
 
@@ -151,7 +142,9 @@ def cmd_wedges(args) -> int:
 
 
 def cmd_shoot(args) -> int:
-    _require_positive(args.residual_tol)
+    # "not v > 0" rather than "v <= 0", so that NaN is rejected too
+    if not args.residual_tol > 0:
+        raise ValueError("--residual-tol must be positive")
     if not args.e_bound > 0:
         raise ValueError("--e-bound must be positive")
     if args.max_iter < 1:
@@ -182,12 +175,12 @@ def cmd_shoot(args) -> int:
     return 0 if result.converged else 1
 
 
-def _sweep_point(spec_template, alpha, beta, residual_tol):
+def _sweep_point(spec_template, alpha, beta):
     spec = ModelSpec(alpha=alpha, beta=beta, big_m=spec_template.big_m,
                      n_states=spec_template.n_states,
                      dimension=spec_template.dimension, ell=spec_template.ell)
     solve = solvers.sturmian_multiplet if spec.big_m == 1 else solvers.solve_energies
-    multiplet = solve(spec, residual_tol=residual_tol)
+    multiplet = solve(spec)
     return alpha, beta, len(multiplet), all(e.validated for e in multiplet)
 
 
@@ -196,7 +189,6 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep supports M = 1 and M = 2 only")
     if args.alpha_steps < 1 or args.beta_steps < 1:
         raise ValueError("grid steps must be >= 1")
-    _require_positive(args.residual_tol)
     template = ModelSpec(alpha=0.0, beta=0.0, big_m=args.big_m,
                          n_states=args.n_states, dimension=args.dimension,
                          ell=args.ell)
@@ -208,7 +200,7 @@ def cmd_sweep(args) -> int:
 
     points = [(a, b) for a in grid(args.alpha_min, args.alpha_max, args.alpha_steps)
               for b in grid(args.beta_min, args.beta_max, args.beta_steps)]
-    rows = [_sweep_point(template, a, b, args.residual_tol) for a, b in points]
+    rows = [_sweep_point(template, a, b) for a, b in points]
     lines = ["alpha,beta,n_real,validated"]
     for alpha, beta, n_real, ok in rows:
         lines.append(f"{alpha:.12e},{beta:.12e},{n_real},{'true' if ok else 'false'}")
@@ -233,15 +225,6 @@ def _add_spec_args(p, default_m=None, m_choices_help="integer M"):
     p.add_argument("--ell", type=int, default=0, help="partial wave")
 
 
-def _add_tol_args(p):
-    p.add_argument("--reality-tol", type=float, default=1e-8,
-                   help="relative imaginary-part tolerance for real roots")
-    p.add_argument("--rank-tol", type=float, default=1e-8,
-                   help="relative singular-value tolerance for rank deficiency")
-    p.add_argument("--residual-tol", type=float, default=1e-10,
-                   help="recurrence-residual tolerance for validation")
-
-
 def _add_out_arg(p):
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -256,21 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sturmian", help="coupling multiplet at M = 1, E = 0")
     _add_spec_args(p, default_m=1, m_choices_help="must be 1")
-    _add_tol_args(p)
     _add_out_arg(p)
     p.set_defaults(handler=cmd_solve, solver="sturmian_multiplet")
 
     p = sub.add_parser("energies", help="energy multiplet at M = 2 (d = E^2/4)")
     _add_spec_args(p, default_m=2, m_choices_help="must be 2")
-    _add_tol_args(p)
     _add_out_arg(p)
     p.set_defaults(handler=cmd_solve, solver="solve_energies")
 
     p = sub.add_parser("coupled", help="simultaneous (E, d) pairs at M >= 2")
     _add_spec_args(p, m_choices_help="integer M >= 2")
-    _add_tol_args(p)
-    p.add_argument("--det-tol", type=float, default=1e-8,
-                   help="relative tolerance for both secular determinants")
     _add_out_arg(p)
     p.set_defaults(handler=cmd_solve, solver="solve_coupled")
 
@@ -308,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-min", type=float, required=True)
     p.add_argument("--beta-max", type=float, required=True)
     p.add_argument("--beta-steps", type=int, required=True)
-    p.add_argument("--residual-tol", type=float, default=1e-10)
     _add_out_arg(p)
     p.set_defaults(handler=cmd_sweep)
 

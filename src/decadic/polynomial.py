@@ -138,7 +138,9 @@ class Poly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its coefficient (Poly((2,)) == 2, and so does
+        # Poly((Poly((2,)),))), so it must hash like it
+        return hash(self.coeffs[0]) if len(self.coeffs) == 1 else hash(self.coeffs)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
@@ -275,10 +277,15 @@ def det_bipoly(m) -> Poly:
 
 # roots: a cluster's centre must satisfy |p| <= _RESIDUAL_TOL * max|coeff|;
 # roots within _CLUSTER_RADIUS * (1 + |root|) of a cluster's first member
-# join it; real_filter keeps |Im| <= _REAL_TOLERANCE * (1 + |root|)
+# join it; _is_real keeps |Im| <= _REAL_TOLERANCE * (1 + |root|)
 _RESIDUAL_TOL = 1e-9
 _CLUSTER_RADIUS = 1e-6
 _REAL_TOLERANCE = 1e-8
+
+
+def _is_real(z) -> bool:
+    """The reality test every solver applies to a float root z."""
+    return abs(z.imag) <= _REAL_TOLERANCE * (1 + abs(z))
 
 
 def roots(p: Poly) -> RootSet:
@@ -337,11 +344,12 @@ def roots(p: Poly) -> RootSet:
     return RootSet(roots=tuple(out))
 
 
-def real_filter(rs: RootSet, tol: float = _REAL_TOLERANCE):
-    """Real roots (|Im| <= tol*(1+|root|)), multiplicities expanded, ascending."""
+def real_filter(rs: RootSet):
+    """Real roots (|Im| <= _REAL_TOLERANCE * (1 + |root|)), multiplicities
+    expanded, ascending."""
     vals = []
     for r in rs.roots:
-        if abs(r.value.imag) <= tol * (1 + abs(r.value)):
+        if _is_real(r.value):
             vals.extend([r.value.real] * r.multiplicity)
     return sorted(vals)
 

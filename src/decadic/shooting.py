@@ -91,6 +91,8 @@ class Contour:
             raise ValueError(f"x_max must be positive and finite, got {self.x_max}")
         if self.waypoints is not None:
             pts = tuple(complex(w) for w in self.waypoints)
+            if not all(cmath.isfinite(w) for w in pts):
+                raise ValueError(f"waypoints must be finite, got {self.waypoints}")
             object.__setattr__(self, "waypoints", pts)
             if len(pts) < 3 or len(pts) % 2 == 0:
                 raise ValueError("waypoints must be an odd-length polyline of >= 3 nodes")

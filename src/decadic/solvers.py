@@ -19,6 +19,10 @@ direction, with its recurrence residual.  sturmian_multiplet,
 solve_energies and solve_coupled all return a Multiplet; solve_sturmian,
 which sturmian_multiplet wraps, also gives the raw couplings and, built on
 first read, the exact coupling polynomial.
+
+The tolerances are fixed module constants, one per rule: the reality test
+is polynomial's, the rank test reads _RANK_RTOL, the coupled determinant
+test _DET_RTOL and validation verify._RESIDUAL_TOL.
 """
 
 from __future__ import annotations
@@ -68,39 +72,45 @@ def _exact_spec(spec: ModelSpec):
         spec, alpha=Fraction(spec.alpha), beta=Fraction(spec.beta)), was_float
 
 
-def null_vector(matrix, rtol: float = 1e-8):
+# rank deficient: smallest singular value <= _RANK_RTOL * largest; a coupled
+# candidate: both determinants <= _DET_RTOL * their cancellation-free scale
+_RANK_RTOL = 1e-8
+_DET_RTOL = 1e-8
+
+
+def null_vector(matrix):
     """Null vector of a numerically rank-deficient matrix.
 
-    Normalized so that the first entry above rtol * max|v| equals 1.
+    Normalized so that the first entry above _RANK_RTOL * max|v| equals 1.
     Raises NotRankDeficientError when the smallest singular value exceeds
-    rtol times the largest (the signature of a spurious root).
+    _RANK_RTOL times the largest (the signature of a spurious root).
     """
     _, s, vt = np.linalg.svd(np.asarray(matrix, dtype=float))
-    if _full_rank(s, rtol):
+    if _full_rank(s):
         raise NotRankDeficientError(
-            f"smallest singular value {s[-1]:.3e} exceeds {rtol:.1e} * {s[0]:.3e}")
-    return _normalize_first_nonzero(vt[-1], rtol)
+            f"smallest singular value {s[-1]:.3e} exceeds {_RANK_RTOL:.1e} * {s[0]:.3e}")
+    return _normalize_first_nonzero(vt[-1])
 
 
-def _full_rank(s, rtol):
+def _full_rank(s):
     """The rank test on singular values s (descending)."""
-    return s[0] > 0 and s[-1] > rtol * s[0]
+    return s[0] > 0 and s[-1] > _RANK_RTOL * s[0]
 
 
-def _normalize_first_nonzero(v, rtol):
+def _normalize_first_nonzero(v):
     v = np.asarray(v, dtype=float)
-    threshold = rtol * max(np.max(np.abs(v)), 1e-300)
+    threshold = _RANK_RTOL * max(np.max(np.abs(v)), 1e-300)
     for x in v:
         if abs(x) > threshold:
             return tuple(float(t) for t in v / x)
     return tuple(float(t) for t in v)
 
 
-def _null_space(s, vt, rtol):
+def _null_space(s, vt):
     """Independent null directions from the SVD (s, vt) of a tall matrix,
     each normalized first-nonzero-to-1."""
-    cutoff = rtol * s[0] if s[0] > 0 else np.inf
-    return [_normalize_first_nonzero(vt[k], rtol)
+    cutoff = _RANK_RTOL * s[0] if s[0] > 0 else np.inf
+    return [_normalize_first_nonzero(vt[k])
             for k in range(vt.shape[0] - 1, -1, -1) if s[k] <= cutoff]
 
 
@@ -154,19 +164,17 @@ def shifted_coupling_poly(spec: ModelSpec) -> pl.Poly:
     return result.as_float() if was_float else result
 
 
-def solve_sturmian(spec: ModelSpec, reality_tol: float = 1e-8,
-                   rank_rtol: float = 1e-8) -> SturmianResult:
+def solve_sturmian(spec: ModelSpec) -> SturmianResult:
     """All real eigen-couplings d of the M = 1 problem at E = 0, with their
     null vectors.  Any N is admissible."""
     if spec.big_m != 1:
         raise WrongModeError(f"coupling multiplets require M = 1, got M = {spec.big_m}")
     a = np.array(recurrence.main_matrix(spec, 0.0, 0.0), dtype=float)
     vals = _eigvals_hessenberg(a)
-    d_values = sorted(float(v.real) for v in vals
-                      if abs(v.imag) <= reality_tol * (1 + abs(v)))
+    d_values = sorted(float(v.real) for v in vals if pl._is_real(v))
     h_vectors = []
     for d in d_values:
-        h_vectors.append(null_vector(a - d * np.eye(spec.n_states), rank_rtol))
+        h_vectors.append(null_vector(a - d * np.eye(spec.n_states)))
     shifts = tuple(float(shifted_coupling(d, spec)) for d in d_values)
     return SturmianResult(
         d_values=tuple(d_values),
@@ -176,23 +184,14 @@ def solve_sturmian(spec: ModelSpec, reality_tol: float = 1e-8,
     )
 
 
-def sturmian_multiplet(spec: ModelSpec, reality_tol: float = 1e-8,
-                       rank_rtol: float = 1e-8,
-                       residual_tol: float = 1e-10) -> Multiplet:
+def sturmian_multiplet(spec: ModelSpec) -> Multiplet:
     """solve_sturmian repackaged as a validated multiplet (E = 0 throughout)."""
-    result = solve_sturmian(spec, reality_tol=reality_tol, rank_rtol=rank_rtol)
-    entries = []
-    for d, h in zip(result.d_values, result.h_vectors):
-        res = verify.recurrence_residual(spec, 0.0, d, h)
-        entries.append(MultipletEntry(
-            energy=0.0, quadratic_coupling=float(d), h=tuple(map(float, h)),
-            recurrence_residual=res, validated=res <= residual_tol))
-    return Multiplet.from_entries(entries)
+    result = solve_sturmian(spec)
+    return Multiplet.from_entries(
+        [_entry(spec, 0.0, d, h) for d, h in zip(result.d_values, result.h_vectors)])
 
 
-def solve_energies(spec: ModelSpec, reality_tol: float = 1e-8,
-                   rank_rtol: float = 1e-8,
-                   residual_tol: float = 1e-10) -> Multiplet:
+def solve_energies(spec: ModelSpec) -> Multiplet:
     """Energy multiplet at M = 2, where the small determinant fixes d = E^2/4.
 
     The main matrix is built with energy E and coupling E^2/4 as Poly
@@ -208,42 +207,43 @@ def solve_energies(spec: ModelSpec, reality_tol: float = 1e-8,
     root_set = pl.roots(poly_e.as_float())
     entries = []
     for root in root_set.roots:
-        if abs(root.value.imag) > reality_tol * (1 + abs(root.value)):
+        if not pl._is_real(root.value):
             continue
         e0 = root.value.real
         d0 = e0 * e0 / 4
-        entries.extend(_validated_entries(spec, e0, d0, rank_rtol, residual_tol))
+        entries.extend(_validated_entries(spec, e0, d0))
     return Multiplet.from_entries(entries)
 
 
-def _validated_entries(spec, e0, d0, rank_rtol, residual_tol):
+def _entry(spec, e0, d0, h) -> MultipletEntry:
+    """One multiplet entry, validated when its recurrence residual is at
+    most verify._RESIDUAL_TOL."""
+    res = verify.recurrence_residual(spec, e0, d0, h)
+    return MultipletEntry(
+        energy=float(e0), quadratic_coupling=float(d0), h=tuple(map(float, h)),
+        recurrence_residual=res, validated=res <= verify._RESIDUAL_TOL)
+
+
+def _validated_entries(spec, e0, d0):
     """The acceptance gate: entries for one (E, d) candidate, one per null
     direction of the full recurrence system; empty when the rank test fails."""
     full = np.asarray(recurrence.full_system(spec, e0, d0), dtype=float)
     _, s, vt = np.linalg.svd(full)
-    if _full_rank(s, rank_rtol):
+    if _full_rank(s):
         return []
-    entries = []
-    for h in _null_space(s, vt, rank_rtol):
-        res = verify.recurrence_residual(spec, e0, d0, h)
-        entries.append(MultipletEntry(
-            energy=float(e0), quadratic_coupling=float(d0), h=tuple(map(float, h)),
-            recurrence_residual=res, validated=res <= residual_tol))
-    return entries
+    return [_entry(spec, e0, d0, h) for h in _null_space(s, vt)]
 
 
-def solve_coupled(spec: ModelSpec, reality_tol: float = 1e-8,
-                  rank_rtol: float = 1e-8, det_tol: float = 1e-8,
-                  residual_tol: float = 1e-10) -> Multiplet:
+def solve_coupled(spec: ModelSpec) -> Multiplet:
     """Simultaneous (E, d) multiplet from the coupled secular system at M >= 2.
 
     Eliminates d between the small and main determinants with a Sylvester
     resultant and back-substitutes each real E into both determinants to
-    recover d.  A candidate whose determinants both vanish to det_tol
+    recover d.  A candidate whose determinants both vanish to _DET_RTOL
     (relative to a cancellation-free scale) goes through the acceptance
     gate that solve_energies uses: the full recurrence system must be rank
     deficient, and each entry is validated when its recurrence residual is
-    at most residual_tol.  An empty result is a valid outcome.
+    at most verify._RESIDUAL_TOL.  An empty result is a valid outcome.
     """
     if spec.big_m < 2:
         raise WrongModeError(f"the coupled solver requires M >= 2, got M = {spec.big_m}")
@@ -267,7 +267,7 @@ def solve_coupled(spec: ModelSpec, reality_tol: float = 1e-8,
     entries = []
     seen = []
     for root in pl.roots(eliminant).roots:
-        if abs(root.value.imag) > reality_tol * (1 + abs(root.value)):
+        if not pl._is_real(root.value):
             continue
         e0 = root.value.real
         backs = [at_energy(p, e0) for p in dets_f]
@@ -284,16 +284,16 @@ def solve_coupled(spec: ModelSpec, reality_tol: float = 1e-8,
             except (ValueError, ArithmeticError):
                 continue
             for d_root in d_roots.roots:
-                if abs(d_root.value.imag) <= reality_tol * (1 + abs(d_root.value)):
+                if pl._is_real(d_root.value):
                     d_candidates.append(d_root.value.real)
         for d0 in d_candidates:
             if any(abs(e0 - e) <= 1e-9 * (1 + abs(e)) and abs(d0 - d) <= 1e-9 * (1 + abs(d))
                    for e, d in seen):
                 continue
-            if any(abs(back(d0)) > det_tol * max(scale(abs(d0)), 1.0)
+            if any(abs(back(d0)) > _DET_RTOL * max(scale(abs(d0)), 1.0)
                    for back, scale in zip(backs, scales)):
                 continue
-            accepted = _validated_entries(spec, e0, d0, rank_rtol, residual_tol)
+            accepted = _validated_entries(spec, e0, d0)
             if accepted:
                 seen.append((e0, d0))
                 entries.extend(accepted)

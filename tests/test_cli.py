@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from decadic import polynomial, solvers, verify
 from decadic.cli import _canonical, main
 
 CBRT192 = 192 ** (1 / 3)
@@ -83,21 +84,14 @@ class TestCoupledCommand:
         es_e = [s["E"] for s in json.loads(out_e)["solutions"]]
         assert es_c == pytest.approx(es_e, abs=1e-8)
 
-    def test_empty_result_exits_one(self, capsys):
+    def test_empty_result_exits_one(self, capsys, monkeypatch):
         # an extreme rank tolerance makes the acceptance gate reject every
         # candidate; an empty accepted set is a valid outcome and exits 1
+        monkeypatch.setattr(solvers, "_RANK_RTOL", 1e-30)
         code, out, _ = run_cli(capsys, "coupled", "--alpha", "1", "--beta", "2",
-                               "-M", "3", "-N", "2", "--rank-tol", "1e-30")
+                               "-M", "3", "-N", "2")
         assert code == 1
         assert json.loads(out)["solutions"] == []
-
-    def test_non_positive_det_tol_exits_two(self, capsys):
-        for det_tol in ("0", "-1", "nan"):
-            code, out, err = run_cli(capsys, "coupled", "-M", "3", "-N", "3",
-                                     "--det-tol", det_tol)
-            assert code == 2
-            assert out == ""
-            assert "tolerances must be positive" in err
 
     def test_degenerate_small_system_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "coupled", "--alpha", "0", "--beta", "0",
@@ -213,17 +207,6 @@ class TestSweepCommand:
                              "--beta-min", "0", "--beta-max", "1", "--beta-steps", "3")
         assert code == 2
 
-    def test_non_positive_residual_tol_exits_two(self, capsys):
-        for residual_tol in ("-1", "nan"):
-            code, out, err = run_cli(capsys, "sweep", "-M", "1", "-N", "2",
-                                     "--alpha-min", "-4", "--alpha-max", "4",
-                                     "--alpha-steps", "3", "--beta-min", "-4",
-                                     "--beta-max", "4", "--beta-steps", "3",
-                                     "--residual-tol", residual_tol)
-            assert code == 2
-            assert out == ""
-            assert "tolerances must be positive" in err
-
     def test_unsupported_m_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "-M", "3", "-N", "2",
                              "--alpha-min", "0", "--alpha-max", "1", "--alpha-steps", "2",
@@ -268,6 +251,18 @@ class TestCanonicalJson:
             _, out, _ = run_cli(capsys, *argv)
             doc = json.loads(out)
             assert _canonical(doc) + "\n" == out
+
+    @pytest.mark.parametrize("argv", [
+        ("sturmian", "--alpha", "2", "--beta", "0", "-N", "2"),
+        ("energies", "-N", "3"),
+        ("coupled", "-M", "3", "-N", "3"),
+    ], ids=["sturmian", "energies", "coupled"])
+    def test_tolerances_are_the_solver_constants(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert list(json.loads(out)["tolerances"].items()) == [
+            ("reality", polynomial._REAL_TOLERANCE), ("rank", solvers._RANK_RTOL),
+            ("residual", verify._RESIDUAL_TOL)]
 
     def test_float_format(self, capsys):
         _, out, _ = run_cli(capsys, "sturmian", "--alpha", "2", "--beta", "0", "-N", "2")

@@ -71,6 +71,22 @@ class TestPolyArithmetic:
     def test_derivative(self):
         assert Poly((5, 3, 0, 2)).derivative() == Poly((3, 0, 6))
 
+    def test_equal_values_hash_equal(self):
+        # a constant Poly equals its coefficient, nested or not, so sets and
+        # dicts must take them as one key
+        groups = [
+            (2, 2.0, Fraction(2), Poly((2,)), Poly((Poly((2,)),)), Poly((Fraction(2),))),
+            (0.5, Fraction(1, 2), Poly((Fraction(1, 2),)), Poly((Poly((0.5,)),))),
+            (Poly((1, 2)), Poly((1, Poly((2,)))), Poly((Poly((1,)), Fraction(2)))),
+        ]
+        for group in groups:
+            for a in group:
+                for b in group:
+                    assert a == b and hash(a) == hash(b)
+            assert len(set(group)) == 1
+            table = {group[-1]: "v"}
+            assert all(table.get(k) == "v" and k in table for k in group)
+
 
 class TestEnergyCouplingPoly:
     def test_vars_and_eval(self):
@@ -246,17 +262,19 @@ class TestRoots:
 class TestRealFilter:
     def test_mixed_set(self):
         p = Poly((0, 0, 192, 0, 0, -1))
-        reals = real_filter(roots(p), 1e-8)
+        reals = real_filter(roots(p))
         assert reals == pytest.approx([0, 0, CBRT192], abs=1e-8)
 
     def test_all_complex(self):
         assert real_filter(roots(Poly((1, 0, 1)))) == []
 
-    def test_tolerance_contract(self):
+    def test_tolerance_contract(self, monkeypatch):
+        from decadic import polynomial
         from decadic.polynomial import Root, RootSet
         rs = RootSet(roots=(Root(value=1.0 + 1e-12j, multiplicity=1),))
         assert real_filter(rs) == [1.0]
-        assert real_filter(rs, tol=1e-13) == []
+        monkeypatch.setattr(polynomial, "_REAL_TOLERANCE", 1e-13)
+        assert real_filter(rs) == []
 
 
 class TestResultant:

@@ -51,6 +51,14 @@ class TestContourValidation:
         with pytest.raises(ValueError):
             Contour(waypoints=(complex(-4, -1), complex(4, -1)))
 
+    def test_waypoints_must_be_finite(self):
+        # phase(inf) = 0 lies in a decay sector, so the sector test alone
+        # does not stop an infinite endpoint
+        for bad in ((-math.inf, 0, math.inf),
+                    (complex(-4, -0.5), complex(0, math.nan), complex(4, -0.5))):
+            with pytest.raises(ValueError, match="waypoints must be finite"):
+                Contour(waypoints=bad)
+
     def test_waypoint_endpoints_must_sit_in_decay_sectors(self):
         good = Contour(waypoints=(4 * cmath.exp(-2j * math.pi / 3), -0.5j,
                                   4 * cmath.exp(-1j * math.pi / 3)))

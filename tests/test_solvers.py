@@ -321,11 +321,12 @@ class TestCoupled:
         # null vector; the rank test must have rejected it
         assert all(abs(e - 8.0) > 1e-6 for e, _ in accepted)
 
-    def test_empty_result_is_valid(self):
+    def test_empty_result_is_valid(self, monkeypatch):
         # an empty accepted set is a result, not an error; an extreme rank
         # tolerance makes the gate reject every candidate
+        monkeypatch.setattr(solvers, "_RANK_RTOL", 1e-30)
         spec = ModelSpec(alpha=1.0, beta=2.0, big_m=3, n_states=2)
-        result = solve_coupled(spec, rank_rtol=1e-30)
+        result = solve_coupled(spec)
         assert result.entries == ()
 
     def test_degenerate_coupling_found_through_main_determinant(self):
