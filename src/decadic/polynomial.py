@@ -7,12 +7,15 @@ generators are ENERGY and COUPLING, and p(d)(E) evaluates one.  det expands
 the banded secular matrices by a last-column minor recurrence that is exact
 and evaluation-order independent; its entries may be scalars or Polys, so a
 substitution such as d = E^2/4 goes into the entries and the determinant is
-expanded once.  Elimination of d between the two secular determinants uses
-the Sylvester resultant.
+expanded once.  On rational entries det runs on ints: each row is scaled by
+the lcm of its denominators and the result divided once at the end.
+Elimination of d between the two secular determinants uses the Sylvester
+resultant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -242,20 +245,54 @@ def _det_memo(rows):
     return minor(full, 0)
 
 
-def det(m):
-    """Division-free determinant of a square matrix whose entries are
-    scalars or Poly; exact for rational coefficients."""
-    rows = [list(r) for r in m]
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("matrix must be square")
-    if len(rows) == 1:
-        return rows[0][0]
+def _denominator(v):
+    """lcm of the denominators of v's leaves (v a scalar or a Poly, nested
+    or not); None when a leaf is not an int or a Fraction."""
+    if isinstance(v, Poly):
+        dens = [_denominator(c) for c in v.coeffs]
+        return None if None in dens else math.lcm(*dens)
+    return v.denominator if isinstance(v, (int, Fraction)) else None
+
+
+def _map_leaves(v, f):
+    if isinstance(v, Poly):
+        return Poly(tuple(_map_leaves(c, f) for c in v.coeffs))
+    return f(v)
+
+
+def _expand(rows):
     if _lower_bandwidth(rows) <= 1:
         return _det_lower_hessenberg(rows)
     transposed = [list(col) for col in zip(*rows)]
     if _lower_bandwidth(transposed) <= 1:
         return _det_lower_hessenberg(transposed)
     return _det_memo(rows)
+
+
+def det(m):
+    """Division-free determinant of a square matrix whose entries are
+    scalars or Poly; exact for rational coefficients.
+
+    With int and Fraction leaves only, row i is scaled by the lcm k_i of its
+    leaf denominators, the integer matrix expanded and each leaf of the
+    result divided once by prod k_i, since det(diag(k) A) = prod k * det(A).
+    A matrix with other leaves (floats) is expanded as it is.
+    """
+    rows = [list(r) for r in m]
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("matrix must be square")
+    if len(rows) == 1:
+        return rows[0][0]
+    scales = []
+    for row in rows:
+        dens = [_denominator(v) for v in row]
+        if None in dens:
+            return _expand(rows)
+        scales.append(math.lcm(*dens))
+    total = math.prod(scales)
+    result = _expand([[_map_leaves(v, lambda x, k=k: x.numerator * (k // x.denominator))
+                       for v in row] for row, k in zip(rows, scales)])
+    return result if total == 1 else _map_leaves(result, lambda x: Fraction(x, total))
 
 
 def char_poly(m) -> Poly:

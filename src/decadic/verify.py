@@ -6,7 +6,9 @@ state into -psi'' + (L(L+1)/r^2 + V - E) psi by its own symbolic
 differentiation over exact rationals, never touching the recurrence
 coefficients; for a true solution every coefficient of the resulting
 polynomial vanishes identically.  Agreement of the two routes is what
-certifies the recurrence coefficients themselves.
+certifies the recurrence coefficients themselves.  The expansion runs on
+int numerators over one common denominator, so the exact sum pays no gcd
+per term and each float is one correctly rounded int / int.
 """
 
 from __future__ import annotations
@@ -33,11 +35,18 @@ def recurrence_residual(spec: ModelSpec, energy, coupling, h) -> float:
 
     Rows n = 0..N are evaluated with out-of-range h treated as zero.  A
     zero h vector gives residual 0 (the trivial solution; callers should
-    treat it as degenerate rather than validated)."""
+    treat it as degenerate rather than validated).  A non-finite energy,
+    coupling or h entry raises ValueError."""
     hs = [float(x) for x in h]
     if len(hs) != spec.n_states:
         raise ValueError(f"h must have length N = {spec.n_states}, got {len(hs)}")
     e0, d0 = float(energy), float(coupling)
+    if not math.isfinite(e0):
+        raise ValueError(f"energy must be finite, got {e0}")
+    if not math.isfinite(d0):
+        raise ValueError(f"coupling must be finite, got {d0}")
+    if not all(map(math.isfinite, hs)):
+        raise ValueError(f"h must be finite, got {hs}")
 
     def h_at(k):
         return hs[k] if 0 <= k < len(hs) else 0.0
@@ -56,25 +65,16 @@ def recurrence_residual(spec: ModelSpec, energy, coupling, h) -> float:
 # -- independent symbolic route ---------------------------------------------
 #
 # The state is exp(G(r)) * T(r) * r^(-L) with G = -r^6/6 - a4 r^4/4 - b2 r^2/2
-# and T a polynomial in r^2.  Working series are dicts {m: Fraction} whose
-# entry means coeff * r^(m - L); plain polynomials are dicts {m: coeff * r^m}.
+# and T a polynomial in r^2.  Series are dicts {m: coeff} meaning
+# coeff * r^(m - L); operator polynomials are dicts {p: coeff * r^p}.  Both
+# hold int numerators, so every term is an int over one denominator.
 
 
-def _series_mul_poly(poly: dict, series: dict, out: dict, mag: dict, sign=1):
-    for p, cp in poly.items():
-        if cp == 0:
-            continue
-        for m, cs in series.items():
-            if cs == 0:
-                continue
-            term = sign * cp * cs
-            key = p + m
-            out[key] = out.get(key, Fraction(0)) + term
-            mag[key] = mag.get(key, 0.0) + abs(float(term))
-
-
-def _series_derivative(series: dict, big_l: Fraction) -> dict:
-    return {m - 1: c * (m - big_l) for m, c in series.items()}
+def _int_numerators(coeffs: dict):
+    """{key: int} and k with coeffs[key] == int / k, k the lcm of the
+    denominators."""
+    k = math.lcm(*(c.denominator for c in coeffs.values()))
+    return {key: c.numerator * (k // c.denominator) for key, c in coeffs.items()}, k
 
 
 def ode_residual_poly(spec: ModelSpec, energy, coupling, h,
@@ -91,7 +91,7 @@ def ode_residual_poly(spec: ModelSpec, energy, coupling, h,
         coeffs = potential_coeffs(spec, coupling)
     if coeffs.d is None:
         raise TypeError("quadratic coupling d is unsolved")
-    poly, mag = _residual_series(spec, energy, h, coeffs)
+    poly, den = _residual_numerators(spec, energy, h, coeffs)
     if not poly:
         return Poly((Fraction(0),))
     max_m = max(poly)
@@ -100,21 +100,25 @@ def ode_residual_poly(spec: ModelSpec, energy, coupling, h,
     for m, c in poly.items():
         if m % 2 != 0:
             raise AssertionError("residual exponent off the r^2 lattice")
-        out[(m + 2) // 2] = c
+        out[(m + 2) // 2] = Fraction(c, den)
     return Poly(out)
 
 
-def _residual_series(spec: ModelSpec, energy, h, coeffs: PotentialCoeffs):
+def _residual_numerators(spec: ModelSpec, energy, h, coeffs: PotentialCoeffs, mag=None):
+    """The nonzero residual coefficients as {exponent: int}, and the one
+    denominator they share.  With a dict mag, also sum each |term| / den
+    into mag[exponent], term by term in a fixed order."""
     al, be = Fraction(spec.alpha), Fraction(spec.beta)
     e0 = Fraction(energy)
-    big_l = Fraction(2 * spec.big_m - 1, 2)
     hs = [Fraction(x) for x in h]
     if len(hs) != spec.n_states:
         raise ValueError(f"h must have length N = {spec.n_states}, got {len(hs)}")
 
-    series = {2 * n: c for n, c in enumerate(hs)}
-    d1 = _series_derivative(series, big_l)
-    d2 = _series_derivative(d1, big_l)
+    # T, 2 T' and 4 T'' over the lcm of the h denominators; 2L = 2M - 1
+    series, dh = _int_numerators({2 * n: c for n, c in enumerate(hs)})
+    two_l = 2 * spec.big_m - 1
+    d1 = {m - 1: c * (2 * m - two_l) for m, c in series.items()}
+    d2 = {m - 2: c * (2 * m - two_l) * (2 * m - 2 - two_l) for m, c in series.items()}
 
     g_prime = {5: Fraction(-1), 3: -al, 1: -be}
     g_second = {4: Fraction(-5), 2: -3 * al, 0: -be}
@@ -122,35 +126,47 @@ def _residual_series(spec: ModelSpec, energy, h, coeffs: PotentialCoeffs):
     for p1, c1 in g_prime.items():
         for p2, c2 in g_prime.items():
             g_prime_sq[p1 + p2] = g_prime_sq.get(p1 + p2, Fraction(0)) + c1 * c2
-    v_poly = {10: Fraction(1), 8: Fraction(coeffs.a), 6: Fraction(coeffs.b),
+    bucket = {10: Fraction(1), 8: Fraction(coeffs.a), 6: Fraction(coeffs.b),
               4: Fraction(coeffs.c), 2: Fraction(coeffs.d)}
+    for src in (g_prime_sq, g_second):
+        for p, c in src.items():
+            bucket[p] = bucket.get(p, Fraction(0)) - c
+    bucket[0] = bucket.get(0, Fraction(0)) - e0
 
     # -psi'' + (L(L+1)/r^2 + V - E) psi, divided by exp(G) * r^(-L):
     #   (V - G'^2 - G'' - E) T  -  2 G' T'  -  T''  +  L(L+1) T / r^2
-    out, mag = {}, {}
-    bucket = dict(v_poly)
-    for src, sign in ((g_prime_sq, -1), (g_second, -1)):
-        for p, c in src.items():
-            bucket[p] = bucket.get(p, Fraction(0)) + sign * c
-    bucket[0] = bucket.get(0, Fraction(0)) - e0
-    _series_mul_poly(bucket, series, out, mag)
-    _series_mul_poly(g_prime, d1, out, mag, sign=-2)
-    _series_mul_poly({0: Fraction(-1)}, d2, out, mag)
-    _series_mul_poly({-2: big_l * (big_l + 1)}, series, out, mag)
-
-    poly = {m: c for m, c in out.items() if c != 0}
-    return poly, mag
+    # the operators of T, 2 T', 4 T'' and T, over one denominator
+    ops = (bucket, {p: -c for p, c in g_prime.items()}, {0: Fraction(-1, 4)},
+           {-2: Fraction(4 * spec.big_m ** 2 - 1, 4)})
+    ints, dc = _int_numerators({(i, p): c for i, op in enumerate(ops) for p, c in op.items()})
+    den = dc * dh
+    out = {}
+    for i, series_i in enumerate((series, d1, d2, series)):
+        terms = [(m, cs) for m, cs in series_i.items() if cs != 0]
+        for p in ops[i]:
+            cp = ints[i, p]
+            if cp == 0:
+                continue
+            for m, cs in terms:
+                term = cp * cs
+                key = p + m
+                out[key] = out.get(key, 0) + term
+                if mag is not None:
+                    # int / int rounds correctly, as float(Fraction) does
+                    mag[key] = mag.get(key, 0.0) + abs(term) / den
+    return {m: c for m, c in out.items() if c != 0}, den
 
 
 def _scaled_ode_residual(spec, energy, coupling, h) -> float:
     coeffs = potential_coeffs(spec, coupling)
     if coeffs.d is None:
         raise TypeError("quadratic coupling d is unsolved")
-    poly, mag = _residual_series(spec, energy, h, coeffs)
+    mag = {}
+    poly, den = _residual_numerators(spec, energy, h, coeffs, mag)
     if not poly:
         return 0.0
     scale = max(mag.values(), default=0.0)
-    top = max(abs(float(c)) for c in poly.values())
+    top = max(map(abs, poly.values())) / den
     return top / scale if scale > 0 else 0.0
 
 
@@ -180,12 +196,16 @@ _RESIDUAL_TOL = 1e-10
 
 
 def verify_solution(spec: ModelSpec, energy, coupling, h) -> VerificationReport:
-    """Run both residual checks plus wedge-decay certification (z = 3)."""
+    """Run both residual checks plus wedge-decay certification (z = 3).
+
+    A zero h is the trivial solution: both residuals read 0, but it does
+    not pass."""
     rec_res = recurrence_residual(spec, energy, coupling, h)
     ode_res = _scaled_ode_residual(spec, energy, coupling, h)
     return VerificationReport(
         recurrence_residual=rec_res,
         ode_residual_max_coeff=ode_res,
         wedge_decay=tuple(wedge_decay(spec)),
-        passed=rec_res <= _RESIDUAL_TOL and ode_res <= _RESIDUAL_TOL,
+        passed=(any(x != 0 for x in h)
+                and rec_res <= _RESIDUAL_TOL and ode_res <= _RESIDUAL_TOL),
     )

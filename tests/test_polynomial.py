@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import decadic.polynomial as polynomial
 from decadic import (
     COUPLING,
     ENERGY,
@@ -180,25 +181,33 @@ class TestDetBipoly:
         # p(d0)(E0) of the expanded (E, d) determinant equals the determinant
         # of the matrix built at (E0, d0), exactly, for both secular matrices
         rng = random.Random(43)
+
+        def denominator(choices):
+            return rng.randint(1, choices) if isinstance(choices, int) else rng.choice(choices)
+
         checked = 0
-        for big_m in range(2, 6):
-            for n in range(big_m - 1, 9):
-                spec = ModelSpec(alpha=Fraction(rng.randint(-15, 15), rng.randint(1, 4)),
-                                 beta=Fraction(rng.randint(-15, 15), rng.randint(1, 4)),
-                                 big_m=big_m, n_states=n)
-                points = [(Fraction(rng.randint(-40, 40), rng.randint(1, 6)),
-                           Fraction(rng.randint(-40, 40), rng.randint(1, 6)))
-                          for _ in range(3)]
-                for build in (small_matrix, main_matrix):
-                    p = det_bipoly(build(spec, ENERGY, COUPLING))
-                    assert all(isinstance(c, Poly) for c in p.coeffs)
-                    for e0, d0 in points:
-                        value = p(d0)(e0)
-                        assert isinstance(value, Fraction)
-                        assert value == det(build(spec, e0, d0))
-                        assert value == gauss_det(build(spec, e0, d0))
-                checked += 1
-        assert checked >= 20
+        # the second round draws every denominator odd and non-dyadic, so
+        # det's row scales are products of odd primes
+        for param_den, point_den in ((4, 6), ((3, 7, 9, 11, 15), (3, 5, 7, 21))):
+            for big_m in range(2, 6):
+                for n in range(big_m - 1, 9):
+                    spec = ModelSpec(
+                        alpha=Fraction(rng.randint(-15, 15), denominator(param_den)),
+                        beta=Fraction(rng.randint(-15, 15), denominator(param_den)),
+                        big_m=big_m, n_states=n)
+                    points = [(Fraction(rng.randint(-40, 40), denominator(point_den)),
+                               Fraction(rng.randint(-40, 40), denominator(point_den)))
+                              for _ in range(3)]
+                    for build in (small_matrix, main_matrix):
+                        p = det_bipoly(build(spec, ENERGY, COUPLING))
+                        assert all(isinstance(c, Poly) for c in p.coeffs)
+                        for e0, d0 in points:
+                            value = p(d0)(e0)
+                            assert isinstance(value, Fraction)
+                            assert value == det(build(spec, e0, d0))
+                            assert value == gauss_det(build(spec, e0, d0))
+                    checked += 1
+        assert checked >= 40
 
     def test_order_independent_exactness(self):
         # same determinant through the banded recurrence and through an
@@ -208,6 +217,48 @@ class TestDetBipoly:
         direct = det_bipoly(m)
         transposed = det_bipoly([list(col) for col in zip(*m)])
         assert direct == transposed
+
+
+class TestDetIntegerKernel:
+    """det scales rational rows to ints and divides once; other entries
+    must expand exactly as given."""
+
+    def test_float_entries_expand_unscaled(self):
+        rng = random.Random(8)
+        spec = ModelSpec(alpha=0.3, beta=-1.1, big_m=2, n_states=7)
+        dense = [[rng.uniform(-3, 3) for _ in range(5)] for _ in range(5)]
+        matrices = [
+            main_matrix(spec, 0.7, -1.9),  # Hessenberg, int and float entries
+            dense,  # memo expansion
+            np.array(dense).tolist(),
+            [[np.float64(v) for v in row] for row in dense],
+            main_matrix(spec, Poly((0.5, 1.0)), 0.25),  # float Poly leaves
+        ]
+        for m in matrices:
+            got, want = det(m), polynomial._expand([list(r) for r in m])
+            if isinstance(want, Poly):
+                assert got.coeffs == want.coeffs
+                assert all(type(c) is type(w) for c, w in zip(got.coeffs, want.coeffs))
+            else:
+                assert type(got) is type(want)
+                assert got == want
+
+    def test_rational_entries_equal_fraction_expansion(self):
+        # the per-operation Fraction expansion of the unscaled matrix is the
+        # reference; gauss_det shares no code with either
+        rng = random.Random(21)
+        for size in range(2, 8):
+            m = [[Fraction(rng.randint(-30, 30), rng.choice((1, 3, 7, 10, 27)))
+                  for _ in range(size)] for _ in range(size)]
+            m[0][0] = rng.randint(-5, 5)  # mixed int and Fraction leaves
+            assert det(m) == polynomial._expand(m) == gauss_det(m)
+            symbolic = [[v * ENERGY + Fraction(1, size + 2) if i == j else v
+                         for j, v in enumerate(row)] for i, row in enumerate(m)]
+            assert det(symbolic) == polynomial._expand(symbolic)
+        spec = ModelSpec(alpha=Fraction(1, 3), beta=Fraction(-2, 7), big_m=2, n_states=9)
+        m = main_matrix(spec, Poly((0, 1)), Poly((0, 0, Fraction(1, 4))))
+        assert det(m) == polynomial._expand(m)
+        assert det([[1, 2], [3, 4]]) == -2
 
 
 class TestRoots:

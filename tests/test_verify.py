@@ -8,9 +8,12 @@ from decadic import (
     ModelSpec,
     Poly,
     PotentialCoeffs,
+    VerificationReport,
     ode_residual_poly,
     potential_coeffs,
     recurrence_residual,
+    solve_energies,
+    sturmian_multiplet,
     verify_solution,
     wedge_decay,
 )
@@ -36,6 +39,100 @@ def rational_sturmian_n2(alpha, t):
     return solutions
 
 
+# -- reference: the symbolic residual in per-operation Fraction arithmetic --
+
+
+def _ref_mul(poly, series, out, mag, sign=1):
+    for p, cp in poly.items():
+        if cp == 0:
+            continue
+        for m, cs in series.items():
+            if cs == 0:
+                continue
+            term = sign * cp * cs
+            out[p + m] = out.get(p + m, Fraction(0)) + term
+            mag[p + m] = mag.get(p + m, 0.0) + abs(float(term))
+
+
+def _ref_series(spec, energy, h, coeffs):
+    """{exponent: coefficient} of the residual and the summed |term| floats."""
+    al, be, e0 = Fraction(spec.alpha), Fraction(spec.beta), Fraction(energy)
+    big_l = Fraction(2 * spec.big_m - 1, 2)
+    series = {2 * n: Fraction(c) for n, c in enumerate(h)}
+    d1 = {m - 1: c * (m - big_l) for m, c in series.items()}
+    d2 = {m - 1: c * (m - big_l) for m, c in d1.items()}
+    g_prime = {5: Fraction(-1), 3: -al, 1: -be}
+    g_second = {4: Fraction(-5), 2: -3 * al, 0: -be}
+    g_prime_sq = {}
+    for p1, c1 in g_prime.items():
+        for p2, c2 in g_prime.items():
+            g_prime_sq[p1 + p2] = g_prime_sq.get(p1 + p2, Fraction(0)) + c1 * c2
+    bucket = {10: Fraction(1), 8: Fraction(coeffs.a), 6: Fraction(coeffs.b),
+              4: Fraction(coeffs.c), 2: Fraction(coeffs.d)}
+    for src in (g_prime_sq, g_second):
+        for p, c in src.items():
+            bucket[p] = bucket.get(p, Fraction(0)) - c
+    bucket[0] = bucket.get(0, Fraction(0)) - e0
+    out, mag = {}, {}
+    _ref_mul(bucket, series, out, mag)
+    _ref_mul(g_prime, d1, out, mag, sign=-2)
+    _ref_mul({0: Fraction(-1)}, d2, out, mag)
+    _ref_mul({-2: big_l * (big_l + 1)}, series, out, mag)
+    return {m: c for m, c in out.items() if c != 0}, mag
+
+
+def reference_ode_residual_poly(spec, energy, coupling, h):
+    poly, _ = _ref_series(spec, energy, h, potential_coeffs(spec, coupling))
+    out = [Fraction(0)] * (max(poly, default=-2) // 2 + 2)
+    for m, c in poly.items():
+        out[(m + 2) // 2] = c
+    return Poly(out)
+
+
+def reference_report(spec, energy, coupling, h):
+    poly, mag = _ref_series(spec, energy, h, potential_coeffs(spec, coupling))
+    scale = max(mag.values(), default=0.0)
+    top = max((abs(float(c)) for c in poly.values()), default=0.0)
+    ode = top / scale if poly and scale > 0 else 0.0
+    rec = recurrence_residual(spec, energy, coupling, h)
+    return VerificationReport(
+        recurrence_residual=rec, ode_residual_max_coeff=ode,
+        wedge_decay=tuple(wedge_decay(spec)),
+        passed=any(x != 0 for x in h) and rec <= 1e-10 and ode <= 1e-10)
+
+
+class TestIntegerResidualExactness:
+    """The int-numerator residual equals the Fraction reference bit for bit:
+    every report float and every polynomial coefficient."""
+
+    @staticmethod
+    def candidates(spec, solutions, rng):
+        for entry in solutions:
+            e0, d0, h = entry.energy, entry.quadratic_coupling, entry.h
+            yield e0, d0, h
+            yield e0 + 1e-3, d0, h
+            yield e0, d0 * (1 + 1e-9), h
+            yield e0, d0, tuple(x * (1 + 1e-7 * rng.random()) for x in h)
+            yield e0, d0, tuple(x * 1e-300 for x in h)
+            yield Fraction(e0), Fraction(d0), tuple(Fraction(x) / 3 for x in h)
+
+    @pytest.mark.parametrize("big_m, sizes", [(1, (2, 7, 14, 30)), (2, (3, 7, 12))])
+    def test_reports_and_polys_equal_reference(self, big_m, sizes):
+        rng = random.Random(31 + big_m)
+        shapes = [(0.5, -1.25), (-2.0, 0.75), (Fraction(1, 3), Fraction(-2, 7))]
+        checked = 0
+        for n in sizes:
+            for alpha, beta in shapes:
+                spec = ModelSpec(alpha=alpha, beta=beta, big_m=big_m, n_states=n)
+                solve = sturmian_multiplet if big_m == 1 else solve_energies
+                for e0, d0, h in self.candidates(spec, solve(spec).entries, rng):
+                    assert verify_solution(spec, e0, d0, h) == reference_report(spec, e0, d0, h)
+                    assert (ode_residual_poly(spec, e0, d0, h)
+                            == reference_ode_residual_poly(spec, e0, d0, h))
+                    checked += 1
+        assert checked >= 100
+
+
 class TestRecurrenceResidual:
     def test_exact_solution(self):
         spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
@@ -57,6 +154,22 @@ class TestRecurrenceResidual:
         for factor in (17.0, -0.003, 1e6):
             scaled = tuple(factor * x for x in h)
             assert recurrence_residual(spec, 1.1, -0.3, scaled) == pytest.approx(base, rel=1e-12)
+
+    @pytest.mark.parametrize("energy, h, name", [
+        (0.0, (float("nan"), 0.5), "h"),
+        (0.0, (1.0, float("nan")), "h"),
+        (float("nan"), (1.0, 0.5), "energy"),
+    ])
+    def test_non_finite_input_raises(self, energy, h, name):
+        # max(worst, nan) kept worst, so each of these read 0.0
+        spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            recurrence_residual(spec, energy, -4.0, h)
+
+    def test_non_finite_coupling_raises(self):
+        spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
+        with pytest.raises(ValueError, match="^coupling must be finite"):
+            recurrence_residual(spec, 0.0, float("inf"), (1.0, 0.5))
 
     def test_length_check(self):
         spec = ModelSpec(alpha=0, beta=0, big_m=1, n_states=2)
@@ -189,6 +302,14 @@ class TestVerifySolution:
     def test_fails_on_perturbed_solution(self):
         spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
         report = verify_solution(spec, 0.0, -4.01, (1.0, 0.5))
+        assert not report.passed
+
+    def test_trivial_state_does_not_pass(self):
+        # both residuals of h = 0 read 0, but the zero state is no solution
+        spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
+        report = verify_solution(spec, 0.0, -4.0, (0.0, 0.0))
+        assert report.recurrence_residual == 0.0
+        assert report.ode_residual_max_coeff == 0.0
         assert not report.passed
 
     def test_deterministic(self):
