@@ -12,11 +12,12 @@ isolated poles.  Both ends start on the decaying branch (y ~ -r^5 at large
 itself by equal left and right log-derivatives.  Bent contours ending in
 other decay wedges are supported through explicit waypoints.
 
-With real potential coefficients and a real energy, V(-conj r) = conj V(r),
-so on a contour that is its own PT mirror (r -> -conj r) the left
-log-derivative is -conj of the right one, bit for bit: IEEE complex
-arithmetic and cmath.sqrt commute with conjugation, and DOP853 takes the
-same steps.  wronskian_mismatch then integrates the left half only.
+V is the decadic well of model.potential_coeffs, with real coefficients,
+so at a real energy V(-conj r) = conj V(r): on a contour that is its own PT
+mirror (r -> -conj r) the left log-derivative is -conj of the right one,
+bit for bit, since IEEE complex arithmetic and cmath.sqrt commute with
+conjugation and DOP853 takes the same steps.  wronskian_mismatch then
+integrates the left half only.
 
 The integrator is scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
 section II.10) run on one complex scalar in this module: scipy's tableau,
@@ -60,6 +61,8 @@ class PoleError(RuntimeError):
 _TRANSIT_DEPTH = 0.5
 # the secant stops when a step is at most _E_TOL * (1 + |E|)
 _E_TOL = 1e-9
+# |y| at which an integration stops and reports a pole (PoleError)
+_POLE_THRESHOLD = 1e8
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,21 @@ class Contour:
                         f"contour endpoint at angle {angle:.4f} is not strictly "
                         "inside any decay sector")
 
+    def left_nodes(self, match_x: float = 0.0):
+        return self._half(-1.0, match_x)
+
+    def right_nodes(self, match_x: float = 0.0):
+        return self._half(1.0, match_x)
+
     def _half(self, sign: float, match_x: float):
+        """Nodes of the left (sign -1) or right (+1) half, from its far end to
+        the match point."""
+        if self.waypoints is not None:
+            if match_x != 0.0:
+                raise ValueError("match_x shifts are only supported on the default contour")
+            mid = len(self.waypoints) // 2
+            half = self.waypoints[: mid + 1] if sign < 0 else reversed(self.waypoints[mid:])
+            return list(half)
         if not -self.x_max < match_x < self.x_max:
             raise ValueError("matching point must lie strictly inside the contour")
         depth = min(self.epsilon, _TRANSIT_DEPTH)
@@ -113,22 +130,6 @@ class Contour:
             nodes.append(complex(sign * self.x_max, -depth))
         nodes.append(complex(match_x, -depth))
         return nodes
-
-    def left_nodes(self, match_x: float = 0.0):
-        if self.waypoints is not None:
-            if match_x != 0.0:
-                raise ValueError("match_x shifts are only supported on the default contour")
-            mid = len(self.waypoints) // 2
-            return list(self.waypoints[: mid + 1])
-        return self._half(-1.0, match_x)
-
-    def right_nodes(self, match_x: float = 0.0):
-        if self.waypoints is not None:
-            if match_x != 0.0:
-                raise ValueError("match_x shifts are only supported on the default contour")
-            mid = len(self.waypoints) // 2
-            return list(reversed(self.waypoints[mid:]))
-        return self._half(1.0, match_x)
 
 
 @dataclass(frozen=True)
@@ -139,27 +140,19 @@ class ShootingResult:
     converged: bool
 
 
-def _poly_potential(coeffs: PotentialCoeffs):
+def _q_func(coeffs: PotentialCoeffs, big_l, energy):
+    """Q(r) = V(r) + L(L+1)/r^2 - E of the decadic well."""
     if coeffs.d is None:
         raise TypeError("quadratic coupling d is unsolved; shooting needs a numeric d")
     a, b, c, d = (float(coeffs.a), float(coeffs.b), float(coeffs.c), float(coeffs.d))
     if not all(map(math.isfinite, (a, b, c, d))):
         raise ValueError(f"potential coefficients must be finite, got {(a, b, c, d)}")
-
-    def v(r: complex) -> complex:
-        r2 = r * r
-        return ((((r2 + a) * r2 + b) * r2 + c) * r2 + d) * r2
-
-    return v
-
-
-def _q_func(coeffs, big_l, energy, potential):
-    v = potential if potential is not None else _poly_potential(coeffs)
     ll1 = float(big_l) * (float(big_l) + 1.0)
     e0 = complex(energy)
 
     def q(r: complex) -> complex:
-        return v(r) + ll1 / (r * r) - e0
+        r2 = r * r
+        return ((((r2 + a) * r2 + b) * r2 + c) * r2 + d) * r2 + ll1 / r2 - e0
 
     return q
 
@@ -314,7 +307,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, pole_threshold) -> IvpResult:
     return IvpResult(ts, ys, nfev, 0)
 
 
-def _integrate_nodes(q, nodes, rtol, atol, pole_threshold):
+def _integrate_nodes(q, nodes, rtol, atol):
     y = _wkb_start(q, nodes[0], nodes[1])
     if not cmath.isfinite(y):
         raise ValueError(f"the log-derivative overflows at the contour end {nodes[0]}: "
@@ -331,7 +324,7 @@ def _integrate_nodes(q, nodes, rtol, atol, pole_threshold):
                 return 0j
             return dr * (q(z0 + t * dr) - y * y)
 
-        sol = solve_ivp(rhs, (0.0, 1.0), y, rtol, atol, pole_threshold)
+        sol = solve_ivp(rhs, (0.0, 1.0), y, rtol, atol, _POLE_THRESHOLD)
         if sol.status != 0:
             raise PoleError(z0 + (sol.t_pole if sol.status == 1 else sol.t[-1]) * dr)
         rs.extend(z0 + t * dr for t in sol.t[1:])
@@ -341,9 +334,8 @@ def _integrate_nodes(q, nodes, rtol, atol, pole_threshold):
 
 
 def integrate_log_derivative(coeffs: PotentialCoeffs, big_l, energy, contour: Contour,
-                             direction: str, potential=None, match_x: float = 0.0,
-                             rtol: float = 1e-10, atol: float = 1e-10,
-                             pole_threshold: float = 1e8):
+                             direction: str, match_x: float = 0.0,
+                             rtol: float = 1e-10, atol: float = 1e-10):
     """Samples (r, y) of the log-derivative along one half of the contour.
 
     direction is "from_left" or "from_right"; integration starts on the
@@ -357,39 +349,35 @@ def integrate_log_derivative(coeffs: PotentialCoeffs, big_l, energy, contour: Co
         nodes = contour.right_nodes(match_x)
     else:
         raise ValueError(f'direction must be "from_left" or "from_right", got {direction!r}')
-    q = _q_func(coeffs, big_l, energy, potential)
-    return _integrate_nodes(q, nodes, rtol, atol, pole_threshold)
+    q = _q_func(coeffs, big_l, energy)
+    return _integrate_nodes(q, nodes, rtol, atol)
 
 
 def wronskian_mismatch(coeffs: PotentialCoeffs, big_l, energy: float, contour: Contour,
-                       potential=None, match_x: float = 0.0,
-                       rtol: float = 1e-10, atol: float = 1e-10,
-                       pole_threshold: float = 1e8) -> float:
+                       match_x: float = 0.0, rtol: float = 1e-10, atol: float = 1e-10) -> float:
     """Dimensionless mismatch of left and right log-derivatives at the match
     point; vanishes exactly at eigenvalues.  On the symmetric contour the
     complex parts cancel, so only the real part carries information.
 
     The right half is taken as -conj of the left one, not integrated, when
-    the contour is its own PT mirror at this match point, the potential is
-    the built-in one and the energy is real (see the module docstring)."""
+    the energy is real and the contour is its own PT mirror at this match
+    point (see the module docstring)."""
     _, ys_l = integrate_log_derivative(coeffs, big_l, energy, contour, "from_left",
-                                       potential=potential, match_x=match_x,
-                                       rtol=rtol, atol=atol, pole_threshold=pole_threshold)
+                                       match_x=match_x, rtol=rtol, atol=atol)
     yl = ys_l[-1]
     mirrored = [-z.conjugate() for z in contour.right_nodes(match_x)]
-    if potential is None and complex(energy).imag == 0 and contour.left_nodes(match_x) == mirrored:
+    if complex(energy).imag == 0 and contour.left_nodes(match_x) == mirrored:
         yr = -yl.conjugate()
     else:
         _, ys_r = integrate_log_derivative(coeffs, big_l, energy, contour, "from_right",
-                                           potential=potential, match_x=match_x,
-                                           rtol=rtol, atol=atol, pole_threshold=pole_threshold)
+                                           match_x=match_x, rtol=rtol, atol=atol)
         yr = ys_r[-1]
     return float(((yl - yr) / (1 + abs(yl) + abs(yr))).real)
 
 
 def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Contour,
-                    potential=None, residual_tol: float = 1e-6, max_iter: int = 40,
-                    e_bound: float = 1e6, pole_threshold: float = 1e8) -> ShootingResult:
+                    residual_tol: float = 1e-6, max_iter: int = 40,
+                    e_bound: float = 1e6) -> ShootingResult:
     """Secant refinement of the Wronskian mismatch starting from e_guess.
 
     Non-convergence (wild steps, |E| escaping e_bound, persistent poles) is
@@ -410,20 +398,16 @@ def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Con
     match_points = (0.0,) if contour.waypoints is not None else (0.0, 0.3, -0.3)
     for mx in match_points:
         try:
-            return _secant(coeffs, big_l, e_guess, contour, potential, mx,
-                           residual_tol, max_iter, e_bound, pole_threshold)
+            return _secant(coeffs, big_l, e_guess, contour, mx, residual_tol, max_iter, e_bound)
         except PoleError:
             continue
     return ShootingResult(energy=float(e_guess), wronskian_residual=math.inf,
                           iterations=0, converged=False)
 
 
-def _secant(coeffs, big_l, e_guess, contour, potential, match_x,
-            residual_tol, max_iter, e_bound, pole_threshold):
+def _secant(coeffs, big_l, e_guess, contour, match_x, residual_tol, max_iter, e_bound):
     def g(e):
-        return wronskian_mismatch(coeffs, big_l, e, contour,
-                                  potential=potential, match_x=match_x,
-                                  pole_threshold=pole_threshold)
+        return wronskian_mismatch(coeffs, big_l, e, contour, match_x=match_x)
 
     e0 = float(e_guess)
     e1 = e0 + max(1e-3, 1e-3 * abs(e0))

@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import decadic.recurrence as recurrence
+import decadic.verify as verify
 from decadic import (
     ModelSpec,
     Poly,
@@ -176,6 +178,25 @@ class TestRecurrenceResidual:
         with pytest.raises(ValueError):
             recurrence_residual(spec, 0.0, 0.0, (1.0,))
 
+    def test_huge_h_keeps_its_residual(self):
+        # at h = (1e308, 5e307) a term overflowed, the row sum became NaN
+        # and max(worst, nan) read 0.0; verify_solution raised OverflowError
+        spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
+        base = recurrence_residual(spec, 0.0, -4.1, (1e307, 5e306))
+        assert base >= 0.01
+        assert recurrence_residual(spec, 0.0, -4.1, (1e308, 5e307)) == base
+        report = verify_solution(spec, 0.0, -4.1, (1e308, 5e307))
+        assert report == verify_solution(spec, 0.0, -4.1, (1e307, 5e306))
+        assert not report.passed
+        # h scaled by a power of two keeps every bit of the report
+        huge = verify_solution(spec, 0.0, -4.1, (2.0 ** 1023, 2.0 ** 1022))
+        assert huge == verify_solution(spec, 0.0, -4.1, (1.0, 0.5))
+
+    def test_non_finite_row_sum_is_infinite(self):
+        # B_n = E - beta * (4n + 2 - 2M) overflows to inf
+        spec = ModelSpec(alpha=0.0, beta=-1e308, big_m=1, n_states=2)
+        assert recurrence_residual(spec, 1.7e308, 0.0, (1.0, 0.5)) == math.inf
+
 
 class TestOdeResidualPoly:
     def test_rational_sturmian_solution_is_exact_zero(self):
@@ -195,6 +216,18 @@ class TestOdeResidualPoly:
     def test_float_inputs_promote_exactly(self):
         spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
         assert ode_residual_poly(spec, 0.0, -4.0, (1.0, 0.5)) == ZERO
+
+    @pytest.mark.parametrize("energy, coupling, h, name", [
+        (math.nan, -4.0, (1.0, 0.5), "energy"),
+        (math.inf, -4.0, (1.0, 0.5), "energy"),
+        (0.0, -4.0, (math.nan, 0.5), "h"),
+        (0.0, math.nan, (1.0, 0.5), "coupling"),
+    ])
+    def test_non_finite_input_names_the_argument(self, energy, coupling, h, name):
+        # these surfaced as Fraction's "cannot convert NaN to integer ratio"
+        spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ode_residual_poly(spec, energy, coupling, h)
 
     def test_broken_coupling_map_localized_at_quartic_order(self):
         # drop the -4N contribution from the quartic coupling: the residual
@@ -311,6 +344,15 @@ class TestVerifySolution:
         assert report.recurrence_residual == 0.0
         assert report.ode_residual_max_coeff == 0.0
         assert not report.passed
+
+    def test_wedge_certificate_is_computed_once(self, monkeypatch):
+        def no_wedge_decay(*args, **kwargs):
+            raise AssertionError("wedge_decay recomputed per report")
+
+        monkeypatch.setattr(verify, "wedge_decay", no_wedge_decay)
+        spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
+        report = verify_solution(spec, 0.0, -4.0, (1.0, 0.5))
+        assert report.wedge_decay == tuple(wedge_decay(spec))
 
     def test_deterministic(self):
         spec = ModelSpec(alpha=0.0, beta=0.0, big_m=2, n_states=3)
