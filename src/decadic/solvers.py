@@ -11,11 +11,12 @@ Three regimes:
   in d over polynomials in E, eliminate d with a resultant and
   back-substitute each real E.
 
-The M = 2 and coupled routes only propose (E, d) candidates.  Both send
-them through one acceptance gate, which keeps a candidate only when the
-full (N+1) x N recurrence system is genuinely rank deficient there (this is
-what rejects extraneous resultant roots) and returns one entry per null
-direction, with its recurrence residual.  sturmian_multiplet,
+The M = 2 and coupled routes share one candidate loop: each real root E of
+the float eliminant, paired with each coupling d that back-substitution
+gives there, goes through one acceptance gate.  The gate keeps a candidate
+only when the full (N+1) x N recurrence system is genuinely rank deficient
+there (this is what rejects extraneous resultant roots) and returns one
+entry per null direction, with its recurrence residual.  sturmian_multiplet,
 solve_energies and solve_coupled all return a Multiplet; solve_sturmian,
 which sturmian_multiplet wraps, also gives the raw couplings and, built on
 first read, the exact coupling polynomial.
@@ -204,15 +205,7 @@ def solve_energies(spec: ModelSpec) -> Multiplet:
     exact, _ = _exact_spec(spec)
     poly_e = pl.det(recurrence.main_matrix(
         exact, pl.Poly((0, 1)), pl.Poly((0, 0, Fraction(1, 4)))))
-    root_set = pl.roots(poly_e.as_float())
-    entries = []
-    for root in root_set.roots:
-        if not pl._is_real(root.value):
-            continue
-        e0 = root.value.real
-        d0 = e0 * e0 / 4
-        entries.extend(_validated_entries(spec, e0, d0))
-    return Multiplet.from_entries(entries)
+    return _through_gate(spec, poly_e.as_float(), lambda e: (e * e / 4,))
 
 
 def _entry(spec, e0, d0, h) -> MultipletEntry:
@@ -234,12 +227,29 @@ def _validated_entries(spec, e0, d0):
     return [_entry(spec, e0, d0, h) for h in _null_space(s, vt)]
 
 
+def _real_roots(p):
+    """The real roots of a float polynomial, one per cluster, ascending."""
+    return [r.value.real for r in pl.roots(p).roots if pl._is_real(r.value)]
+
+
+def _through_gate(spec, eliminant, couplings_at) -> Multiplet:
+    """The candidate loop of both energy solvers: every coupling in
+    couplings_at(E), at every real root E of the float eliminant, goes
+    through the acceptance gate."""
+    entries = []
+    for e0 in _real_roots(eliminant):
+        for d0 in couplings_at(e0):
+            entries.extend(_validated_entries(spec, e0, d0))
+    return Multiplet.from_entries(entries)
+
+
 def solve_coupled(spec: ModelSpec) -> Multiplet:
     """Simultaneous (E, d) multiplet from the coupled secular system at M >= 2.
 
     Eliminates d between the small and main determinants with a Sylvester
     resultant and back-substitutes each real E into both determinants to
-    recover d.  A candidate whose determinants both vanish to _DET_RTOL
+    recover d (either one alone can be the zero polynomial in d, or lose d
+    to cancellation).  Each distinct d at which both vanish to _DET_RTOL
     (relative to a cancellation-free scale) goes through the acceptance
     gate that solve_energies uses: the full recurrence system must be rank
     deficient, and each entry is validated when its recurrence residual is
@@ -264,37 +274,17 @@ def solve_coupled(spec: ModelSpec) -> Multiplet:
     def at_energy(p, e):
         return pl.Poly(tuple(c(e) for c in p.coeffs))
 
-    entries = []
-    seen = []
-    for root in pl.roots(eliminant).roots:
-        if not pl._is_real(root.value):
-            continue
-        e0 = root.value.real
+    def couplings_at(e0):
         backs = [at_energy(p, e0) for p in dets_f]
         scales = [at_energy(p, abs(e0)) for p in dets_abs]
-        # back-substitute through both determinants: at special energies one
-        # of them can degenerate to the zero polynomial in d (every d then
-        # satisfies it) and only the other carries the coupling information
-        d_candidates = []
+        found = []
         for back in backs:
-            if back.degree < 1:
-                continue
-            try:
-                d_roots = pl.roots(back)
-            except (ValueError, ArithmeticError):
-                continue
-            for d_root in d_roots.roots:
-                if pl._is_real(d_root.value):
-                    d_candidates.append(d_root.value.real)
-        for d0 in d_candidates:
-            if any(abs(e0 - e) <= 1e-9 * (1 + abs(e)) and abs(d0 - d) <= 1e-9 * (1 + abs(d))
-                   for e, d in seen):
-                continue
-            if any(abs(back(d0)) > _DET_RTOL * max(scale(abs(d0)), 1.0)
-                   for back, scale in zip(backs, scales)):
-                continue
-            accepted = _validated_entries(spec, e0, d0)
-            if accepted:
-                seen.append((e0, d0))
-                entries.extend(accepted)
-    return Multiplet.from_entries(entries)
+            for d0 in _real_roots(back) if back.degree >= 1 else ():
+                if any(abs(d0 - d) <= 1e-9 * (1 + abs(d)) for d in found):
+                    continue
+                if all(abs(b(d0)) <= _DET_RTOL * max(sc(abs(d0)), 1.0)
+                       for b, sc in zip(backs, scales)):
+                    found.append(d0)
+        return found
+
+    return _through_gate(spec, eliminant, couplings_at)

@@ -281,16 +281,24 @@ class TestEnergies:
 
 class TestCoupled:
     def test_matches_energy_solver_at_m2(self):
+        # both routes share one candidate loop, and their eliminants differ
+        # only by the exact factor +-4^N: the multiplets agree bit for bit
         rng = random.Random(13)
         for _ in range(12):
             spec = ModelSpec(alpha=rng.uniform(-2.5, 2.5), beta=rng.uniform(-2.5, 2.5),
                              big_m=2, n_states=rng.randint(1, 4))
-            via_energies = [(e.energy, e.quadratic_coupling) for e in solve_energies(spec)]
-            via_coupled = [(p.energy, p.quadratic_coupling) for p in solve_coupled(spec)]
-            assert len(via_energies) == len(via_coupled)
-            for (e1, d1), (e2, d2) in zip(via_energies, via_coupled):
-                assert abs(e1 - e2) <= 1e-8 * (1 + abs(e1))
-                assert abs(d1 - d2) <= 1e-8 * (1 + abs(d1))
+            assert solve_coupled(spec) == solve_energies(spec)
+
+    @pytest.mark.parametrize("alpha, beta, coupling", [(0.1, 20.0, 400.2), (6.0, 1 / 3, 109 / 9)])
+    def test_state_at_near_double_eliminant_root(self, alpha, beta, coupling):
+        # alpha * beta misses 2(N-1) by one rounding, so the eliminant has a
+        # near-double root at E ~ 0 where the small determinant loses d to
+        # cancellation: its root is beta^2, and only the main determinant's
+        # root gives the state's d = beta^2 + 2 alpha
+        spec = ModelSpec(alpha=alpha, beta=beta, big_m=3, n_states=2)
+        [entry] = [e for e in solve_coupled(spec) if abs(e.energy) < 1e-12]
+        assert entry.quadratic_coupling == pytest.approx(coupling, rel=1e-12)
+        assert entry.validated
 
     def test_m3_n3_matches_grid_oracle(self):
         spec = ModelSpec(alpha=0.0, beta=0.0, big_m=3, n_states=3)

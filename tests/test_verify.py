@@ -99,7 +99,7 @@ def reference_report(spec, energy, coupling, h):
     rec = recurrence_residual(spec, energy, coupling, h)
     return VerificationReport(
         recurrence_residual=rec, ode_residual_max_coeff=ode,
-        wedge_decay=tuple(wedge_decay(spec)),
+        wedge_decay=tuple(wedge_decay()),
         passed=any(x != 0 for x in h) and rec <= 1e-10 and ode <= 1e-10)
 
 
@@ -196,6 +196,18 @@ class TestRecurrenceResidual:
         # B_n = E - beta * (4n + 2 - 2M) overflows to inf
         spec = ModelSpec(alpha=0.0, beta=-1e308, big_m=1, n_states=2)
         assert recurrence_residual(spec, 1.7e308, 0.0, (1.0, 0.5)) == math.inf
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 1e160), (0.0, -1e308), (1e200, -1e308)])
+    def test_out_of_range_candidate_fails(self, alpha, beta):
+        # at beta = 1e160 an int / int of the ODE route exceeded the float
+        # range, and at -1e308 the potential coefficient b = alpha^2 + 2 beta
+        # is -inf (OverflowError in verify_solution); at alpha = 1e200 it is
+        # inf - inf = nan (ValueError from Fraction)
+        spec = ModelSpec(alpha=alpha, beta=beta, big_m=1, n_states=2)
+        report = verify_solution(spec, 0.0, 0.0, (1.0, 0.5))
+        assert report.recurrence_residual == math.inf
+        assert report.ode_residual_max_coeff == math.inf
+        assert not report.passed
 
 
 class TestOdeResidualPoly:
@@ -304,21 +316,18 @@ class TestOdeResidualPoly:
 
 class TestWedgeDecay:
     def test_decadic_triple_pass(self):
-        spec = ModelSpec(alpha=0.1, beta=-0.2, big_m=2, n_states=3)
-        report = wedge_decay(spec, z=3)
+        report = wedge_decay(z=3)
         assert report == [(1, True), (2, True), (3, True)]
 
     def test_quartic_pairs_against_decadic_envelope(self):
         # the surviving z = 2 mirror pair straddles the real axis, where
         # exp(-r^6/6) still decays
-        spec = ModelSpec(alpha=0.0, beta=0.0, big_m=1, n_states=1)
-        assert wedge_decay(spec, z=2) == [(1, True)]
+        assert wedge_decay(z=2) == [(1, True)]
 
     def test_octic_pairs_are_mixed(self):
         # z = 4 has pairs centered on rays where Re(r^6) < 0: a genuine
         # mismatch between sector choice and the decadic envelope
-        spec = ModelSpec(alpha=0.0, beta=0.0, big_m=1, n_states=1)
-        report = wedge_decay(spec, z=4)
+        report = wedge_decay(z=4)
         assert any(ok for _, ok in report)
         assert any(not ok for _, ok in report)
 
@@ -352,7 +361,7 @@ class TestVerifySolution:
         monkeypatch.setattr(verify, "wedge_decay", no_wedge_decay)
         spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
         report = verify_solution(spec, 0.0, -4.0, (1.0, 0.5))
-        assert report.wedge_decay == tuple(wedge_decay(spec))
+        assert report.wedge_decay == tuple(wedge_decay())
 
     def test_deterministic(self):
         spec = ModelSpec(alpha=0.0, beta=0.0, big_m=2, n_states=3)
