@@ -162,7 +162,7 @@ def cmd_shoot(args) -> int:
     doc = {
         "spec": _spec_dict(spec),
         "coupling_d": float(args.coupling_d),
-        "contour": {"epsilon": contour.epsilon, "x_max": contour.x_max},
+        "contour": {"epsilon": result.contour.epsilon, "x_max": result.contour.x_max},
         "result": {
             "energy": result.energy,
             "wronskian_residual": result.wronskian_residual,
@@ -266,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="numeric quadratic coupling to insert into the potential")
     p.add_argument("--e-guess", type=float, required=True, help="starting energy")
     p.add_argument("--epsilon", type=float, default=0.5, help="contour shift")
-    p.add_argument("--x-max", type=float, default=4.0, help="contour truncation")
+    p.add_argument("--x-max", type=float, default=None,
+                   help="contour truncation; by default derived from the potential at "
+                        "the starting energy (at most 4), and reported in the output")
     p.add_argument("--residual-tol", type=float, default=1e-6,
                    help="Wronskian-mismatch tolerance for convergence")
     p.add_argument("--max-iter", type=int, default=40, help="secant iteration cap")

@@ -12,6 +12,14 @@ isolated poles.  Both ends start on the decaying branch (y ~ -r^5 at large
 itself by equal left and right log-derivatives.  Bent contours ending in
 other decay wedges are supported through explicit waypoints.
 
+The equation is stiff where |y| ~ |r|^5 is large, so the start radius sets
+most of the cost.  Unless the caller fixes x_max, it is derived from the
+potential at the shot's energy: scanning down from 4 in steps of 0.1, the
+last radius whose end still lies inside a decay sector and from which a
+start error decays below the integration tolerance before the matching
+point, by the WKB damping exp(-2 Re of the integral of sqrt(Q) dr)
+(Bender & Orszag, chapter 10).
+
 V is the decadic well of model.potential_coeffs, with real coefficients,
 so at a real energy V(-conj r) = conj V(r): on a contour that is its own PT
 mirror (r -> -conj r) the left log-derivative is -conj of the right one,
@@ -29,6 +37,7 @@ integration, so importing decadic does not load scipy.integrate.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import math
 import sys
@@ -63,12 +72,22 @@ _TRANSIT_DEPTH = 0.5
 _E_TOL = 1e-9
 # |y| at which an integration stops and reports a pole (PoleError)
 _POLE_THRESHOLD = 1e8
+# default relative tolerance of the integration, the one the secant runs at
+_RTOL = 1e-10
+# the derived start radius is scanned down from _X_MAX_START in _X_MAX_STEP
+# steps; each candidate's damping is a trapezoid sum of _DAMPING_NODES
+# nodes per straight leg
+_X_MAX_START = 4.0
+_X_MAX_STEP = 0.1
+_DAMPING_NODES = 64
 
 
 @dataclass(frozen=True)
 class Contour:
     """Integration path.  Default: endpoints at +-x_max - i*epsilon, with
     the inner stretch transiting at depth min(epsilon, _TRANSIT_DEPTH).
+    When x_max is None, shooting derives it from the potential and the
+    energy (see _start_radius); a given x_max is used as it is.
 
     The log-derivative is single-valued and meromorphic, so the quadrature
     route between the two wedge endpoints is a free choice; only the
@@ -83,14 +102,14 @@ class Contour:
     sector of the degree-10 asymptotics (z = 3)."""
 
     epsilon: float = 0.5
-    x_max: float = 4.0
+    x_max: "float | None" = None
     waypoints: "tuple | None" = None
 
     def __post_init__(self):
         # "not 0 < v < inf" also rejects NaN
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not 0 < self.x_max < math.inf:
+        if self.x_max is not None and not 0 < self.x_max < math.inf:
             raise ValueError(f"x_max must be positive and finite, got {self.x_max}")
         if self.waypoints is not None:
             pts = tuple(complex(w) for w in self.waypoints)
@@ -99,13 +118,11 @@ class Contour:
             object.__setattr__(self, "waypoints", pts)
             if len(pts) < 3 or len(pts) % 2 == 0:
                 raise ValueError("waypoints must be an odd-length polyline of >= 3 nodes")
-            sectors = sectors_for_degree(3)
             for endpoint in (pts[0], pts[-1]):
-                angle = cmath.phase(endpoint)
-                if not any(s.contains(angle) for s in sectors):
+                if not _in_decay_sector(endpoint):
                     raise ValueError(
-                        f"contour endpoint at angle {angle:.4f} is not strictly "
-                        "inside any decay sector")
+                        f"contour endpoint at angle {cmath.phase(endpoint):.4f} is not "
+                        "strictly inside any decay sector")
 
     def left_nodes(self, match_x: float = 0.0):
         return self._half(-1.0, match_x)
@@ -122,6 +139,9 @@ class Contour:
             mid = len(self.waypoints) // 2
             half = self.waypoints[: mid + 1] if sign < 0 else reversed(self.waypoints[mid:])
             return list(half)
+        if self.x_max is None:
+            raise ValueError("x_max is None: shooting derives it per potential and energy, "
+                             "so only a contour with x_max has nodes")
         if not -self.x_max < match_x < self.x_max:
             raise ValueError("matching point must lie strictly inside the contour")
         depth = min(self.epsilon, _TRANSIT_DEPTH)
@@ -132,12 +152,23 @@ class Contour:
         return nodes
 
 
+# the decay sectors of the degree-10 asymptotics
+_DECAY_SECTORS = tuple(sectors_for_degree(3))
+
+
+def _in_decay_sector(r: complex) -> bool:
+    """True when r lies strictly inside one of _DECAY_SECTORS."""
+    angle = cmath.phase(r)
+    return any(s.contains(angle) for s in _DECAY_SECTORS)
+
+
 @dataclass(frozen=True)
 class ShootingResult:
     energy: float
     wronskian_residual: float
     iterations: int
     converged: bool
+    contour: Contour  # the contour shot, its derived x_max filled in
 
 
 def _q_func(coeffs: PotentialCoeffs, big_l, energy):
@@ -157,13 +188,18 @@ def _q_func(coeffs: PotentialCoeffs, big_l, energy):
     return q
 
 
-def _wkb_start(q, node0: complex, node1: complex) -> complex:
-    """Log-derivative of the branch decaying away from the matching point."""
-    outward = (node0 - node1) / abs(node0 - node1)
-    q0 = q(node0)
+def _decaying_sqrt(q0: complex, node0: complex) -> complex:
+    """The root s of Q at the contour end node0 with Re(s * node0) > 0, so
+    that exp(-integral of s) decays radially outward."""
     s = cmath.sqrt(q0)
-    if (s * outward).real < 0:
-        s = -s
+    return -s if (s * node0).real < 0 else s
+
+
+def _wkb_start(q, node0: complex) -> complex:
+    """Log-derivative of the branch decaying radially outward at node0, the
+    two-term WKB form -sqrt(Q) - Q'/(4Q)."""
+    q0 = q(node0)
+    s = _decaying_sqrt(q0, node0)
     delta = 1e-6 * (1 + abs(node0))
     dq = (q(node0 + delta) - q(node0 - delta)) / (2 * delta)
     return -s - dq / (4 * q0)
@@ -307,8 +343,60 @@ def solve_ivp(fun, t_span, y0, rtol, atol, pole_threshold) -> IvpResult:
     return IvpResult(ts, ys, nfev, 0)
 
 
+def _damping(q, nodes) -> float:
+    """2 Re of the integral of sqrt(Q) from the last node (the matching
+    point) out to the first (the contour end), on the branch of the WKB
+    start continued along the path: the nats by which an error in the start
+    value has decayed when the integration reaches the matching point.
+    Trapezoid rule, _DAMPING_NODES nodes per straight leg."""
+    s = _decaying_sqrt(q(nodes[0]), nodes[0])
+    total = 0j
+    for z0, z1 in zip(nodes[:-1], nodes[1:]):
+        step = (z1 - z0) / (_DAMPING_NODES - 1)
+        for k in range(1, _DAMPING_NODES):
+            s_next = cmath.sqrt(q(z0 + k * step))
+            if (s_next * s.conjugate()).real < 0:
+                s_next = -s_next
+            total += (s + s_next) * step
+            s = s_next
+    # total / 2 runs inward, from the end to the matching point
+    return -total.real
+
+
+def _start_radius(q, epsilon: float, match_x: float, rtol: float) -> float:
+    """The x_max of a Contour(epsilon) without one, for the Q of q.
+
+    Scans R down from _X_MAX_START in steps of _X_MAX_STEP and returns the
+    last R before the first that fails either test: the end R - i*epsilon
+    lies strictly inside a decay sector, and on both halves to match_x a
+    start error is damped below rtol (_damping at least ln(1/rtol)) before
+    the matching point.  When the first step down fails, R is _X_MAX_START,
+    so no derived start lies further out.
+    """
+    budget = -math.log(max(rtol, _RTOL_FLOOR))
+    radius = _X_MAX_START
+    for k in range(1, round(_X_MAX_START / _X_MAX_STEP)):
+        trial = Contour(epsilon, round(_X_MAX_START - k * _X_MAX_STEP, 10))
+        # ">= budget" rather than "not < budget", so that a NaN fails
+        if (trial.x_max <= abs(match_x) or not _in_decay_sector(complex(trial.x_max, -epsilon))
+                or not all(_damping(q, half(match_x)) >= budget
+                           for half in (trial.left_nodes, trial.right_nodes))):
+            break
+        radius = trial.x_max
+    return radius
+
+
+def _resolved(contour: Contour, q, match_x: float, rtol: float) -> Contour:
+    """The contour as given when it has waypoints or an x_max, else with
+    x_max = _start_radius(q, ...)."""
+    if contour.waypoints is not None or contour.x_max is not None:
+        return contour
+    return dataclasses.replace(
+        contour, x_max=_start_radius(q, contour.epsilon, match_x, rtol))
+
+
 def _integrate_nodes(q, nodes, rtol, atol):
-    y = _wkb_start(q, nodes[0], nodes[1])
+    y = _wkb_start(q, nodes[0])
     if not cmath.isfinite(y):
         raise ValueError(f"the log-derivative overflows at the contour end {nodes[0]}: "
                          "x_max or epsilon is too large")
@@ -335,33 +423,35 @@ def _integrate_nodes(q, nodes, rtol, atol):
 
 def integrate_log_derivative(coeffs: PotentialCoeffs, big_l, energy, contour: Contour,
                              direction: str, match_x: float = 0.0,
-                             rtol: float = 1e-10, atol: float = 1e-10):
+                             rtol: float = _RTOL, atol: float = 1e-10):
     """Samples (r, y) of the log-derivative along one half of the contour.
 
     direction is "from_left" or "from_right"; integration starts on the
     decaying branch at the far end and runs toward the matching point.
+    A contour without x_max starts at the radius derived at this energy.
     Raises PoleError when y passes through a pole (the caller may retry
     with a shifted matching point).
     """
-    if direction == "from_left":
-        nodes = contour.left_nodes(match_x)
-    elif direction == "from_right":
-        nodes = contour.right_nodes(match_x)
-    else:
+    if direction not in ("from_left", "from_right"):
         raise ValueError(f'direction must be "from_left" or "from_right", got {direction!r}')
     q = _q_func(coeffs, big_l, energy)
-    return _integrate_nodes(q, nodes, rtol, atol)
+    contour = _resolved(contour, q, match_x, rtol)
+    half = contour.left_nodes if direction == "from_left" else contour.right_nodes
+    return _integrate_nodes(q, half(match_x), rtol, atol)
 
 
 def wronskian_mismatch(coeffs: PotentialCoeffs, big_l, energy: float, contour: Contour,
-                       match_x: float = 0.0, rtol: float = 1e-10, atol: float = 1e-10) -> float:
+                       match_x: float = 0.0, rtol: float = _RTOL,
+                       atol: float = 1e-10) -> float:
     """Dimensionless mismatch of left and right log-derivatives at the match
     point; vanishes exactly at eigenvalues.  On the symmetric contour the
     complex parts cancel, so only the real part carries information.
 
     The right half is taken as -conj of the left one, not integrated, when
     the energy is real and the contour is its own PT mirror at this match
-    point (see the module docstring)."""
+    point (see the module docstring).  A contour without x_max starts both
+    halves at the radius derived at this energy."""
+    contour = _resolved(contour, _q_func(coeffs, big_l, energy), match_x, rtol)
     _, ys_l = integrate_log_derivative(coeffs, big_l, energy, contour, "from_left",
                                        match_x=match_x, rtol=rtol, atol=atol)
     yl = ys_l[-1]
@@ -382,7 +472,9 @@ def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Con
 
     Non-convergence (wild steps, |E| escaping e_bound, persistent poles) is
     reported in the result, never raised.  A pole at the default matching
-    point triggers retries at x = +0.3 and x = -0.3.  A non-finite e_guess,
+    point triggers retries at x = +0.3 and x = -0.3.  A contour without
+    x_max gets the radius derived at e_guess and x = 0, one for the whole
+    search; the result carries the contour shot.  A non-finite e_guess,
     an e_bound or residual_tol that is not positive (NaN included) and a
     max_iter below 1 raise ValueError before any integration.
     """
@@ -395,6 +487,7 @@ def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Con
         raise ValueError(f"residual_tol must be positive, got {residual_tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    contour = _resolved(contour, _q_func(coeffs, big_l, e_guess), 0.0, _RTOL)
     match_points = (0.0,) if contour.waypoints is not None else (0.0, 0.3, -0.3)
     for mx in match_points:
         try:
@@ -402,7 +495,7 @@ def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Con
         except PoleError:
             continue
     return ShootingResult(energy=float(e_guess), wronskian_residual=math.inf,
-                          iterations=0, converged=False)
+                          iterations=0, converged=False, contour=contour)
 
 
 def _secant(coeffs, big_l, e_guess, contour, match_x, residual_tol, max_iter, e_bound):
@@ -420,7 +513,7 @@ def _secant(coeffs, big_l, e_guess, contour, match_x, residual_tol, max_iter, e_
         e2 = e1 - f1 * (e1 - e0) / (f1 - f0)
         if not math.isfinite(e2) or abs(e2) > e_bound:
             return ShootingResult(energy=float(e1), wronskian_residual=float(abs(f1)),
-                                  iterations=iterations, converged=False)
+                                  iterations=iterations, converged=False, contour=contour)
         e0, f0 = e1, f1
         e1 = e2
         f1 = g(e1)
@@ -430,4 +523,5 @@ def _secant(coeffs, big_l, e_guess, contour, match_x, residual_tol, max_iter, e_
     residual = abs(f1)
     return ShootingResult(energy=float(e1), wronskian_residual=float(residual),
                           iterations=iterations,
-                          converged=bool(step_converged and residual <= residual_tol))
+                          converged=bool(step_converged and residual <= residual_tol),
+                          contour=contour)

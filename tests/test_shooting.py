@@ -20,6 +20,7 @@ from decadic import (
     wronskian_mismatch,
 )
 from decadic import shooting
+from decadic.wedges import sectors_for_degree
 
 CBRT192 = 192 ** (1 / 3)
 # the mirrored polyline of TestPoles and the bent pair of TestBentContour,
@@ -108,22 +109,130 @@ class TestIntegration:
         assert worst <= 1e-8
 
     def test_wkb_start_matches_decadic_asymptote(self):
+        # beyond the transit depth the first leg is vertical; a start that
+        # took "outward" from it landed on the growing branch, y ~ +r^5
         coeffs = PotentialCoeffs(a=0.0, b=0.0, c=0.0, f=0.0, d=0.0)
-        for direction in ("from_left", "from_right"):
-            rs, ys = integrate_log_derivative(coeffs, 0.5, 1.0, Contour(), direction)
-            r0 = rs[0]
-            assert abs(ys[0] - (-r0**5)) <= 0.02 * abs(r0**5)
-            # decay away from the matching point
-            outward = -1.0 if direction == "from_left" else 1.0
-            assert (ys[0] * outward).real < 0
+        for epsilon in (0.5, 0.75, 1.0):
+            for direction in ("from_left", "from_right"):
+                rs, ys = integrate_log_derivative(coeffs, 0.5, 1.0, Contour(epsilon=epsilon),
+                                                  direction)
+                r0 = rs[0]
+                assert abs(ys[0] - (-r0**5)) <= 0.02 * abs(r0**5), (epsilon, direction)
+                # decay radially outward
+                assert (ys[0] * r0).real < 0, (epsilon, direction)
 
     def test_samples_cover_the_path(self):
+        # a given x_max is used as given, also beyond the largest derived one
         spec = ModelSpec(alpha=0.0, beta=0.0, big_m=1, n_states=1)
         coeffs = potential_coeffs(spec, 0.0)
-        rs, ys = integrate_log_derivative(coeffs, 0.5, 0.0, Contour(), "from_right")
-        assert rs[0] == complex(4.0, -0.5)
-        assert rs[-1] == complex(0.0, -0.5)
-        assert len(rs) == len(ys) > 10
+        for x_max in (4.0, 8.0):
+            rs, ys = integrate_log_derivative(coeffs, 0.5, 0.0, Contour(x_max=x_max),
+                                              "from_right")
+            assert rs[0] == complex(x_max, -0.5)
+            assert rs[-1] == complex(0.0, -0.5)
+            assert len(rs) == len(ys) > 10
+
+
+class TestStartRadius:
+    """A Contour without x_max starts where the decadic asymptotics already
+    hold: inside a decay sector, and far enough out that the start error is
+    damped below the integration tolerance before the matching point."""
+
+    @pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.0])
+    def test_derived_default_radius(self, epsilon):
+        spec, energy, coeffs, _ = reference_m2_n3()
+        big_l = spec.angular_momentum
+        rs, _ = integrate_log_derivative(coeffs, big_l, energy, Contour(epsilon=epsilon),
+                                         "from_right")
+        radius = rs[0].real
+        assert rs[0] == complex(radius, -epsilon)
+        assert radius <= 4.0
+        assert any(s.contains(cmath.phase(rs[0])) for s in sectors_for_degree(3))
+        if epsilon < 1.0:
+            # at epsilon = 1 the sector alone needs R > 3.73
+            assert radius < 4.0
+        # find_eigenvalue derives it once, at e_guess, and reports it
+        result = find_eigenvalue(coeffs, big_l, energy, Contour(epsilon=epsilon))
+        assert result.converged
+        assert result.contour == Contour(epsilon=epsilon, x_max=radius)
+
+    def test_given_contours_used_as_given(self):
+        spec, energy, coeffs, _ = reference_m2_n3()
+        for contour in (Contour(x_max=3.0), Contour(waypoints=BENT_WAYPOINTS)):
+            result = find_eigenvalue(coeffs, spec.angular_momentum, 5.6, contour, max_iter=1)
+            assert result.contour is contour
+
+    def test_unresolved_contour_has_no_nodes(self):
+        with pytest.raises(ValueError, match="only a contour with x_max has nodes"):
+            Contour().left_nodes()
+
+
+class TestClosedFormOracle:
+    """The integrated log-derivative against the closed form of the
+    reference state, y = psi'/psi with psi from wavefunction_eval:
+
+        y(r) = -(r^5 + alpha r^3 + beta r) + sum h_n (2n - L) r^(2n-L-1) / sum h_n r^(2n-L).
+
+    RTOL is fixed here, before any run: the start carries the two-term WKB
+    error, at most START_RTOL, which the path damps.  Once |y - y_exact|
+    is within RTOL * (1 + |y_exact|) at an accepted node it must stay
+    there at every later node, and the matching point must be reached
+    within it."""
+
+    RTOL = 1e-9
+    START_RTOL = 1e-3
+
+    @staticmethod
+    def closed_form(spec, h, r):
+        big_l = float(spec.angular_momentum)
+        alpha, beta = float(spec.alpha), float(spec.beta)
+        num = sum(float(hn) * (2 * n - big_l) * r ** (2 * n - big_l - 1) for n, hn in enumerate(h))
+        den = sum(float(hn) * r ** (2 * n - big_l) for n, hn in enumerate(h))
+        return -(r**5 + alpha * r**3 + beta * r) + num / den
+
+    def failures(self, contour):
+        """The checks the integrated halves fail, as readable strings."""
+        spec, energy, coeffs, h = reference_m2_n3()
+        failed = []
+        for direction in ("from_left", "from_right"):
+            rs, ys = integrate_log_derivative(coeffs, spec.angular_momentum, energy, contour,
+                                              direction)
+            exact = [self.closed_form(spec, h, r) for r in rs]
+            errors = [abs(y - ye) / (1 + abs(ye)) for y, ye in zip(ys, exact)]
+            if not errors[0] <= self.START_RTOL:
+                failed.append(f"{direction}: start error {errors[0]:.2e}")
+            settled = next((k for k, e in enumerate(errors) if e <= self.RTOL), len(errors))
+            if settled == len(errors):
+                failed.append(f"{direction}: error {errors[-1]:.2e} at the matching point")
+            worst = max(errors[settled:], default=0.0)
+            if not worst <= self.RTOL:
+                failed.append(f"{direction}: error {worst:.2e} after settling")
+        return failed
+
+    def test_closed_form_is_psi_prime_over_psi(self):
+        spec, _, _, h = reference_m2_n3()
+        step = 1e-4
+
+        def psi(r):
+            return wavefunction_eval(spec, h, r)
+
+        for r in (complex(1.3, -0.5), complex(-2, -0.25), complex(0.4, -1), complex(3, -0.7)):
+            fd = (-psi(r + 2 * step) + 8 * psi(r + step) - 8 * psi(r - step)
+                  + psi(r - 2 * step)) / (12 * step * psi(r))
+            exact = self.closed_form(spec, h, r)
+            # the five-point stencil's own error at this step is about 1e-8
+            assert abs(fd - exact) <= 1e-7 * (1 + abs(exact))
+
+    @pytest.mark.parametrize("contour", [
+        Contour(epsilon=0.25), Contour(epsilon=0.5), Contour(epsilon=1.0),
+        Contour(waypoints=BENT_WAYPOINTS)], ids=["eps0.25", "eps0.5", "eps1", "bent"])
+    def test_integrated_log_derivative_matches(self, contour):
+        assert self.failures(contour) == []
+
+    def test_too_small_radius_fails(self):
+        # R = 2.2 at epsilon = 0.5 damps the start by under 3 nats, far short
+        # of ln(1/rtol) = 23; the derived radius there is 2.5
+        assert self.failures(Contour(epsilon=0.5, x_max=2.2)) != []
 
 
 class TestMismatch:
@@ -214,7 +323,7 @@ class TestScalarDop853:
             return rhs
 
         return ([riccati(z0, z1 - z0) for z0, z1 in zip(nodes[:-1], nodes[1:])],
-                shooting._wkb_start(q, nodes[0], nodes[1]))
+                shooting._wkb_start(q, nodes[0]))
 
     @staticmethod
     def scipy_dop853(rhs, y0):
@@ -232,8 +341,10 @@ class TestScalarDop853:
         return solve_ivp(real_rhs, (0.0, 1.0), [y0.real, y0.imag], method="DOP853",
                          rtol=1e-10, atol=1e-10, events=blowup)
 
+    # x_max = 4, so that the comparison covers the stiff outer stretch
     @pytest.mark.parametrize("contour", [
-        Contour(epsilon=0.25), Contour(epsilon=0.5), Contour(epsilon=1.0),
+        Contour(epsilon=0.25, x_max=4.0), Contour(epsilon=0.5, x_max=4.0),
+        Contour(epsilon=1.0, x_max=4.0),
         Contour(waypoints=BENT_WAYPOINTS)], ids=["eps0.25", "eps0.5", "eps1", "bent"])
     @pytest.mark.parametrize("direction", ["from_left", "from_right"])
     @pytest.mark.parametrize("energy", [5.5, CBRT192], ids=["E5.5", "E_exact"])

@@ -1,6 +1,6 @@
 """Digest of the decadic CLI's stdout and exit codes over a fixed grid.
 
-Runs 1935 invocations in-process through ``decadic.cli.main`` and prints one
+Runs 1938 invocations in-process through ``decadic.cli.main`` and prints one
 line per invocation: the exit code, the sha256 of stdout and the argv.  Two
 checkouts whose digests are equal line for line give the same exit codes and
 byte-identical stdout on the whole grid (stderr is not compared).
@@ -20,7 +20,9 @@ The grid:
   at d=-4 from E guess 0.3;
 * ``wedges`` at every degree z in 1..6, and at delta in
   {-2, -1, 0, 0.5, 1, 2, 3, 4.5}: each side of the real-compatible window
-  1 < delta < 3, its ends, and the invalid -2 (exit 2).
+  1 < delta < 3, its ends, and the invalid -2 (exit 2);
+* the three reference shots again with ``--x-max=4`` in place of the
+  radius derived from the potential.
 
 Uses only the stdlib and the ``decadic`` found on ``sys.path``, so point
 PYTHONPATH at the checkout to digest:
@@ -49,6 +51,8 @@ SHOTS += [REFERENCE_SHOT + ["--e-guess=-50", "--e-bound=100"],
 WEDGES = [["wedges", f"--degree={z}"] for z in range(1, 7)]
 DELTAS = ("-2", "-1", "0", "0.5", "1", "2", "3", "4.5")
 WEDGES += [["wedges", f"--delta={delta}"] for delta in DELTAS]
+# the reference shots from the fixed radius 4 in place of the derived one
+FIXED_RADIUS_SHOTS = [argv + ["--x-max=4"] for argv in SHOTS[:3]]
 
 
 def grid():
@@ -67,6 +71,7 @@ def grid():
                "--beta-min=-4", "--beta-max=4", f"--beta-steps={steps}"]
     yield from SHOTS
     yield from WEDGES
+    yield from FIXED_RADIUS_SHOTS
 
 
 def run(argv):
