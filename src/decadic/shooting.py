@@ -28,9 +28,11 @@ conjugation and DOP853 takes the same steps.  wronskian_mismatch then
 integrates the left half only.
 
 The integrator is scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
-section II.10) run on one complex scalar in this module: scipy's tableau,
-error estimate and step control, without solve_ivp's per-step numpy work on
-a two-element real state.  The tableau is imported from scipy on the first
+section II.10) run on one complex scalar in this module: scipy's step,
+generated from its tableau as straight-line code with the Riccati
+right-hand side written into every stage, and scipy's error estimate and
+step control, without solve_ivp's per-step numpy work on a two-element real
+state.  The step is generated from scipy's tableau on the first
 integration, so importing decadic does not load scipy.integrate.
 """
 
@@ -172,7 +174,8 @@ class ShootingResult:
 
 
 def _q_func(coeffs: PotentialCoeffs, big_l, energy):
-    """Q(r) = V(r) + L(L+1)/r^2 - E of the decadic well."""
+    """Q(r) = V(r) + L(L+1)/r^2 - E of the decadic well.  Its float terms
+    (a, b, c, d, L(L+1), E) are q.terms, which solve_ivp's step inlines."""
     if coeffs.d is None:
         raise TypeError("quadratic coupling d is unsolved; shooting needs a numeric d")
     a, b, c, d = (float(coeffs.a), float(coeffs.b), float(coeffs.c), float(coeffs.d))
@@ -185,6 +188,7 @@ def _q_func(coeffs: PotentialCoeffs, big_l, energy):
         r2 = r * r
         return ((((r2 + a) * r2 + b) * r2 + c) * r2 + d) * r2 + ll1 / r2 - e0
 
+    q.terms = (a, b, c, d, ll1, e0)
     return q
 
 
@@ -215,28 +219,59 @@ _RTOL_FLOOR = 100 * sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class IvpResult:
-    t: list  # accepted times, starting at t_span[0]
+    t: list  # accepted times along the leg, starting at 0
     y: list  # complex solution at those times
     nfev: int  # counted as scipy counts: 2 for the start, 12 per attempted step
-    status: int  # 0 reached t_span[1], -1 step too small, 1 pole
+    status: int  # 0 reached t = 1, -1 step too small, 1 pole
     t_pole: "float | None" = None
+
+
+# the Riccati right-hand side dr * (Q(z0 + t * dr) - y^2) of one leg into k,
+# written out with _q_func's Horner form; stage values far past a pole would
+# overflow y * y, so they give 0j and the pole event ends the run on the
+# accepted values
+_RICCATI = """\
+        if abs({y}) <= 1e100:
+            r = z0 + {t} * dr
+            r2 = r * r
+            {k} = dr * (((((r2 + a) * r2 + b) * r2 + c) * r2 + d) * r2 + ll1 / r2 - e0 - {y} * {y})
+        else:
+            {k} = 0j"""
 
 
 @functools.cache
 def _dop853():
-    """scipy's DOP853 tableau as Python floats without its zero entries:
-    (c, ((j, a_j), ...)) for each stage after the first, ((j, b_j), ...),
-    and ((j, e3_j, e5_j), ...) for the two error estimates."""
+    """scipy's DOP853 step for the Riccati leg, generated from its tableau.
+
+    Returns leg(z0, dr, a, b, c, d, ll1, e0), which gives the leg's
+    right-hand side rhs(t, y) and step(t, h, t_new, y, f) -> (y_new, f_new,
+    err3, err5): the eleven stages after f, the update, f_new = rhs(t_new,
+    y_new) and the two error estimates as straight-line code, with no call
+    per stage.  The coefficients are written in with repr and the zero ones
+    left out; every sum starts from 0j and runs in the tableau's order, as
+    a loop over it would, so the results are the loop's bit for bit.
+    """
     from scipy.integrate import DOP853
 
-    def nonzero(row):
-        return tuple((j, float(v)) for j, v in enumerate(row) if v != 0)
+    def combination(weights):
+        return "0j" + "".join(f" + k{j} * {float(w)!r}" for j, w in enumerate(weights) if w)
 
-    stages = tuple((float(DOP853.C[s]), nonzero(DOP853.A[s, :s]))
-                   for s in range(1, DOP853.n_stages))
-    errors = tuple((j, float(e3), float(e5))
-                   for j, (e3, e5) in enumerate(zip(DOP853.E3, DOP853.E5)) if e3 or e5)
-    return stages, nonzero(DOP853.B), errors
+    source = ["def leg(z0, dr, a, b, c, d, ll1, e0):", "    def rhs(t, y):",
+              _RICCATI.format(y="y", t="t", k="f"), "        return f",
+              "    def step(t, h, t_new, y, k0):"]
+    for s in range(1, DOP853.n_stages):
+        source += [f"        y_s = y + ({combination(DOP853.A[s, :s])}) * h",
+                   _RICCATI.format(y="y_s", t=f"(t + {float(DOP853.C[s])!r} * h)", k=f"k{s}")]
+    n = DOP853.n_stages  # k{n} is f_new, as in scipy's K
+    source += [f"        y_new = y + h * ({combination(DOP853.B)})",
+               _RICCATI.format(y="y_new", t="t_new", k=f"k{n}"),
+               f"        err3 = {combination(DOP853.E3)}",
+               f"        err5 = {combination(DOP853.E5)}",
+               f"        return y_new, k{n}, err3, err5",
+               "    return rhs, step"]
+    namespace = {}
+    exec("\n".join(source), namespace)
+    return namespace["leg"]
 
 
 def _rms(z: complex, scale_re: float, scale_im: float) -> float:
@@ -263,19 +298,23 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, pole_threshold) -> IvpResult:
-    """Integrate the complex scalar y' = fun(t, y) over t_span with DOP853.
+def solve_ivp(q, z0: complex, z1: complex, y0, rtol, atol, pole_threshold) -> IvpResult:
+    """Integrate the Riccati equation of the Q of q (from _q_func) along the
+    straight leg r = z0 + t * (z1 - z0), t from 0 to 1, with DOP853:
 
-    A line-for-line port of scipy.integrate.solve_ivp(method="DOP853") with
-    a terminal event on the upward crossing of |y| - pole_threshold: the
-    real and imaginary parts are scaled and normed separately, as scipy
-    does on the state [re, im], so the steps are scipy's.  Sums run in
-    sequence rather than through BLAS, so results may differ from scipy's
-    in the last bits.  The pole is placed by linear interpolation of |y|
-    within the step that crosses the threshold.
+        dy/dt = (z1 - z0) * (Q(r) - y^2),
+
+    where y is the log-derivative in r.  scipy's step, generated from its
+    tableau (_dop853), with the step control of
+    scipy.integrate.solve_ivp(method="DOP853") and a terminal event on the
+    upward crossing of |y| - pole_threshold: the real and imaginary parts
+    are scaled and normed separately, as scipy does on the state [re, im],
+    so the steps are scipy's.  Sums run in sequence rather than through
+    BLAS, so results may differ from scipy's in the last bits.  The pole is
+    placed by linear interpolation of |y| within the step that crosses the
+    threshold.
     """
-    stages, weights, errors = _dop853()
-    t, t_bound = float(t_span[0]), float(t_span[1])
+    t, t_bound = 0.0, 1.0
     y = complex(y0)
     if not cmath.isfinite(y):
         raise ValueError(f"y0 must be finite, got {y}")
@@ -284,15 +323,13 @@ def solve_ivp(fun, t_span, y0, rtol, atol, pole_threshold) -> IvpResult:
         raise ValueError(f"atol must be positive, got {atol}")
     if math.isnan(rtol):
         raise ValueError("rtol must not be NaN")
-    if not t_bound > t:
-        raise ValueError(f"t_span must be increasing, got {t_span}")
     rtol = max(rtol, _RTOL_FLOOR)
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_bound, rtol, atol)
+    rhs, step = _dop853()(z0, z1 - z0, *q.terms)
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, t, y, f, t_bound, rtol, atol)
     nfev = 2
     ts, ys = [t], [y]
     g = abs(y) - pole_threshold
-    k = [0j] * (len(stages) + 2)  # scipy's K: the 12 stages, then f_new
     while t < t_bound:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -302,22 +339,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, pole_threshold) -> IvpResult:
                 return IvpResult(ts, ys, nfev, -1)
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
-            k[0] = f
-            for s, (c, row) in enumerate(stages, 1):
-                dy = 0j
-                for j, a in row:
-                    dy += k[j] * a
-                k[s] = fun(t + c * h, y + dy * h)
-            dy = 0j
-            for j, b in weights:
-                dy += k[j] * b
-            y_new = y + h * dy
-            f_new = k[-1] = fun(t_new, y_new)
+            y_new, f_new, err3, err5 = step(t, h, t_new, y, f)
             nfev += 12
-            err3 = err5 = 0j
-            for j, e3, e5 in errors:
-                err3 += k[j] * e3
-                err5 += k[j] * e5
             scale_re = atol + max(abs(y.real), abs(y_new.real)) * rtol
             scale_im = atol + max(abs(y.imag), abs(y_new.imag)) * rtol
             err5_2 = (err5.real / scale_re) ** 2 + (err5.imag / scale_im) ** 2
@@ -371,19 +394,33 @@ def _start_radius(q, epsilon: float, match_x: float, rtol: float) -> float:
     lies strictly inside a decay sector, and on both halves to match_x a
     start error is damped below rtol (_damping at least ln(1/rtol)) before
     the matching point.  When the first step down fails, R is _X_MAX_START,
-    so no derived start lies further out.
+    so no derived start lies further out.  Where the halves are mirror
+    images (_mirrored), the right half's damping is the left half's, bit
+    for bit, and only the left half is integrated.
     """
     budget = -math.log(max(rtol, _RTOL_FLOOR))
     radius = _X_MAX_START
     for k in range(1, round(_X_MAX_START / _X_MAX_STEP)):
         trial = Contour(epsilon, round(_X_MAX_START - k * _X_MAX_STEP, 10))
+        if trial.x_max <= abs(match_x) or not _in_decay_sector(complex(trial.x_max, -epsilon)):
+            break
+        halves = (trial.left_nodes,)
+        if not _mirrored(q, trial, match_x):
+            halves += (trial.right_nodes,)
         # ">= budget" rather than "not < budget", so that a NaN fails
-        if (trial.x_max <= abs(match_x) or not _in_decay_sector(complex(trial.x_max, -epsilon))
-                or not all(_damping(q, half(match_x)) >= budget
-                           for half in (trial.left_nodes, trial.right_nodes))):
+        if not all(_damping(q, half(match_x)) >= budget for half in halves):
             break
         radius = trial.x_max
     return radius
+
+
+def _mirrored(q, contour: Contour, match_x: float) -> bool:
+    """True when the energy of q is real and the right half of the contour
+    to match_x is the PT mirror (r -> -conj r) of the left half, so that
+    the right half's values are the left half's mirrored, bit for bit (see
+    the module docstring)."""
+    mirrored = [-z.conjugate() for z in contour.right_nodes(match_x)]
+    return q.terms[-1].imag == 0 and contour.left_nodes(match_x) == mirrored
 
 
 def _resolved(contour: Contour, q, match_x: float, rtol: float) -> Contour:
@@ -404,15 +441,7 @@ def _integrate_nodes(q, nodes, rtol, atol):
     ys = [y]
     for z0, z1 in zip(nodes[:-1], nodes[1:]):
         dr = z1 - z0
-
-        def rhs(t, y):
-            # stage values far past a pole would overflow y * y; the pole
-            # event ends the run on the accepted values
-            if not abs(y) <= 1e100:
-                return 0j
-            return dr * (q(z0 + t * dr) - y * y)
-
-        sol = solve_ivp(rhs, (0.0, 1.0), y, rtol, atol, _POLE_THRESHOLD)
+        sol = solve_ivp(q, z0, z1, y, rtol, atol, _POLE_THRESHOLD)
         if sol.status != 0:
             raise PoleError(z0 + (sol.t_pole if sol.status == 1 else sol.t[-1]) * dr)
         rs.extend(z0 + t * dr for t in sol.t[1:])
@@ -451,12 +480,12 @@ def wronskian_mismatch(coeffs: PotentialCoeffs, big_l, energy: float, contour: C
     the energy is real and the contour is its own PT mirror at this match
     point (see the module docstring).  A contour without x_max starts both
     halves at the radius derived at this energy."""
-    contour = _resolved(contour, _q_func(coeffs, big_l, energy), match_x, rtol)
+    q = _q_func(coeffs, big_l, energy)
+    contour = _resolved(contour, q, match_x, rtol)
     _, ys_l = integrate_log_derivative(coeffs, big_l, energy, contour, "from_left",
                                        match_x=match_x, rtol=rtol, atol=atol)
     yl = ys_l[-1]
-    mirrored = [-z.conjugate() for z in contour.right_nodes(match_x)]
-    if complex(energy).imag == 0 and contour.left_nodes(match_x) == mirrored:
+    if _mirrored(q, contour, match_x):
         yr = -yl.conjugate()
     else:
         _, ys_r = integrate_log_derivative(coeffs, big_l, energy, contour, "from_right",

@@ -2,7 +2,9 @@ import cmath
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from decadic import (
@@ -16,6 +18,7 @@ from decadic import (
     potential_eval,
     solve_energies,
     solve_sturmian,
+    verify_solution,
     wavefunction_eval,
     wronskian_mismatch,
 )
@@ -155,6 +158,66 @@ class TestStartRadius:
         result = find_eigenvalue(coeffs, big_l, energy, Contour(epsilon=epsilon))
         assert result.converged
         assert result.contour == Contour(epsilon=epsilon, x_max=radius)
+
+    @staticmethod
+    def potentials():
+        """The Q of the reference state and of the four validated states that
+        the shooting benchmark shoots (each the first multi-term solution
+        that verify_solution accepts)."""
+        spec, energy, coeffs, _ = reference_m2_n3()
+        qs = [shooting._q_func(coeffs, spec.angular_momentum, energy)]
+        for big_m, n, alpha, beta in ((1, 2, "3/4", "-3/4"), (1, 4, "7/8", "-7/8"),
+                                      (2, 3, "1", "11/8"), (2, 4, "-7/8", "7/8")):
+            spec = ModelSpec(alpha=Fraction(alpha), beta=Fraction(beta), big_m=big_m,
+                             n_states=n)
+            if big_m == 1:
+                result = solve_sturmian(spec)
+                states = [(0.0, d, h) for d, h in zip(result.d_values, result.h_vectors)]
+            else:
+                states = [(e.energy, e.quadratic_coupling, e.h) for e in solve_energies(spec)]
+            e, d = next((e, d) for e, d, h in states
+                        if sum(1 for x in h if abs(x) > 1e-12) > 1
+                        and verify_solution(spec, e, d, h).passed)
+            qs.append(shooting._q_func(potential_coeffs(spec, d), spec.angular_momentum, e))
+        return qs
+
+    @pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.0])
+    def test_mirror_halves_damp_alike(self, monkeypatch, epsilon):
+        # at match point 0 and a real energy the right half's damping is the
+        # left half's bit for bit, so the scan that integrates the left half
+        # only derives the radius of the scan that integrates both
+        for q in self.potentials():
+            for k in range(24):
+                trial = Contour(epsilon, round(4.0 - k * 0.1, 10))
+                assert (shooting._damping(q, trial.left_nodes())
+                        == shooting._damping(q, trial.right_nodes())), (epsilon, trial)
+            radius = shooting._start_radius(q, epsilon, 0.0, shooting._RTOL)
+            with monkeypatch.context() as patched:
+                patched.setattr(shooting, "_mirrored", lambda *args: False)
+                assert shooting._start_radius(q, epsilon, 0.0, shooting._RTOL) == radius
+
+    def test_mirror_scan_integrates_one_half(self, monkeypatch):
+        ends = []
+        damping = shooting._damping
+
+        def recording_damping(q, nodes):
+            ends.append(nodes[0])
+            return damping(q, nodes)
+
+        monkeypatch.setattr(shooting, "_damping", recording_damping)
+        spec, energy, coeffs, _ = reference_m2_n3()
+        for e, match_x, halves in ((energy, 0.0, 1), (energy, 0.3, 2), (energy, -0.3, 2),
+                                   (complex(energy, 0.01), 0.0, 2)):
+            ends.clear()
+            q = shooting._q_func(coeffs, spec.angular_momentum, e)
+            shooting._start_radius(q, 0.5, match_x, shooting._RTOL)
+            radii = [abs(z.real) for z in ends]
+            trials = sorted(set(radii), reverse=True)
+            assert len(trials) > 5, (e, match_x)
+            # the left half first; the trial that ends the scan may stop there
+            assert all(z.real < 0 for z in ends[::halves]), (e, match_x)
+            assert all(radii.count(r) == halves for r in trials[:-1]), (e, match_x)
+            assert 1 <= radii.count(trials[-1]) <= halves, (e, match_x)
 
     def test_given_contours_used_as_given(self):
         spec, energy, coeffs, _ = reference_m2_n3()
@@ -305,25 +368,26 @@ class TestMirrorHalf:
 
 class TestScalarDop853:
     """shooting.solve_ivp is scipy's DOP853 on one complex scalar; scipy's own
-    solve_ivp on the [re, im] state is the reference."""
+    solve_ivp on the [re, im] state of the same Riccati leg is the reference."""
 
     @staticmethod
-    def segments(contour, direction, energy):
-        """The right-hand sides of the straight segments of one contour half,
-        and the WKB start value at its far end."""
+    def legs(contour, direction, energy):
+        """The Q of the reference state, the straight legs (z0, z1) of one
+        contour half and the WKB start value at its far end."""
         spec, _, coeffs, _ = reference_m2_n3()
         q = shooting._q_func(coeffs, spec.angular_momentum, energy)
         nodes = contour.left_nodes() if direction == "from_left" else contour.right_nodes()
+        return q, list(zip(nodes[:-1], nodes[1:])), shooting._wkb_start(q, nodes[0])
 
-        def riccati(z0, dr):
-            def rhs(t, y):
-                # the guard of shooting._integrate_nodes
-                return dr * (q(z0 + t * dr) - y * y) if abs(y) <= 1e100 else 0j
+    @staticmethod
+    def riccati(q, z0, z1):
+        """The leg's right-hand side in t, with the guard of the generated step."""
+        dr = z1 - z0
 
-            return rhs
+        def rhs(t, y):
+            return dr * (q(z0 + t * dr) - y * y) if abs(y) <= 1e100 else 0j
 
-        return ([riccati(z0, z1 - z0) for z0, z1 in zip(nodes[:-1], nodes[1:])],
-                shooting._wkb_start(q, nodes[0]))
+        return rhs
 
     @staticmethod
     def scipy_dop853(rhs, y0):
@@ -349,34 +413,37 @@ class TestScalarDop853:
     @pytest.mark.parametrize("direction", ["from_left", "from_right"])
     @pytest.mark.parametrize("energy", [5.5, CBRT192], ids=["E5.5", "E_exact"])
     def test_matches_scipy_dop853(self, contour, direction, energy):
-        rhss, y0 = self.segments(contour, direction, energy)
-        for rhs in rhss:
-            ours = shooting.solve_ivp(rhs, (0.0, 1.0), y0, 1e-10, 1e-10, 1e8)
-            ref = self.scipy_dop853(rhs, y0)
+        q, legs, y0 = self.legs(contour, direction, energy)
+        for z0, z1 in legs:
+            ours = shooting.solve_ivp(q, z0, z1, y0, 1e-10, 1e-10, 1e8)
+            ref = self.scipy_dop853(self.riccati(q, z0, z1), y0)
             assert ours.status == ref.status == 0
             steps, ref_steps = len(ours.t) - 1, len(ref.t) - 1
             assert abs(steps - ref_steps) <= 0.01 * ref_steps
             assert ours.nfev > steps
             y_ref = complex(ref.y[0][-1], ref.y[1][-1])
             assert abs(ours.y[-1] - y_ref) <= 1e-9 * abs(y_ref)
-            # both integrators start the next segment from the same value
+            # both integrators start the next leg from the same value
             y0 = ours.y[-1]
 
     def test_non_finite_start_raises_at_once(self):
-        def rhs(t, y):
-            raise AssertionError("the right-hand side must not be called")
+        class Untouchable:
+            @property
+            def terms(self):
+                raise AssertionError("the leg must not be integrated")
 
+        q, z0, z1 = Untouchable(), complex(-4, -0.5), complex(0, -0.5)
         for y0 in (complex(math.nan, 0), complex(0, math.inf)):
             with pytest.raises(ValueError, match="y0 must be finite"):
-                shooting.solve_ivp(rhs, (0.0, 1.0), y0, 1e-10, 1e-10, 1e8)
+                shooting.solve_ivp(q, z0, z1, y0, 1e-10, 1e-10, 1e8)
         for atol in (-1.0, 0.0, math.nan):
             with pytest.raises(ValueError, match="atol"):
-                shooting.solve_ivp(rhs, (0.0, 1.0), 1j, 1e-10, atol, 1e8)
+                shooting.solve_ivp(q, z0, z1, 1j, 1e-10, atol, 1e8)
         with pytest.raises(ValueError, match="rtol"):
-            shooting.solve_ivp(rhs, (0.0, 1.0), 1j, math.nan, 1e-10, 1e8)
+            shooting.solve_ivp(q, z0, z1, 1j, math.nan, 1e-10, 1e8)
 
     def test_import_leaves_scipy_integrate_unloaded(self):
-        # the tableau is imported on the first integration
+        # the step is generated from the tableau on the first integration
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, decadic; print('scipy.integrate' in sys.modules)"],
             capture_output=True, text=True)
@@ -384,11 +451,103 @@ class TestScalarDop853:
         assert proc.stdout.strip() == "False"
 
     def test_pole_status_and_location(self):
-        # y' = y^2 from y(0) = 1 is 1 / (1 - t), with a pole at t = 1
-        sol = shooting.solve_ivp(lambda t, y: y * y, (0.0, 2.0), 1 + 0j, 1e-10, 1e-10, 1e4)
+        # psi of the reference state vanishes at the zero of its polynomial
+        # part nearest 0.2836 - 1.0585i, where y = psi'/psi has a simple
+        # pole; a vertical leg from the closed-form y crosses it
+        spec, energy, coeffs, h = reference_m2_n3()
+        roots = np.roots([float(hn) for hn in reversed(h)])  # in r^2
+        zero = min((s * cmath.sqrt(w) for w in roots for s in (1, -1)),
+                   key=lambda z: abs(z - complex(0.2836, -1.0585)))
+        z0, z1 = complex(zero.real, -0.7), complex(zero.real, -1.4)
+        q = shooting._q_func(coeffs, spec.angular_momentum, energy)
+        y0 = TestClosedFormOracle.closed_form(spec, h, z0)
+        sol = shooting.solve_ivp(q, z0, z1, y0, 1e-10, 1e-10, 1e8)
         assert sol.status == 1
-        assert sol.t_pole == pytest.approx(1 - 1e-4, abs=1e-3)
+        # |y| = 1e8 lies about 1e-8 from the zero
+        assert sol.t_pole == pytest.approx(((zero - z0) / (z1 - z0)).real, abs=1e-6)
         assert sol.t[-1] >= sol.t_pole
+
+
+class TestGeneratedStep:
+    """The straight-line step of shooting._dop853 gives, bit for bit, what a
+    loop over scipy's tableau gives with the Riccati right-hand side called
+    once per stage."""
+
+    @staticmethod
+    def looped_step(rhs, t, h, t_new, y, f):
+        from scipy.integrate import DOP853
+
+        k = [f]
+        for s in range(1, DOP853.n_stages):
+            dy = 0j
+            for j in range(s):
+                if DOP853.A[s, j]:
+                    dy += k[j] * float(DOP853.A[s, j])
+            k.append(rhs(t + float(DOP853.C[s]) * h, y + dy * h))
+        dy = 0j
+        for j, b in enumerate(DOP853.B):
+            if b:
+                dy += k[j] * float(b)
+        y_new = y + h * dy
+        k.append(rhs(t_new, y_new))
+        err3 = err5 = 0j
+        for j, (e3, e5) in enumerate(zip(DOP853.E3, DOP853.E5)):
+            if e3:
+                err3 += k[j] * float(e3)
+            if e5:
+                err5 += k[j] * float(e5)
+        return y_new, k[-1], err3, err5
+
+    @staticmethod
+    def bits(values):
+        # float.hex tells -0.0 from 0.0, which == does not
+        return [(z.real.hex(), z.imag.hex()) for z in values]
+
+    def assert_same_steps(self, q, z0, z1, points):
+        """Compares the steps (t, h, y) of the leg; returns how many stage
+        values of the loop fell outside the guard |y| <= 1e100."""
+        rhs, step = shooting._dop853()(z0, z1 - z0, *q.terms)
+        riccati = TestScalarDop853.riccati(q, z0, z1)
+        guarded = []
+
+        def reference(t, y):
+            if not abs(y) <= 1e100:
+                guarded.append(y)
+            return riccati(t, y)
+
+        for t, h, y in points:
+            t_new = t + h
+            f = rhs(t, y)
+            assert self.bits([f]) == self.bits([reference(t, y)])
+            ours = step(t, t_new - t, t_new, y, f)
+            assert (self.bits(ours)
+                    == self.bits(self.looped_step(reference, t, t_new - t, t_new, y, f))), (t, h, y)
+        return len(guarded)
+
+    @pytest.mark.parametrize("contour", [
+        Contour(epsilon=0.25, x_max=4.0), Contour(epsilon=1.0, x_max=4.0),
+        Contour(waypoints=BENT_WAYPOINTS)], ids=["eps0.25", "eps1", "bent"])
+    def test_accepted_and_rejected_steps(self, contour):
+        # the accepted steps of each leg from the stiff outer end inward, and
+        # steps twice as long, which the step control would reject
+        q, legs, y0 = TestScalarDop853.legs(contour, "from_left", 5.5)
+        for z0, z1 in legs:
+            sol = shooting.solve_ivp(q, z0, z1, y0, 1e-10, 1e-10, 1e8)
+            points = [(t, scale * (t_next - t), y)
+                      for t, t_next, y in list(zip(sol.t, sol.t[1:], sol.y))[::7]
+                      for scale in (1, 2)]
+            self.assert_same_steps(q, z0, z1, points)
+            y0 = sol.y[-1]
+
+    def test_guard_branch(self):
+        # stage values beyond |y| = 1e100 take the guard's 0j, as does a
+        # start value beyond it or a NaN
+        q, legs, _ = TestScalarDop853.legs(Contour(epsilon=0.5, x_max=4.0), "from_left", 5.5)
+        (z0, z1), = legs
+        points = [(0.25, h, complex(1e49, s * 1e49)) for h in (1e-3, 1e-2, 0.5) for s in (1, -1)]
+        points += [(0.5, 1e-3, complex(1e101, 0)), (0.0, 1e-2, complex(math.nan, 1)),
+                   (0.75, 1e-4, complex(-1e99, 1e99))]
+        assert self.assert_same_steps(q, z0, z1, points) > len(points)
 
 
 class TestFindEigenvalue:
