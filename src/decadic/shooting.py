@@ -173,22 +173,39 @@ class ShootingResult:
     contour: Contour  # the contour shot, its derived x_max filled in
 
 
+# Q(r) of the decadic well in Horner form in r2 = r * r, with its float
+# terms a, b, c, d, ll1 = L(L+1) and e0 = E: the one place it is written.
+# _q_func compiles it into q, and _dop853 writes it into every stage
+_Q = "((((r2 + a) * r2 + b) * r2 + c) * r2 + d) * r2 + ll1 / r2 - e0"
+
+
+def _define(source: str, name: str):
+    """The function name defined by the Python source."""
+    namespace = {}
+    exec(source, namespace)
+    return namespace[name]
+
+
+_q_of_terms = _define(f"""\
+def q_of_terms(a, b, c, d, ll1, e0):
+    def q(r):
+        r2 = r * r
+        return {_Q}
+    return q""", "q_of_terms")
+
+
 def _q_func(coeffs: PotentialCoeffs, big_l, energy):
     """Q(r) = V(r) + L(L+1)/r^2 - E of the decadic well.  Its float terms
-    (a, b, c, d, L(L+1), E) are q.terms, which solve_ivp's step inlines."""
+    (a, b, c, d, L(L+1), E) are q.terms, which solve_ivp takes."""
     if coeffs.d is None:
         raise TypeError("quadratic coupling d is unsolved; shooting needs a numeric d")
     a, b, c, d = (float(coeffs.a), float(coeffs.b), float(coeffs.c), float(coeffs.d))
     if not all(map(math.isfinite, (a, b, c, d))):
         raise ValueError(f"potential coefficients must be finite, got {(a, b, c, d)}")
     ll1 = float(big_l) * (float(big_l) + 1.0)
-    e0 = complex(energy)
-
-    def q(r: complex) -> complex:
-        r2 = r * r
-        return ((((r2 + a) * r2 + b) * r2 + c) * r2 + d) * r2 + ll1 / r2 - e0
-
-    q.terms = (a, b, c, d, ll1, e0)
+    terms = (a, b, c, d, ll1, complex(energy))
+    q = _q_of_terms(*terms)
+    q.terms = terms
     return q
 
 
@@ -226,17 +243,16 @@ class IvpResult:
     t_pole: "float | None" = None
 
 
-# the Riccati right-hand side dr * (Q(z0 + t * dr) - y^2) of one leg into k,
-# written out with _q_func's Horner form; stage values far past a pole would
-# overflow y * y, so they give 0j and the pole event ends the run on the
-# accepted values
+# the Riccati right-hand side dr * (Q(z0 + t * dr) - y^2) of one leg into k;
+# stage values far past a pole would overflow y * y, so they give 0j and the
+# pole event ends the run on the accepted values
 _RICCATI = """\
         if abs({y}) <= 1e100:
             r = z0 + {t} * dr
             r2 = r * r
-            {k} = dr * (((((r2 + a) * r2 + b) * r2 + c) * r2 + d) * r2 + ll1 / r2 - e0 - {y} * {y})
+            {k} = dr * (%s - {y} * {y})
         else:
-            {k} = 0j"""
+            {k} = 0j""" % _Q
 
 
 @functools.cache
@@ -269,9 +285,7 @@ def _dop853():
                f"        err5 = {combination(DOP853.E5)}",
                f"        return y_new, k{n}, err3, err5",
                "    return rhs, step"]
-    namespace = {}
-    exec("\n".join(source), namespace)
-    return namespace["leg"]
+    return _define("\n".join(source), "leg")
 
 
 def _rms(z: complex, scale_re: float, scale_im: float) -> float:
@@ -298,9 +312,10 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
-def solve_ivp(q, z0: complex, z1: complex, y0, rtol, atol, pole_threshold) -> IvpResult:
-    """Integrate the Riccati equation of the Q of q (from _q_func) along the
-    straight leg r = z0 + t * (z1 - z0), t from 0 to 1, with DOP853:
+def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol, pole_threshold) -> IvpResult:
+    """Integrate the Riccati equation of the Q with these terms (q.terms of
+    _q_func) along the straight leg r = z0 + t * (z1 - z0), t from 0 to 1,
+    with DOP853:
 
         dy/dt = (z1 - z0) * (Q(r) - y^2),
 
@@ -324,7 +339,7 @@ def solve_ivp(q, z0: complex, z1: complex, y0, rtol, atol, pole_threshold) -> Iv
     if math.isnan(rtol):
         raise ValueError("rtol must not be NaN")
     rtol = max(rtol, _RTOL_FLOOR)
-    rhs, step = _dop853()(z0, z1 - z0, *q.terms)
+    rhs, step = _dop853()(z0, z1 - z0, *terms)
     f = rhs(t, y)
     h_abs = _initial_step(rhs, t, y, f, t_bound, rtol, atol)
     nfev = 2
@@ -441,7 +456,7 @@ def _integrate_nodes(q, nodes, rtol, atol):
     ys = [y]
     for z0, z1 in zip(nodes[:-1], nodes[1:]):
         dr = z1 - z0
-        sol = solve_ivp(q, z0, z1, y, rtol, atol, _POLE_THRESHOLD)
+        sol = solve_ivp(q.terms, z0, z1, y, rtol, atol, _POLE_THRESHOLD)
         if sol.status != 0:
             raise PoleError(z0 + (sol.t_pole if sol.status == 1 else sol.t[-1]) * dr)
         rs.extend(z0 + t * dr for t in sol.t[1:])

@@ -415,7 +415,7 @@ class TestScalarDop853:
     def test_matches_scipy_dop853(self, contour, direction, energy):
         q, legs, y0 = self.legs(contour, direction, energy)
         for z0, z1 in legs:
-            ours = shooting.solve_ivp(q, z0, z1, y0, 1e-10, 1e-10, 1e8)
+            ours = shooting.solve_ivp(q.terms, z0, z1, y0, 1e-10, 1e-10, 1e8)
             ref = self.scipy_dop853(self.riccati(q, z0, z1), y0)
             assert ours.status == ref.status == 0
             steps, ref_steps = len(ours.t) - 1, len(ref.t) - 1
@@ -427,20 +427,17 @@ class TestScalarDop853:
             y0 = ours.y[-1]
 
     def test_non_finite_start_raises_at_once(self):
-        class Untouchable:
-            @property
-            def terms(self):
-                raise AssertionError("the leg must not be integrated")
-
-        q, z0, z1 = Untouchable(), complex(-4, -0.5), complex(0, -0.5)
+        # terms that cannot be unpacked: a leg that were integrated before
+        # the checks would raise TypeError instead
+        terms, z0, z1 = None, complex(-4, -0.5), complex(0, -0.5)
         for y0 in (complex(math.nan, 0), complex(0, math.inf)):
             with pytest.raises(ValueError, match="y0 must be finite"):
-                shooting.solve_ivp(q, z0, z1, y0, 1e-10, 1e-10, 1e8)
+                shooting.solve_ivp(terms, z0, z1, y0, 1e-10, 1e-10, 1e8)
         for atol in (-1.0, 0.0, math.nan):
             with pytest.raises(ValueError, match="atol"):
-                shooting.solve_ivp(q, z0, z1, 1j, 1e-10, atol, 1e8)
+                shooting.solve_ivp(terms, z0, z1, 1j, 1e-10, atol, 1e8)
         with pytest.raises(ValueError, match="rtol"):
-            shooting.solve_ivp(q, z0, z1, 1j, math.nan, 1e-10, 1e8)
+            shooting.solve_ivp(terms, z0, z1, 1j, math.nan, 1e-10, 1e8)
 
     def test_import_leaves_scipy_integrate_unloaded(self):
         # the step is generated from the tableau on the first integration
@@ -461,7 +458,7 @@ class TestScalarDop853:
         z0, z1 = complex(zero.real, -0.7), complex(zero.real, -1.4)
         q = shooting._q_func(coeffs, spec.angular_momentum, energy)
         y0 = TestClosedFormOracle.closed_form(spec, h, z0)
-        sol = shooting.solve_ivp(q, z0, z1, y0, 1e-10, 1e-10, 1e8)
+        sol = shooting.solve_ivp(q.terms, z0, z1, y0, 1e-10, 1e-10, 1e8)
         assert sol.status == 1
         # |y| = 1e8 lies about 1e-8 from the zero
         assert sol.t_pole == pytest.approx(((zero - z0) / (z1 - z0)).real, abs=1e-6)
@@ -532,7 +529,7 @@ class TestGeneratedStep:
         # steps twice as long, which the step control would reject
         q, legs, y0 = TestScalarDop853.legs(contour, "from_left", 5.5)
         for z0, z1 in legs:
-            sol = shooting.solve_ivp(q, z0, z1, y0, 1e-10, 1e-10, 1e8)
+            sol = shooting.solve_ivp(q.terms, z0, z1, y0, 1e-10, 1e-10, 1e8)
             points = [(t, scale * (t_next - t), y)
                       for t, t_next, y in list(zip(sol.t, sol.t[1:], sol.y))[::7]
                       for scale in (1, 2)]

@@ -1,16 +1,15 @@
 """Paired end-to-end benchmark of a parent commit against this checkout.
 
     python3 tools/paired_bench.py --parent REV --out BENCH_<n>.json
-        [--pairs 10] [--seconds 50] [--workloads exact-sweep shooting]
         [--claim WORKLOAD:METRIC] [--about TEXT]
 
 Exports REV with ``git archive`` into a temporary directory, which is
-removed afterwards.  For each workload it runs
+removed afterwards.  For each workload of ``BENCHMARK.json`` it runs
 
     python3 bench/run.py --workload W --seed 4242 --seconds S --trace 0
 
-from each side's own checkout in alternating pairs: odd pairs run the
-parent first, even pairs the change.  The change is this checkout as it
+with S its ``run_seconds``, from each side's own checkout in 10
+alternating pairs: odd pairs run the parent first, even pairs the change.  The change is this checkout as it
 stands, committed or not.  Then it runs ``shooting --seed 1 --trace 1`` once
 on each side and compares the traced counts.
 
@@ -20,7 +19,10 @@ median and quartiles (``statistics.quantiles(n=4, method="inclusive")``),
 the change's wins and losses, the parent's IQR and a verdict:
 
 * ``gain`` (or ``better (not claimed)``): the change wins at least 9 of 10
-  pairs and its median is better by more than the parent's IQR;
+  pairs, its median is better by more than the parent's IQR, and no more
+  of its operations fail, summed over the pairs, than the parent's;
+* ``more failures``: all of that, but more of the change's operations
+  fail;
 * ``regression``: the change's median is worse than the parent's by more
   than the metric's relative bound;
 * ``unresolved``: the parent's IQR is wider than that bound, and not every
@@ -51,6 +53,8 @@ TRACE_WORKLOAD = "shooting"
 # the traced counts that must agree when the change keeps every step
 TRACE_COUNTS = ("shooting.ode_steps", "shooting.rhs_evals",
                 "shooting.wronskian_mismatch.calls", "shooting.pole_errors")
+# alternating pairs per workload: a gain needs 9 wins among them
+PAIRS = 10
 
 
 def run_bench(root, workload, seed, seconds, trace):
@@ -76,7 +80,16 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(spec, parent_runs, change_runs, claimed):
+def failures(pairs):
+    """Each side's failed and attempted operations summed over the pairs,
+    and whether more of the change's operations failed."""
+    totals = {side: {k: sum(p[side][k] for p in pairs) for k in ("failed", "attempted")}
+              for side in ("parent", "change")}
+    return {**totals,
+            "change_fails_more": totals["change"]["failed"] > totals["parent"]["failed"]}
+
+
+def compare(spec, parent_runs, change_runs, claimed, change_fails_more):
     """One metric's entry: both sides' summaries, the wins and the verdict."""
     sign = 1 if spec["better"] == "higher" else -1
     parent, change = summary(parent_runs), summary(change_runs)
@@ -88,7 +101,10 @@ def compare(spec, parent_runs, change_runs, claimed):
     every_run_better = (min(change_runs) > max(parent_runs) if sign > 0
                         else max(change_runs) < min(parent_runs))
     if wins >= 0.9 * pairs and gain > iqr:
-        verdict = "gain" if claimed else "better (not claimed)"
+        if change_fails_more:
+            verdict = "more failures"
+        else:
+            verdict = "gain" if claimed else "better (not claimed)"
     elif -gain > spec["bound"] * abs(parent["median"]):
         verdict = "regression"
     elif iqr > spec["bound"] * abs(parent["median"]) and not every_run_better:
@@ -121,22 +137,20 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=50.0)
-    parser.add_argument("--workloads", nargs="+", default=["exact-sweep", "shooting"])
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims")
     parser.add_argument("--about", default="")
     args = parser.parse_args(argv)
-    specs = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    specs, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     claimed = tuple(args.claim.split(":", 1)) if args.claim else None
     record = {"about": args.about,
               "command": "python3 bench/run.py --workload W --seed %d --seconds %g --trace 0"
-                         % (SEED, args.seconds),
+                         % (SEED, seconds),
               "parent_rev": subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent],
                                            capture_output=True, text=True,
                                            check=True).stdout.strip(),
               "claimed": dict(zip(("workload", "metric"), claimed)) if claimed else None,
-              "machine": machine(), "end_to_end": {}, "pairs": {}}
+              "machine": machine(), "end_to_end": {}, "failures": {}, "pairs": {}}
 
     def write():
         args.out.write_text(json.dumps(record, indent=1) + "\n")
@@ -144,22 +158,24 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as parent_root:
         export(args.parent, parent_root)
         roots = {"parent": parent_root, "change": ROOT}
-        for workload in args.workloads:
+        for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = record["pairs"][workload] = []
-            for k in range(1, args.pairs + 1):
+            for k in range(1, PAIRS + 1):
                 order = ("parent", "change") if k % 2 else ("change", "parent")
                 entry = {"pair": k, "first": order[0]}
                 for side in order:
-                    entry[side] = flat(run_bench(roots[side], workload, SEED, args.seconds, 0))
+                    entry[side] = flat(run_bench(roots[side], workload, SEED, seconds, 0))
                 pairs.append(entry)
+                failed = record["failures"][workload] = failures(pairs)
                 if len(pairs) > 1:  # quartiles need two runs a side
                     record["end_to_end"][workload] = {
                         spec["name"]: compare(spec, [p["parent"][spec["name"]] for p in pairs],
                                               [p["change"][spec["name"]] for p in pairs],
-                                              claimed == (workload, spec["name"]))
+                                              claimed == (workload, spec["name"]),
+                                              failed["change_fails_more"])
                         for spec in specs}
                 write()
-                print(f"{workload} pair {k}/{args.pairs}", file=sys.stderr, flush=True)
+                print(f"{workload} pair {k}/{PAIRS}", file=sys.stderr, flush=True)
         traced = {side: run_bench(roots[side], TRACE_WORKLOAD, TRACE_SEED, 10, 1)["metrics"]
                   for side in ("parent", "change")}
     counts = {name: {side: traced[side][name]["value"] for side in traced}
