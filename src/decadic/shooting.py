@@ -12,13 +12,15 @@ isolated poles.  Both ends start on the decaying branch (y ~ -r^5 at large
 itself by equal left and right log-derivatives.  Bent contours ending in
 other decay wedges are supported through explicit waypoints.
 
-The equation is stiff where |y| ~ |r|^5 is large, so the start radius sets
-most of the cost.  Unless the caller fixes x_max, it is derived from the
-potential at the shot's energy: scanning down from 4 in steps of 0.1, the
-last radius whose end still lies inside a decay sector and from which a
-start error decays below the integration tolerance before the matching
-point, by the WKB damping exp(-2 Re of the integral of sqrt(Q) dr)
-(Bender & Orszag, chapter 10).
+The equation is stiff where |y| ~ |r|^5 is large, so the start radius x_max
+sets most of the cost, on both kinds of contour: the default one starts at
++-x_max - i*epsilon, and each half of a waypoint contour where its path
+first comes within |r| = x_max.  Unless the caller fixes x_max, it is
+derived from the potential at the shot's energy: scanning down from 4 in
+steps of 0.1, the last radius whose starts still lie inside the decay
+sectors of their ends and from which a start error decays below the
+integration tolerance before the matching point, by the WKB damping
+exp(-2 Re of the integral of sqrt(Q) dr) (Bender & Orszag, chapter 10).
 
 V is the decadic well of model.potential_coeffs, with real coefficients,
 so at a real energy V(-conj r) = conj V(r): on a contour that is its own PT
@@ -88,8 +90,6 @@ _DAMPING_NODES = 64
 class Contour:
     """Integration path.  Default: endpoints at +-x_max - i*epsilon, with
     the inner stretch transiting at depth min(epsilon, _TRANSIT_DEPTH).
-    When x_max is None, shooting derives it from the potential and the
-    energy (see _start_radius); a given x_max is used as it is.
 
     The log-derivative is single-valued and meromorphic, so the quadrature
     route between the two wedge endpoints is a free choice; only the
@@ -101,7 +101,14 @@ class Contour:
 
     Alternatively an odd-length polyline of waypoints whose middle node is
     the matching point; both endpoints must lie strictly inside a decay
-    sector of the degree-10 asymptotics (z = 3)."""
+    sector of the degree-10 asymptotics (z = 3).  epsilon has no effect on
+    such a contour.  With x_max, each half starts where its path, from its
+    endpoint inward, first comes within |r| = x_max, or at its endpoint
+    when that already lies within; the start must lie strictly inside the
+    endpoint's sector.  Without x_max, its nodes are the waypoints.
+
+    When x_max is None, shooting derives it from the potential and the
+    energy (see _start_radius); a given x_max is used as it is."""
 
     epsilon: float = 0.5
     x_max: "float | None" = None
@@ -120,11 +127,19 @@ class Contour:
             object.__setattr__(self, "waypoints", pts)
             if len(pts) < 3 or len(pts) % 2 == 0:
                 raise ValueError("waypoints must be an odd-length polyline of >= 3 nodes")
-            for endpoint in (pts[0], pts[-1]):
-                if not _in_decay_sector(endpoint):
+            for sign, endpoint in ((-1.0, pts[0]), (1.0, pts[-1])):
+                sector = next((s for s in _DECAY_SECTORS if s.contains(cmath.phase(endpoint))),
+                              None)
+                if sector is None:
                     raise ValueError(
                         f"contour endpoint at angle {cmath.phase(endpoint):.4f} is not "
                         "strictly inside any decay sector")
+                start = self._half(sign, 0.0)[0]
+                if not sector.contains(cmath.phase(start)):
+                    raise ValueError(
+                        f"the start at |r| = x_max = {self.x_max}, angle "
+                        f"{cmath.phase(start):.4f}, is not strictly inside the decay sector "
+                        f"of its endpoint at angle {cmath.phase(endpoint):.4f}")
 
     def left_nodes(self, match_x: float = 0.0):
         return self._half(-1.0, match_x)
@@ -133,14 +148,14 @@ class Contour:
         return self._half(1.0, match_x)
 
     def _half(self, sign: float, match_x: float):
-        """Nodes of the left (sign -1) or right (+1) half, from its far end to
+        """Nodes of the left (sign -1) or right (+1) half, from its start to
         the match point."""
         if self.waypoints is not None:
             if match_x != 0.0:
                 raise ValueError("match_x shifts are only supported on the default contour")
             mid = len(self.waypoints) // 2
-            half = self.waypoints[: mid + 1] if sign < 0 else reversed(self.waypoints[mid:])
-            return list(half)
+            half = self.waypoints[: mid + 1] if sign < 0 else self.waypoints[mid:][::-1]
+            return list(half) if self.x_max is None else _cut(half, self.x_max)
         if self.x_max is None:
             raise ValueError("x_max is None: shooting derives it per potential and energy, "
                              "so only a contour with x_max has nodes")
@@ -152,6 +167,29 @@ class Contour:
             nodes.append(complex(sign * self.x_max, -depth))
         nodes.append(complex(match_x, -depth))
         return nodes
+
+
+def _cut(half, radius: float):
+    """The polyline half, from its endpoint to the matching point, started
+    where it first comes within |r| = radius; as given when the endpoint
+    already lies within.  Raises ValueError when it never comes within."""
+    if abs(half[0]) <= radius:
+        return list(half)
+    for k in range(1, len(half)):
+        z0, dz = half[k - 1], half[k] - half[k - 1]
+        # |z0 + t dz| = radius at the roots of a t^2 + 2 b t + c; z0 lies
+        # outside (c > 0), so the leg enters only inward (b < 0), first at
+        # the smaller root, written without cancellation
+        a = dz.real * dz.real + dz.imag * dz.imag
+        b = z0.real * dz.real + z0.imag * dz.imag
+        c = (abs(z0) - radius) * (abs(z0) + radius)
+        disc = b * b - a * c
+        if b < 0 and disc >= 0:
+            t = c / (math.sqrt(disc) - b)
+            if t <= 1:
+                return [z0 + t * dz, *half[k:]]
+    raise ValueError(f"the contour half from {half[0]} never comes within "
+                     f"|r| = x_max = {radius}")
 
 
 # the decay sectors of the degree-10 asymptotics
@@ -401,23 +439,36 @@ def _damping(q, nodes) -> float:
     return -total.real
 
 
-def _start_radius(q, epsilon: float, match_x: float, rtol: float) -> float:
-    """The x_max of a Contour(epsilon) without one, for the Q of q.
+def _start_radius(q, contour: Contour, match_x: float, rtol: float) -> float:
+    """The x_max of a contour without one, for the Q of q.
 
     Scans R down from _X_MAX_START in steps of _X_MAX_STEP and returns the
-    last R before the first that fails either test: the end R - i*epsilon
-    lies strictly inside a decay sector, and on both halves to match_x a
+    last R before the first that fails either test: each half's start lies
+    strictly inside a decay sector (on a waypoint contour, its endpoint's,
+    and the half comes within R at all), and on both halves to match_x a
     start error is damped below rtol (_damping at least ln(1/rtol)) before
-    the matching point.  When the first step down fails, R is _X_MAX_START,
-    so no derived start lies further out.  Where the halves are mirror
-    images (_mirrored), the right half's damping is the left half's, bit
-    for bit, and only the left half is integrated.
+    the matching point.  When the first step down fails, the default
+    contour keeps R = _X_MAX_START and a waypoint contour its waypoints (R
+    is its outer endpoint's radius), so no derived start lies further out.
+    Where the halves are mirror images (_mirrored), the right half's
+    damping is the left half's, bit for bit, and only the left half is
+    integrated.
     """
     budget = -math.log(max(rtol, _RTOL_FLOOR))
-    radius = _X_MAX_START
+    if contour.waypoints is None:
+        radius = _X_MAX_START
+    else:
+        radius = max(abs(contour.waypoints[0]), abs(contour.waypoints[-1]))
     for k in range(1, round(_X_MAX_START / _X_MAX_STEP)):
-        trial = Contour(epsilon, round(_X_MAX_START - k * _X_MAX_STEP, 10))
-        if trial.x_max <= abs(match_x) or not _in_decay_sector(complex(trial.x_max, -epsilon)):
+        x_max = round(_X_MAX_START - k * _X_MAX_STEP, 10)
+        if contour.waypoints is None and (
+                x_max <= abs(match_x) or not _in_decay_sector(complex(x_max, -contour.epsilon))):
+            break
+        try:
+            trial = dataclasses.replace(contour, x_max=x_max)
+        except ValueError:
+            # a waypoint half starts outside its endpoint's sector, or never
+            # comes within x_max
             break
         halves = (trial.left_nodes,)
         if not _mirrored(q, trial, match_x):
@@ -425,7 +476,7 @@ def _start_radius(q, epsilon: float, match_x: float, rtol: float) -> float:
         # ">= budget" rather than "not < budget", so that a NaN fails
         if not all(_damping(q, half(match_x)) >= budget for half in halves):
             break
-        radius = trial.x_max
+        radius = x_max
     return radius
 
 
@@ -439,12 +490,11 @@ def _mirrored(q, contour: Contour, match_x: float) -> bool:
 
 
 def _resolved(contour: Contour, q, match_x: float, rtol: float) -> Contour:
-    """The contour as given when it has waypoints or an x_max, else with
+    """The contour as given when it has an x_max, else with
     x_max = _start_radius(q, ...)."""
-    if contour.waypoints is not None or contour.x_max is not None:
+    if contour.x_max is not None:
         return contour
-    return dataclasses.replace(
-        contour, x_max=_start_radius(q, contour.epsilon, match_x, rtol))
+    return dataclasses.replace(contour, x_max=_start_radius(q, contour, match_x, rtol))
 
 
 def _integrate_nodes(q, nodes, rtol, atol):
@@ -471,8 +521,10 @@ def integrate_log_derivative(coeffs: PotentialCoeffs, big_l, energy, contour: Co
     """Samples (r, y) of the log-derivative along one half of the contour.
 
     direction is "from_left" or "from_right"; integration starts on the
-    decaying branch at the far end and runs toward the matching point.
-    A contour without x_max starts at the radius derived at this energy.
+    decaying branch at the half's start (its far end, or on a waypoint
+    contour where its path first comes within |r| = x_max) and runs toward
+    the matching point.  A contour without x_max, default or waypoint,
+    starts at the radius derived at this energy.
     Raises PoleError when y passes through a pole (the caller may retry
     with a shifted matching point).
     """
@@ -516,9 +568,10 @@ def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Con
 
     Non-convergence (wild steps, |E| escaping e_bound, persistent poles) is
     reported in the result, never raised.  A pole at the default matching
-    point triggers retries at x = +0.3 and x = -0.3.  A contour without
-    x_max gets the radius derived at e_guess and x = 0, one for the whole
-    search; the result carries the contour shot.  A non-finite e_guess,
+    point of the default contour triggers retries at x = +0.3 and x = -0.3.
+    A contour without x_max, default or waypoint, gets the radius derived
+    at e_guess and x = 0, one for the whole search; the result carries the
+    contour shot, with that x_max.  A non-finite e_guess,
     an e_bound or residual_tol that is not positive (NaN included) and a
     max_iter below 1 raise ValueError before any integration.
     """

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import subprocess
 import sys
@@ -75,6 +76,25 @@ class TestContourValidation:
             Contour(waypoints=(4 * cmath.exp(1j * math.pi / 12), -0.5j,
                                4 * cmath.exp(-1j * math.pi / 3)))
 
+    def test_waypoint_x_max_cuts_the_halves(self):
+        # x_max was ignored on a waypoint contour: both halves started at
+        # their ends, |r| = 4; epsilon has no effect on one
+        contour = Contour(waypoints=BENT_WAYPOINTS, x_max=1.0, epsilon=7.0)
+        halves = (contour.left_nodes(), contour.right_nodes())
+        default_epsilon = Contour(waypoints=BENT_WAYPOINTS, x_max=1.0)
+        assert halves == (default_epsilon.left_nodes(), default_epsilon.right_nodes())
+        for half, end in zip(halves, (BENT_WAYPOINTS[0], BENT_WAYPOINTS[-1])):
+            assert abs(abs(half[0]) - 1.0) <= 1e-15
+            assert half[1:] == [BENT_WAYPOINTS[1]]
+            sector, = (s for s in sectors_for_degree(3) if s.contains(cmath.phase(end)))
+            assert sector.contains(cmath.phase(half[0]))
+        # at |r| = 0.8 the path has left the end's sector; it never comes
+        # within 0.4 of the origin
+        with pytest.raises(ValueError, match="not strictly inside the decay sector"):
+            Contour(waypoints=BENT_WAYPOINTS, x_max=0.8)
+        with pytest.raises(ValueError, match="never comes within"):
+            Contour(waypoints=BENT_WAYPOINTS, x_max=0.4)
+
     def test_direction_validated(self):
         spec = ModelSpec(alpha=0.0, beta=0.0, big_m=1, n_states=1)
         coeffs = potential_coeffs(spec, 0.0)
@@ -141,23 +161,41 @@ class TestStartRadius:
     hold: inside a decay sector, and far enough out that the start error is
     damped below the integration tolerance before the matching point."""
 
-    @pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.0])
-    def test_derived_default_radius(self, epsilon):
+    @pytest.mark.parametrize("contour", [
+        Contour(epsilon=0.25), Contour(epsilon=0.5), Contour(epsilon=1.0),
+        Contour(waypoints=BENT_WAYPOINTS), Contour(waypoints=POLE_TEST_WAYPOINTS)],
+        ids=["0.25", "0.5", "1.0", "bent", "waypoints"])
+    def test_derived_default_radius(self, contour):
         spec, energy, coeffs, _ = reference_m2_n3()
         big_l = spec.angular_momentum
-        rs, _ = integrate_log_derivative(coeffs, big_l, energy, Contour(epsilon=epsilon),
-                                         "from_right")
-        radius = rs[0].real
-        assert rs[0] == complex(radius, -epsilon)
+        q = shooting._q_func(coeffs, big_l, energy)
+        radius = shooting._start_radius(q, contour, 0.0, shooting._RTOL)
         assert radius <= 4.0
-        assert any(s.contains(cmath.phase(rs[0])) for s in sectors_for_degree(3))
-        if epsilon < 1.0:
+        if contour.waypoints is not None or contour.epsilon < 1.0:
             # at epsilon = 1 the sector alone needs R > 3.73
             assert radius < 4.0
-        # find_eigenvalue derives it once, at e_guess, and reports it
-        result = find_eigenvalue(coeffs, big_l, energy, Contour(epsilon=epsilon))
-        assert result.converged
-        assert result.contour == Contour(epsilon=epsilon, x_max=radius)
+        shot = dataclasses.replace(contour, x_max=radius)
+        for direction, half in (("from_left", shot.left_nodes()),
+                                ("from_right", shot.right_nodes())):
+            rs, _ = integrate_log_derivative(coeffs, big_l, energy, contour, direction)
+            assert rs[0] == half[0]
+            if contour.waypoints is None:
+                end = half[0]  # the default contour starts at its end
+            else:
+                # a waypoint half starts on |r| = R, in the sector of its
+                # given end
+                end = contour.waypoints[0 if direction == "from_left" else -1]
+                assert abs(abs(rs[0]) - radius) <= 1e-15 * radius
+            sector, = (s for s in sectors_for_degree(3) if s.contains(cmath.phase(end)))
+            assert sector.contains(cmath.phase(rs[0]))
+            assert shooting._damping(q, half) >= math.log(1 / shooting._RTOL)
+        # find_eigenvalue derives it once, at e_guess, and reports it.  On
+        # the pole test's polyline the integrated y misses the closed form
+        # at -i by 4e-3 (1e-2 with the waypoints as given), so the secant
+        # does not settle there
+        result = find_eigenvalue(coeffs, big_l, energy, contour)
+        assert result.converged == (contour.waypoints != POLE_TEST_WAYPOINTS)
+        assert result.contour == shot
 
     @staticmethod
     def potentials():
@@ -191,10 +229,10 @@ class TestStartRadius:
                 trial = Contour(epsilon, round(4.0 - k * 0.1, 10))
                 assert (shooting._damping(q, trial.left_nodes())
                         == shooting._damping(q, trial.right_nodes())), (epsilon, trial)
-            radius = shooting._start_radius(q, epsilon, 0.0, shooting._RTOL)
+            radius = shooting._start_radius(q, Contour(epsilon), 0.0, shooting._RTOL)
             with monkeypatch.context() as patched:
                 patched.setattr(shooting, "_mirrored", lambda *args: False)
-                assert shooting._start_radius(q, epsilon, 0.0, shooting._RTOL) == radius
+                assert shooting._start_radius(q, Contour(epsilon), 0.0, shooting._RTOL) == radius
 
     def test_mirror_scan_integrates_one_half(self, monkeypatch):
         ends = []
@@ -206,22 +244,30 @@ class TestStartRadius:
 
         monkeypatch.setattr(shooting, "_damping", recording_damping)
         spec, energy, coeffs, _ = reference_m2_n3()
-        for e, match_x, halves in ((energy, 0.0, 1), (energy, 0.3, 2), (energy, -0.3, 2),
-                                   (complex(energy, 0.01), 0.0, 2)):
+        mirror = Contour(waypoints=POLE_TEST_WAYPOINTS)
+        for contour, e, match_x, halves in (
+                (Contour(0.5), energy, 0.0, 1), (Contour(0.5), energy, 0.3, 2),
+                (Contour(0.5), energy, -0.3, 2), (Contour(0.5), complex(energy, 0.01), 0.0, 2),
+                (mirror, energy, 0.0, 1), (mirror, complex(energy, 0.01), 0.0, 2)):
             ends.clear()
             q = shooting._q_func(coeffs, spec.angular_momentum, e)
-            shooting._start_radius(q, 0.5, match_x, shooting._RTOL)
-            radii = [abs(z.real) for z in ends]
+            shooting._start_radius(q, contour, match_x, shooting._RTOL)
+            # a trial's two starts lie at one |r|, mirror images of each other
+            radii = [abs(z) for z in ends]
             trials = sorted(set(radii), reverse=True)
-            assert len(trials) > 5, (e, match_x)
+            assert len(trials) > 5, (contour, e, match_x)
             # the left half first; the trial that ends the scan may stop there
-            assert all(z.real < 0 for z in ends[::halves]), (e, match_x)
-            assert all(radii.count(r) == halves for r in trials[:-1]), (e, match_x)
-            assert 1 <= radii.count(trials[-1]) <= halves, (e, match_x)
+            assert all(z.real < 0 for z in ends[::halves]), (contour, e, match_x)
+            assert all(radii.count(r) == halves for r in trials[:-1]), (contour, e, match_x)
+            assert 1 <= radii.count(trials[-1]) <= halves, (contour, e, match_x)
 
     def test_given_contours_used_as_given(self):
         spec, energy, coeffs, _ = reference_m2_n3()
-        for contour in (Contour(x_max=3.0), Contour(waypoints=BENT_WAYPOINTS)):
+        # both bent ends lie within |r| = 4, so x_max = 4 cuts neither half
+        bent = Contour(waypoints=BENT_WAYPOINTS, x_max=4.0)
+        w0, w1, w2 = BENT_WAYPOINTS
+        assert (bent.left_nodes(), bent.right_nodes()) == ([w0, w1], [w2, w1])
+        for contour in (Contour(x_max=3.0), bent):
             result = find_eigenvalue(coeffs, spec.angular_momentum, 5.6, contour, max_iter=1)
             assert result.contour is contour
 

@@ -29,6 +29,12 @@ the change's wins and losses, the parent's IQR and a verdict:
   run of the change reads better than every run of the parent;
 * ``within bound`` otherwise.
 
+It also reads each run's record, ``bench/out/W-seed4242-trace0.json`` in
+that side's checkout, and writes under ``fastest_s`` every operation
+label's fastest successful latency, each side's median over the pairs and
+their ratio: the table that shows which operations a change speeds up and
+which it leaves alone.
+
 The file is rewritten after every pair, so an interrupted run leaves the
 pairs it finished.  Nothing under ``bench/`` is written to except its
 ``bench/out/`` run records.
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -64,6 +71,29 @@ def run_bench(root, workload, seed, seconds, trace):
     proc = subprocess.run(command, cwd=root, capture_output=True, text=True, check=True,
                           timeout=3 * seconds + 600)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def fastest(root, workload):
+    """label -> the fastest successful latency of the last bench/run.py run
+    of workload at SEED from checkout root, read from its run record."""
+    path = Path(root) / "bench" / "out" / f"{workload}-seed{SEED}-trace0.json"
+    best = {}
+    for sample in json.loads(path.read_text())["samples"]:
+        if sample["ok"] and sample["latency"] < best.get(sample["label"], math.inf):
+            best[sample["label"]] = sample["latency"]
+    return best
+
+
+def fastest_table(latencies):
+    """label -> each side's median fastest latency and change / parent."""
+    table = {}
+    for label in dict.fromkeys([*latencies["parent"], *latencies["change"]]):
+        row = {side: statistics.median(latencies[side][label])
+               for side in ("parent", "change") if label in latencies[side]}
+        if len(row) == 2:
+            row["ratio"] = row["change"] / row["parent"]
+        table[label] = row
+    return table
 
 
 def export(rev, directory):
@@ -150,7 +180,8 @@ def main(argv=None):
                                            capture_output=True, text=True,
                                            check=True).stdout.strip(),
               "claimed": dict(zip(("workload", "metric"), claimed)) if claimed else None,
-              "machine": machine(), "end_to_end": {}, "failures": {}, "pairs": {}}
+              "machine": machine(), "end_to_end": {}, "failures": {}, "fastest_s": {},
+              "pairs": {}}
 
     def write():
         args.out.write_text(json.dumps(record, indent=1) + "\n")
@@ -160,12 +191,16 @@ def main(argv=None):
         roots = {"parent": parent_root, "change": ROOT}
         for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = record["pairs"][workload] = []
+            latencies = {"parent": {}, "change": {}}
             for k in range(1, PAIRS + 1):
                 order = ("parent", "change") if k % 2 else ("change", "parent")
                 entry = {"pair": k, "first": order[0]}
                 for side in order:
                     entry[side] = flat(run_bench(roots[side], workload, SEED, seconds, 0))
+                    for label, latency in fastest(roots[side], workload).items():
+                        latencies[side].setdefault(label, []).append(latency)
                 pairs.append(entry)
+                record["fastest_s"][workload] = fastest_table(latencies)
                 failed = record["failures"][workload] = failures(pairs)
                 if len(pairs) > 1:  # quartiles need two runs a side
                     record["end_to_end"][workload] = {
