@@ -34,8 +34,9 @@ section II.10) run on one complex scalar in this module: scipy's step,
 generated from its tableau as straight-line code with the Riccati
 right-hand side written into every stage, and scipy's error estimate and
 step control, without solve_ivp's per-step numpy work on a two-element real
-state.  The step is generated from scipy's tableau on the first
-integration, so importing decadic does not load scipy.integrate.
+state.  The tableau is kept here as literal floats, scipy's bit for bit
+(_Tableau), so shooting does not import scipy; the step is generated from
+it on the first integration.
 """
 
 from __future__ import annotations
@@ -107,8 +108,11 @@ class Contour:
     when that already lies within; the start must lie strictly inside the
     endpoint's sector.  Without x_max, its nodes are the waypoints.
 
-    When x_max is None, shooting derives it from the potential and the
-    energy (see _start_radius); a given x_max is used as it is."""
+    Both ends +-x_max - i*epsilon of a default contour must lie strictly
+    inside a decay sector, which needs epsilon < x_max * tan(pi/12).  When
+    x_max is None, shooting derives it from the potential and the energy
+    (see _start_radius), at most _X_MAX_START, so epsilon must be below
+    4 * tan(pi/12) ~ 1.072; a given x_max is used as it is."""
 
     epsilon: float = 0.5
     x_max: "float | None" = None
@@ -140,6 +144,13 @@ class Contour:
                         f"the start at |r| = x_max = {self.x_max}, angle "
                         f"{cmath.phase(start):.4f}, is not strictly inside the decay sector "
                         f"of its endpoint at angle {cmath.phase(endpoint):.4f}")
+        elif self.x_max is not None:
+            for end in (complex(self.x_max, -self.epsilon), complex(-self.x_max, -self.epsilon)):
+                if not _in_decay_sector(end):
+                    raise ValueError(
+                        f"the contour end {end} at angle {cmath.phase(end):.4f} is not "
+                        "strictly inside any decay sector: epsilon must be below "
+                        "x_max * tan(pi/12)")
 
     def left_nodes(self, match_x: float = 0.0):
         return self._half(-1.0, match_x)
@@ -293,9 +304,51 @@ _RICCATI = """\
             {k} = 0j""" % _Q
 
 
+class _Tableau:
+    """The entries of scipy's DOP853 tableau (Hairer, Norsett & Wanner,
+    Solving ODEs I, section II.10) that _dop853 reads, named as on
+    scipy.integrate.DOP853, each the repr of scipy's float64, zeros
+    included: the rows A[s, :s], the nodes C, the weights B and the error
+    weights E3 and E5 over the stages and f_new."""
+
+    n_stages = 12
+    A = (
+        (),
+        (0.05260015195876773,),
+        (0.0197250569845379, 0.0591751709536137),
+        (0.02958758547680685, 0.0, 0.08876275643042054),
+        (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+        (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+        (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+        (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+         -0.015319437748624402, 0.008273789163814023),
+        (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+         27.59209969944671, 20.154067550477894, -43.48988418106996),
+        (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+         21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+        (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+         -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+         -3.0467644718982196),
+        (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+         -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+         12.360567175794303, 0.6433927460157636))
+    C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+         0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
+         0.8571428571428571, 1.0)
+    B = (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+         -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+         0.04471061572777259)
+    E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+          -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+          0.02265179219836082, 0.0)
+    E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+          1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+          -0.022355307863886294, 0.0)
+
+
 @functools.cache
 def _dop853():
-    """scipy's DOP853 step for the Riccati leg, generated from its tableau.
+    """The DOP853 step for the Riccati leg, generated from _Tableau.
 
     Returns leg(z0, dr, a, b, c, d, ll1, e0), which gives the leg's
     right-hand side rhs(t, y) and step(t, h, t_new, y, f) -> (y_new, f_new,
@@ -305,22 +358,20 @@ def _dop853():
     left out; every sum starts from 0j and runs in the tableau's order, as
     a loop over it would, so the results are the loop's bit for bit.
     """
-    from scipy.integrate import DOP853
-
     def combination(weights):
-        return "0j" + "".join(f" + k{j} * {float(w)!r}" for j, w in enumerate(weights) if w)
+        return "0j" + "".join(f" + k{j} * {w!r}" for j, w in enumerate(weights) if w)
 
     source = ["def leg(z0, dr, a, b, c, d, ll1, e0):", "    def rhs(t, y):",
               _RICCATI.format(y="y", t="t", k="f"), "        return f",
               "    def step(t, h, t_new, y, k0):"]
-    for s in range(1, DOP853.n_stages):
-        source += [f"        y_s = y + ({combination(DOP853.A[s, :s])}) * h",
-                   _RICCATI.format(y="y_s", t=f"(t + {float(DOP853.C[s])!r} * h)", k=f"k{s}")]
-    n = DOP853.n_stages  # k{n} is f_new, as in scipy's K
-    source += [f"        y_new = y + h * ({combination(DOP853.B)})",
+    for s in range(1, _Tableau.n_stages):
+        source += [f"        y_s = y + ({combination(_Tableau.A[s])}) * h",
+                   _RICCATI.format(y="y_s", t=f"(t + {_Tableau.C[s]!r} * h)", k=f"k{s}")]
+    n = _Tableau.n_stages  # k{n} is f_new, as in scipy's K
+    source += [f"        y_new = y + h * ({combination(_Tableau.B)})",
                _RICCATI.format(y="y_new", t="t_new", k=f"k{n}"),
-               f"        err3 = {combination(DOP853.E3)}",
-               f"        err5 = {combination(DOP853.E5)}",
+               f"        err3 = {combination(_Tableau.E3)}",
+               f"        err5 = {combination(_Tableau.E5)}",
                f"        return y_new, k{n}, err3, err5",
                "    return rhs, step"]
     return _define("\n".join(source), "leg")
@@ -358,7 +409,7 @@ def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol, pole_threshold) -
         dy/dt = (z1 - z0) * (Q(r) - y^2),
 
     where y is the log-derivative in r.  scipy's step, generated from its
-    tableau (_dop853), with the step control of
+    tableau (_Tableau, _dop853), with the step control of
     scipy.integrate.solve_ivp(method="DOP853") and a terminal event on the
     upward crossing of |y| - pole_threshold: the real and imaginary parts
     are scaled and normed separately, as scipy does on the state [re, im],
@@ -449,7 +500,9 @@ def _start_radius(q, contour: Contour, match_x: float, rtol: float) -> float:
     start error is damped below rtol (_damping at least ln(1/rtol)) before
     the matching point.  When the first step down fails, the default
     contour keeps R = _X_MAX_START and a waypoint contour its waypoints (R
-    is its outer endpoint's radius), so no derived start lies further out.
+    is its outer endpoint's radius), so no derived start lies further out;
+    a default contour whose ends then lie outside every decay sector
+    (epsilon above 4 * tan(pi/12)) raises ValueError as it is resolved.
     Where the halves are mirror images (_mirrored), the right half's
     damping is the left half's, bit for bit, and only the left half is
     integrated.
@@ -461,13 +514,12 @@ def _start_radius(q, contour: Contour, match_x: float, rtol: float) -> float:
         radius = max(abs(contour.waypoints[0]), abs(contour.waypoints[-1]))
     for k in range(1, round(_X_MAX_START / _X_MAX_STEP)):
         x_max = round(_X_MAX_START - k * _X_MAX_STEP, 10)
-        if contour.waypoints is None and (
-                x_max <= abs(match_x) or not _in_decay_sector(complex(x_max, -contour.epsilon))):
+        if contour.waypoints is None and x_max <= abs(match_x):
             break
         try:
             trial = dataclasses.replace(contour, x_max=x_max)
         except ValueError:
-            # a waypoint half starts outside its endpoint's sector, or never
+            # a start outside its sector, or a waypoint half that never
             # comes within x_max
             break
         halves = (trial.left_nodes,)

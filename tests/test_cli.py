@@ -164,9 +164,26 @@ class TestShootCommand:
         assert "y0" not in err
         if flag in ("--e-guess", "--d", "--e-bound"):
             assert f"error: {flag} must be" in err
-        if value == "1e40":
+        if flag == "--x-max" and value == "1e40":
             # r^10 overflows at the contour end
             assert "x_max or epsilon is too large" in err
+        if flag == "--epsilon" and value == "1e40":
+            # the end 4 - 1e40i lies outside every decay sector
+            assert "not strictly inside any decay sector" in err
+
+    @pytest.mark.parametrize("options", [
+        ("--e-guess", "5.6", "--epsilon", "1", "--x-max", "1.5"),
+        ("--e-guess", "5.5", "--epsilon", "1.2")], ids=["x_max1.5", "eps1.2"])
+    def test_end_outside_decay_sectors_exits_two(self, capsys, options):
+        # 1.5 - i lies at -0.588 rad, outside (-pi/12, pi/12): that shot
+        # exited 0, converged at E = 8.779, where the exact level is
+        # 192^(1/3) = 5.769.  Above epsilon = 4 tan(pi/12) ~ 1.072 no derived
+        # radius, at most 4, puts the end inside a sector
+        code, out, err = run_cli(capsys, "shoot", "--alpha", "0", "--beta", "0",
+                                 "-M", "2", "-N", "3", "--d", "8.320335292207618", *options)
+        assert code == 2
+        assert out == ""
+        assert "not strictly inside any decay sector" in err
 
 
 class TestSweepCommand:

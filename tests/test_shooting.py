@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import json
 import math
 import subprocess
 import sys
@@ -94,6 +95,22 @@ class TestContourValidation:
             Contour(waypoints=BENT_WAYPOINTS, x_max=0.8)
         with pytest.raises(ValueError, match="never comes within"):
             Contour(waypoints=BENT_WAYPOINTS, x_max=0.4)
+
+    def test_default_contour_ends_must_sit_in_decay_sectors(self):
+        # 1.5 - i lies at -0.588 rad, outside (-pi/12, pi/12); a shot from
+        # there converged at E = 8.779, far from the exact 192^(1/3)
+        with pytest.raises(ValueError, match="not strictly inside any decay sector"):
+            Contour(epsilon=1.0, x_max=1.5)
+        # 4 - i and 3.9 - i lie inside, at -0.245 and -0.251 rad
+        for x_max in (4.0, 3.9):
+            assert Contour(epsilon=1.0, x_max=x_max).right_nodes()[0] == complex(x_max, -1.0)
+        # above epsilon = 4 tan(pi/12) ~ 1.072 no derived radius, at most 4,
+        # puts the end inside a sector: the fallback R = 4 raises
+        spec, _, coeffs, _ = reference_m2_n3()
+        assert 1.07 < 4 * math.tan(math.pi / 12) < 1.2
+        Contour(epsilon=1.07, x_max=4.0)
+        with pytest.raises(ValueError, match="not strictly inside any decay sector"):
+            find_eigenvalue(coeffs, spec.angular_momentum, 5.5, Contour(epsilon=1.2))
 
     def test_direction_validated(self):
         spec = ModelSpec(alpha=0.0, beta=0.0, big_m=1, n_states=1)
@@ -226,7 +243,10 @@ class TestStartRadius:
         # only derives the radius of the scan that integrates both
         for q in self.potentials():
             for k in range(24):
-                trial = Contour(epsilon, round(4.0 - k * 0.1, 10))
+                x_max = round(4.0 - k * 0.1, 10)
+                if not shooting._in_decay_sector(complex(x_max, -epsilon)):
+                    break  # no contour ends there; the scan stops there too
+                trial = Contour(epsilon, x_max)
                 assert (shooting._damping(q, trial.left_nodes())
                         == shooting._damping(q, trial.right_nodes())), (epsilon, trial)
             radius = shooting._start_radius(q, Contour(epsilon), 0.0, shooting._RTOL)
@@ -485,13 +505,24 @@ class TestScalarDop853:
         with pytest.raises(ValueError, match="rtol"):
             shooting.solve_ivp(terms, z0, z1, 1j, math.nan, 1e-10, 1e8)
 
-    def test_import_leaves_scipy_integrate_unloaded(self):
+    def test_import_leaves_scipy_integrate_unloaded(self, capsys):
         # the step is generated from the tableau on the first integration
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, decadic; print('scipy.integrate' in sys.modules)"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+        # and a shot runs where every scipy import raises ImportError
+        argv = ["shoot", "-M", "2", "-N", "3", "--d", "8.320335292207618", "--e-guess", "5.5",
+                "--epsilon", "0.25"]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; sys.modules['scipy'] = None\n"
+             f"from decadic import cli; sys.exit(cli.main({argv!r}))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        from decadic import cli
+        assert cli.main(argv) == 0
+        assert json.loads(proc.stdout) == json.loads(capsys.readouterr().out)
 
     def test_pole_status_and_location(self):
         # psi of the reference state vanishes at the zero of its polynomial
@@ -540,6 +571,22 @@ class TestGeneratedStep:
             if e5:
                 err5 += k[j] * float(e5)
         return y_new, k[-1], err3, err5
+
+    def test_tableau_is_scipys(self):
+        # every entry shooting keeps, zeros included, so that a moved or
+        # dropped zero fails
+        from scipy.integrate import DOP853
+
+        def hexes(values):
+            return [float(v).hex() for v in values]
+
+        ours = shooting._Tableau
+        n = DOP853.n_stages
+        assert ours.n_stages == n == 12
+        assert [hexes(row) for row in ours.A] == [hexes(DOP853.A[s, :s]) for s in range(n)]
+        assert hexes(ours.C) == hexes(DOP853.C[:n])
+        for name in ("B", "E3", "E5"):
+            assert hexes(getattr(ours, name)) == hexes(getattr(DOP853, name)), name
 
     @staticmethod
     def bits(values):
