@@ -145,12 +145,14 @@ class Contour:
                         f"{cmath.phase(start):.4f}, is not strictly inside the decay sector "
                         f"of its endpoint at angle {cmath.phase(endpoint):.4f}")
         elif self.x_max is not None:
-            for end in (complex(self.x_max, -self.epsilon), complex(-self.x_max, -self.epsilon)):
-                if not _in_decay_sector(end):
-                    raise ValueError(
-                        f"the contour end {end} at angle {cmath.phase(end):.4f} is not "
-                        "strictly inside any decay sector: epsilon must be below "
-                        "x_max * tan(pi/12)")
+            # the sectors are mirror pairs (r -> -conj r), so the left end
+            # -x_max - i*epsilon is inside one exactly when the right end is
+            end = complex(self.x_max, -self.epsilon)
+            if not _in_decay_sector(end):
+                raise ValueError(
+                    f"the contour end {end} at angle {cmath.phase(end):.4f} is not "
+                    "strictly inside any decay sector: epsilon must be below "
+                    "x_max * tan(pi/12)")
 
     def left_nodes(self, match_x: float = 0.0):
         return self._half(-1.0, match_x)

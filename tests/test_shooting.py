@@ -236,6 +236,14 @@ class TestStartRadius:
             qs.append(shooting._q_func(potential_coeffs(spec, d), spec.angular_momentum, e))
         return qs
 
+    @staticmethod
+    def default_nodes(sign, x_max, epsilon):
+        # the nodes of Contour(epsilon, x_max)'s half, also where its end
+        # lies outside every decay sector, so that Contour rejects it
+        depth = min(epsilon, shooting._TRANSIT_DEPTH)
+        corner = [complex(sign * x_max, -depth)] if depth != epsilon else []
+        return [complex(sign * x_max, -epsilon), *corner, complex(0.0, -depth)]
+
     @pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.0])
     def test_mirror_halves_damp_alike(self, monkeypatch, epsilon):
         # at match point 0 and a real energy the right half's damping is the
@@ -244,11 +252,9 @@ class TestStartRadius:
         for q in self.potentials():
             for k in range(24):
                 x_max = round(4.0 - k * 0.1, 10)
-                if not shooting._in_decay_sector(complex(x_max, -epsilon)):
-                    break  # no contour ends there; the scan stops there too
-                trial = Contour(epsilon, x_max)
-                assert (shooting._damping(q, trial.left_nodes())
-                        == shooting._damping(q, trial.right_nodes())), (epsilon, trial)
+                left, right = (self.default_nodes(sign, x_max, epsilon) for sign in (-1.0, 1.0))
+                assert (shooting._damping(q, left)
+                        == shooting._damping(q, right)), (epsilon, x_max)
             radius = shooting._start_radius(q, Contour(epsilon), 0.0, shooting._RTOL)
             with monkeypatch.context() as patched:
                 patched.setattr(shooting, "_mirrored", lambda *args: False)
