@@ -19,6 +19,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -176,9 +177,7 @@ def cmd_shoot(args) -> int:
 
 
 def _sweep_point(spec_template, alpha, beta):
-    spec = ModelSpec(alpha=alpha, beta=beta, big_m=spec_template.big_m,
-                     n_states=spec_template.n_states,
-                     dimension=spec_template.dimension, ell=spec_template.ell)
+    spec = dataclasses.replace(spec_template, alpha=alpha, beta=beta)
     solve = solvers.sturmian_multiplet if spec.big_m == 1 else solvers.solve_energies
     multiplet = solve(spec)
     return alpha, beta, len(multiplet), all(e.validated for e in multiplet)

@@ -132,8 +132,7 @@ class Contour:
             if len(pts) < 3 or len(pts) % 2 == 0:
                 raise ValueError("waypoints must be an odd-length polyline of >= 3 nodes")
             for sign, endpoint in ((-1.0, pts[0]), (1.0, pts[-1])):
-                sector = next((s for s in _DECAY_SECTORS if s.contains(cmath.phase(endpoint))),
-                              None)
+                sector = _decay_sector(endpoint)
                 if sector is None:
                     raise ValueError(
                         f"contour endpoint at angle {cmath.phase(endpoint):.4f} is not "
@@ -148,7 +147,7 @@ class Contour:
             # the sectors are mirror pairs (r -> -conj r), so the left end
             # -x_max - i*epsilon is inside one exactly when the right end is
             end = complex(self.x_max, -self.epsilon)
-            if not _in_decay_sector(end):
+            if _decay_sector(end) is None:
                 raise ValueError(
                     f"the contour end {end} at angle {cmath.phase(end):.4f} is not "
                     "strictly inside any decay sector: epsilon must be below "
@@ -209,10 +208,10 @@ def _cut(half, radius: float):
 _DECAY_SECTORS = tuple(sectors_for_degree(3))
 
 
-def _in_decay_sector(r: complex) -> bool:
-    """True when r lies strictly inside one of _DECAY_SECTORS."""
+def _decay_sector(r: complex):
+    """The one of _DECAY_SECTORS that r lies strictly inside, or None."""
     angle = cmath.phase(r)
-    return any(s.contains(angle) for s in _DECAY_SECTORS)
+    return next((s for s in _DECAY_SECTORS if s.contains(angle)), None)
 
 
 @dataclass(frozen=True)
@@ -403,7 +402,7 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
-def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol, pole_threshold) -> IvpResult:
+def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol) -> IvpResult:
     """Integrate the Riccati equation of the Q with these terms (q.terms of
     _q_func) along the straight leg r = z0 + t * (z1 - z0), t from 0 to 1,
     with DOP853:
@@ -413,7 +412,7 @@ def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol, pole_threshold) -
     where y is the log-derivative in r.  scipy's step, generated from its
     tableau (_Tableau, _dop853), with the step control of
     scipy.integrate.solve_ivp(method="DOP853") and a terminal event on the
-    upward crossing of |y| - pole_threshold: the real and imaginary parts
+    upward crossing of |y| - _POLE_THRESHOLD: the real and imaginary parts
     are scaled and normed separately, as scipy does on the state [re, im],
     so the steps are scipy's.  Sums run in sequence rather than through
     BLAS, so results may differ from scipy's in the last bits.  The pole is
@@ -435,7 +434,7 @@ def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol, pole_threshold) -
     h_abs = _initial_step(rhs, t, y, f, t_bound, rtol, atol)
     nfev = 2
     ts, ys = [t], [y]
-    g = abs(y) - pole_threshold
+    g = abs(y) - _POLE_THRESHOLD
     while t < t_bound:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -464,7 +463,7 @@ def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol, pole_threshold) -
             rejected = True
         ts.append(t_new)
         ys.append(y_new)
-        g_new = abs(y_new) - pole_threshold
+        g_new = abs(y_new) - _POLE_THRESHOLD
         if g <= 0 <= g_new:
             crossing = g / (g - g_new) if g < g_new else 0.0
             return IvpResult(ts, ys, nfev, 1, t + crossing * (t_new - t))
@@ -551,24 +550,6 @@ def _resolved(contour: Contour, q, match_x: float, rtol: float) -> Contour:
     return dataclasses.replace(contour, x_max=_start_radius(q, contour, match_x, rtol))
 
 
-def _integrate_nodes(q, nodes, rtol, atol):
-    y = _wkb_start(q, nodes[0])
-    if not cmath.isfinite(y):
-        raise ValueError(f"the log-derivative overflows at the contour end {nodes[0]}: "
-                         "x_max or epsilon is too large")
-    rs = [nodes[0]]
-    ys = [y]
-    for z0, z1 in zip(nodes[:-1], nodes[1:]):
-        dr = z1 - z0
-        sol = solve_ivp(q.terms, z0, z1, y, rtol, atol, _POLE_THRESHOLD)
-        if sol.status != 0:
-            raise PoleError(z0 + (sol.t_pole if sol.status == 1 else sol.t[-1]) * dr)
-        rs.extend(z0 + t * dr for t in sol.t[1:])
-        ys.extend(sol.y[1:])
-        y = ys[-1]
-    return np.array(rs), np.array(ys)
-
-
 def integrate_log_derivative(coeffs: PotentialCoeffs, big_l, energy, contour: Contour,
                              direction: str, match_x: float = 0.0,
                              rtol: float = _RTOL, atol: float = 1e-10):
@@ -587,7 +568,22 @@ def integrate_log_derivative(coeffs: PotentialCoeffs, big_l, energy, contour: Co
     q = _q_func(coeffs, big_l, energy)
     contour = _resolved(contour, q, match_x, rtol)
     half = contour.left_nodes if direction == "from_left" else contour.right_nodes
-    return _integrate_nodes(q, half(match_x), rtol, atol)
+    nodes = half(match_x)
+    y = _wkb_start(q, nodes[0])
+    if not cmath.isfinite(y):
+        raise ValueError(f"the log-derivative overflows at the contour end {nodes[0]}: "
+                         "x_max or epsilon is too large")
+    rs = [nodes[0]]
+    ys = [y]
+    for z0, z1 in zip(nodes[:-1], nodes[1:]):
+        dr = z1 - z0
+        sol = solve_ivp(q.terms, z0, z1, y, rtol, atol)
+        if sol.status != 0:
+            raise PoleError(z0 + (sol.t_pole if sol.status == 1 else sol.t[-1]) * dr)
+        rs.extend(z0 + t * dr for t in sol.t[1:])
+        ys.extend(sol.y[1:])
+        y = ys[-1]
+    return np.array(rs), np.array(ys)
 
 
 def wronskian_mismatch(coeffs: PotentialCoeffs, big_l, energy: float, contour: Contour,

@@ -45,6 +45,7 @@ __all__ = [
     "WrongModeError",
     "NotRankDeficientError",
     "solve_sturmian",
+    "sturmian_multiplet",
     "shifted_coupling_poly",
     "solve_energies",
     "solve_coupled",
@@ -115,16 +116,23 @@ def _null_space(s, vt):
             for k in range(vt.shape[0] - 1, -1, -1) if s[k] <= cutoff]
 
 
-def _eigvals_hessenberg(a):
-    """Eigenvalues of the (already upper-Hessenberg) float main matrix a.
+def _eigvals_hessenberg(a, spec: ModelSpec):
+    """Eigenvalues of the (already upper-Hessenberg) float main matrix a of
+    spec.
 
     LAPACK's general eigensolver runs Hessenberg QR after a reduction step
     that is trivial here; if it fails to converge, fall back to the roots
-    of the characteristic polynomial via the companion matrix.
+    of the characteristic polynomial via the companion matrix.  A matrix
+    with an entry that overflowed (beta^2 beyond the float range) fails
+    both, so it raises ValueError instead.
     """
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError:
+        if not np.isfinite(a).all():
+            raise ValueError(
+                "the M = 1 main matrix overflows the float range at "
+                f"alpha = {spec.alpha}, beta = {spec.beta}") from None
         rs = pl.roots(pl.char_poly(a.tolist()))
         vals = []
         for r in rs.roots:
@@ -171,7 +179,7 @@ def solve_sturmian(spec: ModelSpec) -> SturmianResult:
     if spec.big_m != 1:
         raise WrongModeError(f"coupling multiplets require M = 1, got M = {spec.big_m}")
     a = np.array(recurrence.main_matrix(spec, 0.0, 0.0), dtype=float)
-    vals = _eigvals_hessenberg(a)
+    vals = _eigvals_hessenberg(a, spec)
     d_values = sorted(float(v.real) for v in vals if pl._is_real(v))
     h_vectors = []
     for d in d_values:

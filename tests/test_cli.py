@@ -259,6 +259,20 @@ def test_non_finite_sweep_grid_exits_two(capsys, name, value):
     assert f"error: {name} must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sturmian", "-N", "3", "--beta=1e200"],
+    ["sturmian", "-N", "2", "--alpha=1e150", "--beta=-1e300"],
+    ["sweep", "-M", "1", "-N", "2", "--alpha-min=0", "--alpha-max=0", "--alpha-steps=1",
+     "--beta-min=1e200", "--beta-max=1e200", "--beta-steps=1"]],
+    ids=["sturmian-beta", "sturmian-alpha-beta", "sweep"])
+def test_overflowing_m1_matrix_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error: the M = 1 main matrix overflows" in err
+    assert "infs or NaNs" not in err
+
+
 class TestCanonicalJson:
     def test_round_trip_is_byte_identical(self, capsys):
         for argv in (("sturmian", "--alpha", "2", "--beta", "0", "-N", "2"),

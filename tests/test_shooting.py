@@ -18,8 +18,10 @@ from decadic import (
     integrate_log_derivative,
     potential_coeffs,
     potential_eval,
+    solve_coupled,
     solve_energies,
     solve_sturmian,
+    sturmian_multiplet,
     verify_solution,
     wavefunction_eval,
     wronskian_mismatch,
@@ -487,7 +489,7 @@ class TestScalarDop853:
     def test_matches_scipy_dop853(self, contour, direction, energy):
         q, legs, y0 = self.legs(contour, direction, energy)
         for z0, z1 in legs:
-            ours = shooting.solve_ivp(q.terms, z0, z1, y0, 1e-10, 1e-10, 1e8)
+            ours = shooting.solve_ivp(q.terms, z0, z1, y0, 1e-10, 1e-10)
             ref = self.scipy_dop853(self.riccati(q, z0, z1), y0)
             assert ours.status == ref.status == 0
             steps, ref_steps = len(ours.t) - 1, len(ref.t) - 1
@@ -504,12 +506,12 @@ class TestScalarDop853:
         terms, z0, z1 = None, complex(-4, -0.5), complex(0, -0.5)
         for y0 in (complex(math.nan, 0), complex(0, math.inf)):
             with pytest.raises(ValueError, match="y0 must be finite"):
-                shooting.solve_ivp(terms, z0, z1, y0, 1e-10, 1e-10, 1e8)
+                shooting.solve_ivp(terms, z0, z1, y0, 1e-10, 1e-10)
         for atol in (-1.0, 0.0, math.nan):
             with pytest.raises(ValueError, match="atol"):
-                shooting.solve_ivp(terms, z0, z1, 1j, 1e-10, atol, 1e8)
+                shooting.solve_ivp(terms, z0, z1, 1j, 1e-10, atol)
         with pytest.raises(ValueError, match="rtol"):
-            shooting.solve_ivp(terms, z0, z1, 1j, math.nan, 1e-10, 1e8)
+            shooting.solve_ivp(terms, z0, z1, 1j, math.nan, 1e-10)
 
     def test_import_leaves_scipy_integrate_unloaded(self, capsys):
         # the step is generated from the tableau on the first integration
@@ -541,7 +543,7 @@ class TestScalarDop853:
         z0, z1 = complex(zero.real, -0.7), complex(zero.real, -1.4)
         q = shooting._q_func(coeffs, spec.angular_momentum, energy)
         y0 = TestClosedFormOracle.closed_form(spec, h, z0)
-        sol = shooting.solve_ivp(q.terms, z0, z1, y0, 1e-10, 1e-10, 1e8)
+        sol = shooting.solve_ivp(q.terms, z0, z1, y0, 1e-10, 1e-10)
         assert sol.status == 1
         # |y| = 1e8 lies about 1e-8 from the zero
         assert sol.t_pole == pytest.approx(((zero - z0) / (z1 - z0)).real, abs=1e-6)
@@ -628,7 +630,7 @@ class TestGeneratedStep:
         # steps twice as long, which the step control would reject
         q, legs, y0 = TestScalarDop853.legs(contour, "from_left", 5.5)
         for z0, z1 in legs:
-            sol = shooting.solve_ivp(q.terms, z0, z1, y0, 1e-10, 1e-10, 1e8)
+            sol = shooting.solve_ivp(q.terms, z0, z1, y0, 1e-10, 1e-10)
             points = [(t, scale * (t_next - t), y)
                       for t, t_next, y in list(zip(sol.t, sol.t[1:], sol.y))[::7]
                       for scale in (1, 2)]
@@ -699,6 +701,22 @@ class TestFindEigenvalue:
         with pytest.raises(ValueError, match=message):
             find_eigenvalue(coeffs, spec.angular_momentum, e_guess, Contour(), **kwargs)
 
+    @pytest.mark.parametrize("d", [5.0, 12.0])
+    def test_recipe_one_levels_fill_the_small_determinant_curve(self, d):
+        # at M = 2, N = 3, alpha = beta = 0 the small determinant vanishes on
+        # E^2 = 4d; there the Frobenius solutions at r = 0 have no logarithm,
+        # so the solution decaying at +inf continues below the origin into
+        # the one decaying at -inf, and both E = +-2 sqrt(d) are levels of
+        # the default contour at every d, not only at d = 192^(2/3) / 4
+        spec = ModelSpec(alpha=0.0, beta=0.0, big_m=2, n_states=3)
+        coeffs = potential_coeffs(spec, d)
+        for level in (2 * math.sqrt(d), -2 * math.sqrt(d)):
+            for offset in (0.05, -0.05):
+                result = find_eigenvalue(coeffs, spec.angular_momentum, level + offset,
+                                         Contour())
+                assert result.converged, (d, level, offset)
+                assert abs(result.energy - level) <= 1e-7, (d, level, offset)
+
     def test_algebraic_solutions_pass_shooting(self):
         # every validated multiplet entry seeds a shot that converges back.
         # Single-monomial states (one nonzero h entry with positive power,
@@ -764,3 +782,69 @@ class TestBentContour:
         result = find_eigenvalue(coeffs, spec.angular_momentum, 5.6, contour)
         assert result.converged
         assert abs(result.energy - energy) <= 1e-6
+
+
+class TestCNorm:
+    """The c-norm of an exact state, the integral of psi^2 along
+    r = x - 0.5i, x in [-4, 4], below the spike: psi^2 = F(r^2) r^(1-2M)
+    with F(u) = exp(-u^3/3 - alpha u^2/2 - beta u) P(u)^2 and
+    P(u) = sum h_n u^n is odd, so the path below the origin gives minus the
+    path above, and their difference, the loop around r = 0, is 2 pi i
+    Res_0 with Res_0 = [u^(M-1)] F(u).  The integral is pi i Res_0; at M = 2
+    row 0 of the recurrence gives h_1 / h_0 = (E + 2 beta) / 4, so it is
+    pi i E h_0^2 / 2.  The ends lie where exp(-u^3/3) is below 1e-500."""
+
+    X, W = (4 * v for v in np.polynomial.legendre.leggauss(401))
+
+    @classmethod
+    def integrals(cls, spec, h):
+        """(the integral of psi^2, the integral of |psi^2| |dr|)."""
+        values = [wavefunction_eval(spec, h, complex(x, -0.5)) ** 2 for x in cls.X]
+        return np.dot(cls.W, values), np.dot(cls.W, np.abs(values))
+
+    @staticmethod
+    def residue(spec, h):
+        """Res_0 = [u^(M-1)] of exp(-u^3/3 - alpha u^2/2 - beta u) P(u)^2."""
+        m = spec.big_m
+        g = [0.0, -float(spec.beta), -float(spec.alpha) / 2, -1 / 3] + [0.0] * m
+        # f = exp(g) from f' = g' f: n f_n = sum of k g_k f_(n-k)
+        f = [1.0]
+        for n in range(1, m):
+            f.append(sum(k * g[k] * f[n - k] for k in range(1, n + 1)) / n)
+        p2 = np.convolve(h, h)
+        return sum(f[k] * p2[m - 1 - k] for k in range(m) if m - 1 - k < len(p2))
+
+    ENTRIES = [
+        (sturmian_multiplet, ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)),
+        (sturmian_multiplet, ModelSpec(alpha=0.5, beta=-1.0, big_m=1, n_states=3)),
+        (solve_energies, ModelSpec(alpha=0.0, beta=0.0, big_m=2, n_states=3)),
+        (solve_energies, ModelSpec(alpha=0.5, beta=0.2, big_m=2, n_states=5)),
+        (solve_coupled, ModelSpec(alpha=0.0, beta=0.0, big_m=3, n_states=3)),
+    ]
+
+    def entries(self):
+        return [(spec, entry) for solve, spec in self.ENTRIES for entry in solve(spec)]
+
+    def test_equals_pi_i_residue(self):
+        checked = 0
+        for spec, entry in self.entries():
+            if entry.h[0] == 0:
+                continue
+            integral, _ = self.integrals(spec, entry.h)
+            ratio = integral / (math.pi * 1j * self.residue(spec, entry.h))
+            assert abs(ratio - 1) <= 1e-9, (spec, entry)
+            if spec.big_m == 2:
+                closed = math.pi * 1j * entry.energy * entry.h[0] ** 2 / 2
+                assert abs(integral / closed - 1) <= 1e-9, (spec, entry)
+            checked += 1
+        assert checked == 8
+
+    def test_vanishes_when_h0_is_zero(self):
+        # the E = 0 state of criterion 3 and d = -12 at alpha = 2, beta = 0,
+        # M = 1, N = 2: psi^2 is entire and odd
+        zero = [(spec, entry) for spec, entry in self.entries() if entry.h[0] == 0]
+        assert [(spec.big_m, entry.energy, entry.quadratic_coupling)
+                for spec, entry in zero] == [(1, 0.0, -12.0), (2, 0.0, 0.0)]
+        for spec, entry in zero:
+            integral, scale = self.integrals(spec, entry.h)
+            assert abs(integral) <= 1e-14 * scale, (spec, entry)

@@ -133,6 +133,19 @@ class TestSturmian:
         assert result.d_values == pytest.approx(expected.d_values, abs=1e-9)
         assert result.shifted_couplings == pytest.approx(expected.shifted_couplings, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha, beta, n", [(0.0, 1e200, 3), (1e150, -1e300, 2)])
+    def test_overflowing_matrix_raises_without_fallback(self, monkeypatch, alpha, beta, n):
+        # beta^2 overflows, so LAPACK rejects the matrix; the characteristic
+        # polynomial of the same inf matrix cannot help
+        def no_char_poly(m):
+            raise AssertionError("char_poly called on an overflowed matrix")
+
+        monkeypatch.setattr(pl, "char_poly", no_char_poly)
+        spec = ModelSpec(alpha=alpha, beta=beta, big_m=1, n_states=n)
+        with pytest.raises(ValueError, match="overflows") as info:
+            solve_sturmian(spec)
+        assert f"alpha = {alpha}, beta = {beta}" in str(info.value)
+
     def test_multiplet_wrapper_validates(self):
         spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
         mult = sturmian_multiplet(spec)
