@@ -8,9 +8,10 @@ along the contour r(x) = x - i*epsilon, which keeps the centrifugal spike
 smooth for every real x.  The linear form would overflow doubles beyond
 |x| ~ 3.5 because of the exp(+-x^6/6) envelopes; y stays bounded except at
 isolated poles.  Both ends start on the decaying branch (y ~ -r^5 at large
-|r|) and integrate toward a matching point, where an eigenvalue announces
-itself by equal left and right log-derivatives.  Bent contours ending in
-other decay wedges are supported through explicit waypoints.
+|r|) and integrate toward the matching point, the contour's middle node,
+where an eigenvalue announces itself by equal left and right
+log-derivatives.  Bent contours ending in other decay wedges, and the
+retries of a pole on the default contour, use explicit waypoints.
 
 The equation is stiff where |y| ~ |r|^5 is large, so the start radius x_max
 sets most of the cost, on both kinds of contour: the default one starts at
@@ -137,7 +138,7 @@ class Contour:
                     raise ValueError(
                         f"contour endpoint at angle {cmath.phase(endpoint):.4f} is not "
                         "strictly inside any decay sector")
-                start = self._half(sign, 0.0)[0]
+                start = self._half(sign)[0]
                 if not sector.contains(cmath.phase(start)):
                     raise ValueError(
                         f"the start at |r| = x_max = {self.x_max}, angle "
@@ -153,31 +154,27 @@ class Contour:
                     "strictly inside any decay sector: epsilon must be below "
                     "x_max * tan(pi/12)")
 
-    def left_nodes(self, match_x: float = 0.0):
-        return self._half(-1.0, match_x)
+    def left_nodes(self):
+        return self._half(-1.0)
 
-    def right_nodes(self, match_x: float = 0.0):
-        return self._half(1.0, match_x)
+    def right_nodes(self):
+        return self._half(1.0)
 
-    def _half(self, sign: float, match_x: float):
+    def _half(self, sign: float):
         """Nodes of the left (sign -1) or right (+1) half, from its start to
-        the match point."""
+        the match point, the middle node: x = 0 on the default contour."""
         if self.waypoints is not None:
-            if match_x != 0.0:
-                raise ValueError("match_x shifts are only supported on the default contour")
             mid = len(self.waypoints) // 2
             half = self.waypoints[: mid + 1] if sign < 0 else self.waypoints[mid:][::-1]
             return list(half) if self.x_max is None else _cut(half, self.x_max)
         if self.x_max is None:
             raise ValueError("x_max is None: shooting derives it per potential and energy, "
                              "so only a contour with x_max has nodes")
-        if not -self.x_max < match_x < self.x_max:
-            raise ValueError("matching point must lie strictly inside the contour")
         depth = min(self.epsilon, _TRANSIT_DEPTH)
         nodes = [complex(sign * self.x_max, -self.epsilon)]
         if depth != self.epsilon:
             nodes.append(complex(sign * self.x_max, -depth))
-        nodes.append(complex(match_x, -depth))
+        nodes.append(complex(0.0, -depth))
         return nodes
 
 
@@ -384,22 +381,21 @@ def _rms(z: complex, scale_re: float, scale_im: float) -> float:
     return math.sqrt(a * a + b * b) / math.sqrt(2.0)
 
 
-def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
+def _initial_step(fun, y0, f0, rtol, atol):
     """scipy.integrate._ivp.common.select_initial_step for error order 7."""
-    interval = t_bound - t0
     scale_re = atol + abs(y0.real) * rtol
     scale_im = atol + abs(y0.imag) * rtol
     d0 = _rms(y0, scale_re, scale_im)
     d1 = _rms(f0, scale_re, scale_im)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
+    h0 = min(h0, 1.0)
+    f1 = fun(h0, y0 + h0 * f0)
     d2 = _rms(f1 - f0, scale_re, scale_im) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval)
+    return min(100 * h0, h1, 1.0)
 
 
 def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol) -> IvpResult:
@@ -431,7 +427,7 @@ def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol) -> IvpResult:
     rtol = max(rtol, _RTOL_FLOOR)
     rhs, step = _dop853()(z0, z1 - z0, *terms)
     f = rhs(t, y)
-    h_abs = _initial_step(rhs, t, y, f, t_bound, rtol, atol)
+    h_abs = _initial_step(rhs, y, f, rtol, atol)
     nfev = 2
     ts, ys = [t], [y]
     g = abs(y) - _POLE_THRESHOLD
@@ -491,19 +487,19 @@ def _damping(q, nodes) -> float:
     return -total.real
 
 
-def _start_radius(q, contour: Contour, match_x: float, rtol: float) -> float:
+def _start_radius(q, contour: Contour, rtol: float) -> float:
     """The x_max of a contour without one, for the Q of q.
 
     Scans R down from _X_MAX_START in steps of _X_MAX_STEP and returns the
     last R before the first that fails either test: each half's start lies
     strictly inside a decay sector (on a waypoint contour, its endpoint's,
-    and the half comes within R at all), and on both halves to match_x a
-    start error is damped below rtol (_damping at least ln(1/rtol)) before
-    the matching point.  When the first step down fails, the default
-    contour keeps R = _X_MAX_START and a waypoint contour its waypoints (R
-    is its outer endpoint's radius), so no derived start lies further out;
-    a default contour whose ends then lie outside every decay sector
-    (epsilon above 4 * tan(pi/12)) raises ValueError as it is resolved.
+    and the half comes within R at all), and on both halves a start error
+    is damped below rtol (_damping at least ln(1/rtol)) before the matching
+    point.  When the first step down fails, the default contour keeps
+    R = _X_MAX_START and a waypoint contour its waypoints (R is its outer
+    endpoint's radius), so no derived start lies further out; a default
+    contour whose ends then lie outside every decay sector (epsilon above
+    4 * tan(pi/12)) raises ValueError as it is resolved.
     Where the halves are mirror images (_mirrored), the right half's
     damping is the left half's, bit for bit, and only the left half is
     integrated.
@@ -515,8 +511,6 @@ def _start_radius(q, contour: Contour, match_x: float, rtol: float) -> float:
         radius = max(abs(contour.waypoints[0]), abs(contour.waypoints[-1]))
     for k in range(1, round(_X_MAX_START / _X_MAX_STEP)):
         x_max = round(_X_MAX_START - k * _X_MAX_STEP, 10)
-        if contour.waypoints is None and x_max <= abs(match_x):
-            break
         try:
             trial = dataclasses.replace(contour, x_max=x_max)
         except ValueError:
@@ -524,35 +518,34 @@ def _start_radius(q, contour: Contour, match_x: float, rtol: float) -> float:
             # comes within x_max
             break
         halves = (trial.left_nodes,)
-        if not _mirrored(q, trial, match_x):
+        if not _mirrored(q, trial):
             halves += (trial.right_nodes,)
         # ">= budget" rather than "not < budget", so that a NaN fails
-        if not all(_damping(q, half(match_x)) >= budget for half in halves):
+        if not all(_damping(q, half()) >= budget for half in halves):
             break
         radius = x_max
     return radius
 
 
-def _mirrored(q, contour: Contour, match_x: float) -> bool:
+def _mirrored(q, contour: Contour) -> bool:
     """True when the energy of q is real and the right half of the contour
-    to match_x is the PT mirror (r -> -conj r) of the left half, so that
-    the right half's values are the left half's mirrored, bit for bit (see
-    the module docstring)."""
-    mirrored = [-z.conjugate() for z in contour.right_nodes(match_x)]
-    return q.terms[-1].imag == 0 and contour.left_nodes(match_x) == mirrored
+    is the PT mirror (r -> -conj r) of the left half, so that the right
+    half's values are the left half's mirrored, bit for bit (see the module
+    docstring)."""
+    mirrored = [-z.conjugate() for z in contour.right_nodes()]
+    return q.terms[-1].imag == 0 and contour.left_nodes() == mirrored
 
 
-def _resolved(contour: Contour, q, match_x: float, rtol: float) -> Contour:
+def _resolved(contour: Contour, q, rtol: float) -> Contour:
     """The contour as given when it has an x_max, else with
     x_max = _start_radius(q, ...)."""
     if contour.x_max is not None:
         return contour
-    return dataclasses.replace(contour, x_max=_start_radius(q, contour, match_x, rtol))
+    return dataclasses.replace(contour, x_max=_start_radius(q, contour, rtol))
 
 
 def integrate_log_derivative(coeffs: PotentialCoeffs, big_l, energy, contour: Contour,
-                             direction: str, match_x: float = 0.0,
-                             rtol: float = _RTOL, atol: float = 1e-10):
+                             direction: str, *, rtol: float = _RTOL, atol: float = 1e-10):
     """Samples (r, y) of the log-derivative along one half of the contour.
 
     direction is "from_left" or "from_right"; integration starts on the
@@ -560,15 +553,14 @@ def integrate_log_derivative(coeffs: PotentialCoeffs, big_l, energy, contour: Co
     contour where its path first comes within |r| = x_max) and runs toward
     the matching point.  A contour without x_max, default or waypoint,
     starts at the radius derived at this energy.
-    Raises PoleError when y passes through a pole (the caller may retry
-    with a shifted matching point).
+    Raises PoleError when y passes through a pole (find_eigenvalue then
+    retries the default contour's halves, matched at x = +-0.3).
     """
     if direction not in ("from_left", "from_right"):
         raise ValueError(f'direction must be "from_left" or "from_right", got {direction!r}')
     q = _q_func(coeffs, big_l, energy)
-    contour = _resolved(contour, q, match_x, rtol)
-    half = contour.left_nodes if direction == "from_left" else contour.right_nodes
-    nodes = half(match_x)
+    contour = _resolved(contour, q, rtol)
+    nodes = contour.left_nodes() if direction == "from_left" else contour.right_nodes()
     y = _wkb_start(q, nodes[0])
     if not cmath.isfinite(y):
         raise ValueError(f"the log-derivative overflows at the contour end {nodes[0]}: "
@@ -587,26 +579,25 @@ def integrate_log_derivative(coeffs: PotentialCoeffs, big_l, energy, contour: Co
 
 
 def wronskian_mismatch(coeffs: PotentialCoeffs, big_l, energy: float, contour: Contour,
-                       match_x: float = 0.0, rtol: float = _RTOL,
-                       atol: float = 1e-10) -> float:
+                       *, rtol: float = _RTOL, atol: float = 1e-10) -> float:
     """Dimensionless mismatch of left and right log-derivatives at the match
     point; vanishes exactly at eigenvalues.  On the symmetric contour the
     complex parts cancel, so only the real part carries information.
 
     The right half is taken as -conj of the left one, not integrated, when
-    the energy is real and the contour is its own PT mirror at this match
-    point (see the module docstring).  A contour without x_max starts both
-    halves at the radius derived at this energy."""
+    the energy is real and the contour is its own PT mirror (see the module
+    docstring).  A contour without x_max starts both halves at the radius
+    derived at this energy."""
     q = _q_func(coeffs, big_l, energy)
-    contour = _resolved(contour, q, match_x, rtol)
+    contour = _resolved(contour, q, rtol)
     _, ys_l = integrate_log_derivative(coeffs, big_l, energy, contour, "from_left",
-                                       match_x=match_x, rtol=rtol, atol=atol)
+                                       rtol=rtol, atol=atol)
     yl = ys_l[-1]
-    if _mirrored(q, contour, match_x):
+    if _mirrored(q, contour):
         yr = -yl.conjugate()
     else:
         _, ys_r = integrate_log_derivative(coeffs, big_l, energy, contour, "from_right",
-                                           match_x=match_x, rtol=rtol, atol=atol)
+                                           rtol=rtol, atol=atol)
         yr = ys_r[-1]
     return float(((yl - yr) / (1 + abs(yl) + abs(yr))).real)
 
@@ -617,13 +608,12 @@ def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Con
     """Secant refinement of the Wronskian mismatch starting from e_guess.
 
     Non-convergence (wild steps, |E| escaping e_bound, persistent poles) is
-    reported in the result, never raised.  A pole at the default matching
-    point of the default contour triggers retries at x = +0.3 and x = -0.3.
-    A contour without x_max, default or waypoint, gets the radius derived
-    at e_guess and x = 0, one for the whole search; the result carries the
-    contour shot, with that x_max.  A non-finite e_guess,
-    an e_bound or residual_tol that is not positive (NaN included) and a
-    max_iter below 1 raise ValueError before any integration.
+    reported in the result, never raised.  A contour without x_max gets the
+    radius derived at e_guess, one for the whole search, and the result
+    carries it.  A pole on a default contour retries its halves matched at
+    x = +0.3, then -0.3 (_shifted); the result still carries the default
+    contour.  A non-finite e_guess, an e_bound or residual_tol that is not
+    positive (NaN included) and a max_iter below 1 raise ValueError first.
     """
     if not math.isfinite(e_guess):
         raise ValueError(f"e_guess must be finite, got {e_guess}")
@@ -634,20 +624,33 @@ def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Con
         raise ValueError(f"residual_tol must be positive, got {residual_tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    contour = _resolved(contour, _q_func(coeffs, big_l, e_guess), 0.0, _RTOL)
+    contour = _resolved(contour, _q_func(coeffs, big_l, e_guess), _RTOL)
     match_points = (0.0,) if contour.waypoints is not None else (0.0, 0.3, -0.3)
-    for mx in match_points:
+    for x in match_points:
+        shot = contour if x == 0.0 else _shifted(contour, x)
         try:
-            return _secant(coeffs, big_l, e_guess, contour, mx, residual_tol, max_iter, e_bound)
+            found = _secant(coeffs, big_l, e_guess, shot, residual_tol, max_iter, e_bound)
         except PoleError:
             continue
+        return ShootingResult(*found, contour=contour)
     return ShootingResult(energy=float(e_guess), wronskian_residual=math.inf,
                           iterations=0, converged=False, contour=contour)
 
 
-def _secant(coeffs, big_l, e_guess, contour, match_x, residual_tol, max_iter, e_bound):
+def _shifted(contour: Contour, x: float) -> Contour:
+    """The default contour's halves matched at x: the waypoint contour with
+    the same ends and corners, and x_max their radius, so _cut keeps both."""
+    if not abs(x) < contour.x_max:
+        raise ValueError("matching point must lie strictly inside the contour")
+    left, right = contour.left_nodes(), contour.right_nodes()
+    waypoints = (*left[:-1], complex(x, left[-1].imag), *right[-2::-1])
+    return Contour(waypoints=waypoints, x_max=abs(left[0]))
+
+
+def _secant(coeffs, big_l, e_guess, contour, residual_tol, max_iter, e_bound):
+    """(energy, residual, iterations, converged) of the secant search."""
     def g(e):
-        return wronskian_mismatch(coeffs, big_l, e, contour, match_x=match_x)
+        return wronskian_mismatch(coeffs, big_l, e, contour)
 
     e0 = float(e_guess)
     e1 = e0 + max(1e-3, 1e-3 * abs(e0))
@@ -659,16 +662,12 @@ def _secant(coeffs, big_l, e_guess, contour, match_x, residual_tol, max_iter, e_
             break
         e2 = e1 - f1 * (e1 - e0) / (f1 - f0)
         if not math.isfinite(e2) or abs(e2) > e_bound:
-            return ShootingResult(energy=float(e1), wronskian_residual=float(abs(f1)),
-                                  iterations=iterations, converged=False, contour=contour)
+            return float(e1), float(abs(f1)), iterations, False
         e0, f0 = e1, f1
         e1 = e2
         f1 = g(e1)
         if abs(e1 - e0) <= _E_TOL * (1 + abs(e1)):
             step_converged = True
             break
-    residual = abs(f1)
-    return ShootingResult(energy=float(e1), wronskian_residual=float(residual),
-                          iterations=iterations,
-                          converged=bool(step_converged and residual <= residual_tol),
-                          contour=contour)
+    residual = float(abs(f1))
+    return float(e1), residual, iterations, step_converged and residual <= residual_tol

@@ -213,7 +213,18 @@ def solve_energies(spec: ModelSpec) -> Multiplet:
     exact, _ = _exact_spec(spec)
     poly_e = pl.det(recurrence.main_matrix(
         exact, pl.Poly((0, 1)), pl.Poly((0, 0, Fraction(1, 4)))))
-    return _through_gate(spec, poly_e.as_float(), lambda e: (e * e / 4,))
+    return _through_gate(spec, _as_float(poly_e, "the M = 2 eliminant", spec),
+                         lambda e: (e * e / 4,))
+
+
+def _as_float(p, name, spec):
+    """p.as_float(), raising ValueError when an exact coefficient of the
+    polynomial called name overflows the float range."""
+    try:
+        return p.as_float()
+    except OverflowError:
+        raise ValueError(f"{name} overflows the float range at "
+                         f"alpha = {spec.alpha}, beta = {spec.beta}") from None
 
 
 def _entry(spec, e0, d0, h) -> MultipletEntry:
@@ -268,14 +279,15 @@ def solve_coupled(spec: ModelSpec) -> Multiplet:
     exact, _ = _exact_spec(spec)
     p_small = pl.det_bipoly(recurrence.small_matrix(exact, pl.ENERGY, pl.COUPLING))
     p_main = pl.det_bipoly(recurrence.main_matrix(exact, pl.ENERGY, pl.COUPLING))
-    eliminant = pl.resultant(p_small, p_main).as_float()
+    eliminant = _as_float(pl.resultant(p_small, p_main), "the coupled resultant", spec)
     if eliminant.is_zero:
         raise pl.DegenerateResultantError(
             "the resultant vanishes identically; the secular determinants "
             "share a common factor in d")
     # float copies of both determinants, and copies with |coefficients|:
     # evaluated at (|E|, |d|) those give a cancellation-free scale
-    dets_f = [pl.Poly(tuple(c.as_float() for c in p.coeffs)) for p in (p_small, p_main)]
+    dets_f = [pl.Poly(tuple(_as_float(c, "a secular determinant", spec) for c in p.coeffs))
+              for p in (p_small, p_main)]
     dets_abs = [pl.Poly(tuple(pl.Poly(tuple(abs(x) for x in c.coeffs)) for c in p.coeffs))
                 for p in dets_f]
 

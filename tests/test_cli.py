@@ -263,14 +263,21 @@ def test_non_finite_sweep_grid_exits_two(capsys, name, value):
     ["sturmian", "-N", "3", "--beta=1e200"],
     ["sturmian", "-N", "2", "--alpha=1e150", "--beta=-1e300"],
     ["sweep", "-M", "1", "-N", "2", "--alpha-min=0", "--alpha-max=0", "--alpha-steps=1",
-     "--beta-min=1e200", "--beta-max=1e200", "--beta-steps=1"]],
-    ids=["sturmian-beta", "sturmian-alpha-beta", "sweep"])
+     "--beta-min=1e200", "--beta-max=1e200", "--beta-steps=1"],
+    ["energies", "-N", "3", "--beta=1e200"],
+    ["energies", "-N", "3", "--alpha=1e200"],
+    ["sweep", "-M", "2", "-N", "3", "--alpha-min=0", "--alpha-max=0", "--alpha-steps=1",
+     "--beta-min=1e200", "--beta-max=1e200", "--beta-steps=1"],
+    ["coupled", "-M", "3", "-N", "3", "--beta=1e200"]],
+    ids=["sturmian-beta", "sturmian-alpha-beta", "sweep", "energies-beta", "energies-alpha",
+         "sweep-m2", "coupled-beta"])
 def test_overflowing_m1_matrix_exits_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "error: the M = 1 main matrix overflows" in err
+    assert "overflows the float range at alpha =" in err
     assert "infs or NaNs" not in err
+    assert "too large" not in err
 
 
 class TestCanonicalJson:

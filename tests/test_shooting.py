@@ -188,7 +188,7 @@ class TestStartRadius:
         spec, energy, coeffs, _ = reference_m2_n3()
         big_l = spec.angular_momentum
         q = shooting._q_func(coeffs, big_l, energy)
-        radius = shooting._start_radius(q, contour, 0.0, shooting._RTOL)
+        radius = shooting._start_radius(q, contour, shooting._RTOL)
         assert radius <= 4.0
         if contour.waypoints is not None or contour.epsilon < 1.0:
             # at epsilon = 1 the sector alone needs R > 3.73
@@ -257,10 +257,10 @@ class TestStartRadius:
                 left, right = (self.default_nodes(sign, x_max, epsilon) for sign in (-1.0, 1.0))
                 assert (shooting._damping(q, left)
                         == shooting._damping(q, right)), (epsilon, x_max)
-            radius = shooting._start_radius(q, Contour(epsilon), 0.0, shooting._RTOL)
+            radius = shooting._start_radius(q, Contour(epsilon), shooting._RTOL)
             with monkeypatch.context() as patched:
                 patched.setattr(shooting, "_mirrored", lambda *args: False)
-                assert shooting._start_radius(q, Contour(epsilon), 0.0, shooting._RTOL) == radius
+                assert shooting._start_radius(q, Contour(epsilon), shooting._RTOL) == radius
 
     def test_mirror_scan_integrates_one_half(self, monkeypatch):
         ends = []
@@ -273,21 +273,20 @@ class TestStartRadius:
         monkeypatch.setattr(shooting, "_damping", recording_damping)
         spec, energy, coeffs, _ = reference_m2_n3()
         mirror = Contour(waypoints=POLE_TEST_WAYPOINTS)
-        for contour, e, match_x, halves in (
-                (Contour(0.5), energy, 0.0, 1), (Contour(0.5), energy, 0.3, 2),
-                (Contour(0.5), energy, -0.3, 2), (Contour(0.5), complex(energy, 0.01), 0.0, 2),
-                (mirror, energy, 0.0, 1), (mirror, complex(energy, 0.01), 0.0, 2)):
+        for contour, e, halves in (
+                (Contour(0.5), energy, 1), (Contour(0.5), complex(energy, 0.01), 2),
+                (mirror, energy, 1), (mirror, complex(energy, 0.01), 2)):
             ends.clear()
             q = shooting._q_func(coeffs, spec.angular_momentum, e)
-            shooting._start_radius(q, contour, match_x, shooting._RTOL)
+            shooting._start_radius(q, contour, shooting._RTOL)
             # a trial's two starts lie at one |r|, mirror images of each other
             radii = [abs(z) for z in ends]
             trials = sorted(set(radii), reverse=True)
-            assert len(trials) > 5, (contour, e, match_x)
+            assert len(trials) > 5, (contour, e)
             # the left half first; the trial that ends the scan may stop there
-            assert all(z.real < 0 for z in ends[::halves]), (contour, e, match_x)
-            assert all(radii.count(r) == halves for r in trials[:-1]), (contour, e, match_x)
-            assert 1 <= radii.count(trials[-1]) <= halves, (contour, e, match_x)
+            assert all(z.real < 0 for z in ends[::halves]), (contour, e)
+            assert all(radii.count(r) == halves for r in trials[:-1]), (contour, e)
+            assert 1 <= radii.count(trials[-1]) <= halves, (contour, e)
 
     def test_given_contours_used_as_given(self):
         spec, energy, coeffs, _ = reference_m2_n3()
@@ -768,6 +767,52 @@ class TestPoles:
         contour = Contour(waypoints=POLE_TEST_WAYPOINTS)
         result = find_eigenvalue(coeffs, spec.angular_momentum, 4.0, contour)
         assert not result.converged
+
+    @staticmethod
+    def poles_at(monkeypatch, *xs):
+        """Make every half that ends at x in xs raise PoleError; returns the
+        x at which each half shot ends, poled or not."""
+        ends = []
+        integrate = shooting.integrate_log_derivative
+
+        def poled(*args, **kwargs):
+            rs, ys = integrate(*args, **kwargs)
+            ends.append(rs[-1].real)
+            if any(abs(rs[-1].real - x) <= 1e-12 for x in xs):
+                raise PoleError(rs[-1])
+            return rs, ys
+
+        monkeypatch.setattr(shooting, "integrate_log_derivative", poled)
+        return ends
+
+    @pytest.mark.parametrize("x_max", [None, 4.0], ids=["derived", "given"])
+    @pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.0])
+    def test_centre_pole_retries_off_centre(self, monkeypatch, epsilon, x_max):
+        spec, _, coeffs, _ = reference_m2_n3()
+        contour = Contour(epsilon=epsilon, x_max=x_max)
+        unpoled = find_eigenvalue(coeffs, spec.angular_momentum, 5.5, contour)
+        ends = self.poles_at(monkeypatch, 0.0)
+        result = find_eigenvalue(coeffs, spec.angular_momentum, 5.5, contour)
+        assert ends[0] == 0.0 and abs(ends[-1] - 0.3) <= 1e-12
+        assert result.converged
+        assert abs(result.energy - CBRT192) <= 1e-6
+        # the shot reports the default contour, not the retried one
+        assert result.contour == unpoled.contour
+        assert result.contour.waypoints is None
+
+    def test_persistent_centre_poles_do_not_converge(self, monkeypatch):
+        spec, _, coeffs, _ = reference_m2_n3()
+        self.poles_at(monkeypatch, 0.0, 0.3, -0.3)
+        result = find_eigenvalue(coeffs, spec.angular_momentum, 5.5, Contour())
+        assert (result.energy, result.wronskian_residual, result.iterations,
+                result.converged) == (5.5, math.inf, 0, False)
+        assert result.contour.waypoints is None
+
+    def test_retry_match_point_must_lie_inside_the_contour(self, monkeypatch):
+        spec, _, coeffs, _ = reference_m2_n3()
+        self.poles_at(monkeypatch, 0.0)
+        with pytest.raises(ValueError, match="strictly inside the contour"):
+            find_eigenvalue(coeffs, spec.angular_momentum, 5.5, Contour(epsilon=0.05, x_max=0.25))
 
 
 class TestBentContour:
