@@ -342,16 +342,19 @@ def roots(p: Poly) -> RootSet:
     dpf = pf.derivative()
     polished = []
     for z in raw:
-        z = complex(z)
-        best, best_val = z, abs(pf(z))
-        cur = z
+        cur = complex(z)
+        # one evaluation of pf per step: its value at cur serves both the
+        # best test and the next step
+        f_cur = pf(cur)
+        best, best_val = cur, abs(f_cur)
         for _ in range(12):
             dv = dpf(cur)
             if dv == 0:
                 break
-            step = pf(cur) / dv
+            step = f_cur / dv
             cur = cur - step
-            val = abs(pf(cur))
+            f_cur = pf(cur)
+            val = abs(f_cur)
             if val < best_val:
                 best, best_val = cur, val
             if abs(step) <= 1e-16 * (1 + abs(cur)):

@@ -17,13 +17,18 @@ N x N "main" matrix (A_{-1} = 0 and D_{N+1} = 0 structurally), and rows
 (A_{M-1} = 0).  All three are plain lists of rows.  Passing Poly objects
 as energy or coupling (polynomial.ENERGY and polynomial.COUPLING for the
 two variables) builds the same matrices with symbolic entries.
+
+float_coeffs gives the float value of every row's (A_n, B_n, C_n, D_n) at
+float energy and coupling, equal bit for bit to float() of coeffs' entries:
+each rational product beta k, beta^2 or alpha k is rounded once, by one
+int / int, as float(Fraction) rounds it.
 """
 
 from __future__ import annotations
 
 from .model import ModelSpec
 
-__all__ = ["coeffs", "main_matrix", "small_matrix", "full_system"]
+__all__ = ["coeffs", "float_coeffs", "main_matrix", "small_matrix", "full_system"]
 
 
 def coeffs(spec: ModelSpec, n: int, energy, coupling):
@@ -36,6 +41,30 @@ def coeffs(spec: ModelSpec, n: int, energy, coupling):
     c = spec.beta * spec.beta - coupling - spec.alpha * (4 * n - m2)
     d = 4 * (spec.n_states + 1 - n)
     return a, b, c, d
+
+
+def _ratio(x):
+    """(num, den) with num * k / den equal to float(x * k) for an int k: a
+    rational x * k is one correctly rounded int / int, a float one product
+    (dividing it by 1.0 is exact)."""
+    return (x, 1.0) if isinstance(x, float) else (x.numerator, x.denominator)
+
+
+def float_coeffs(spec: ModelSpec, energy: float, coupling: float):
+    """Float (A_n, B_n, C_n, D_n) of rows n = 0..N at float energy and coupling.
+
+    Each value is float() of the coeffs() entry, bit for bit: B_n is
+    E - (beta k) and C_n is (beta^2 - d) - (alpha k), in that order, with
+    each rational product rounded once.  An exact product beyond the float
+    range raises OverflowError, as float() of it does.
+    """
+    m2 = 2 * spec.big_m
+    top = spec.n_states
+    a_num, a_den = _ratio(spec.alpha)
+    b_num, b_den = _ratio(spec.beta)
+    c0 = b_num * b_num / (b_den * b_den) - coupling
+    return [(float((2 * n + 2) * (2 * n + 2 - m2)), energy - b_num * (4 * n + 2 - m2) / b_den,
+             c0 - a_num * (4 * n - m2) / a_den, float(4 * (top + 1 - n))) for n in range(top + 1)]
 
 
 def _rows(spec: ModelSpec, energy, coupling, first: int, last: int, n_cols: int):

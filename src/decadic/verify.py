@@ -33,38 +33,45 @@ __all__ = [
 def recurrence_residual(spec: ModelSpec, energy, coupling, h) -> float:
     """Worst recurrence-row residual, scaled by the largest term magnitude.
 
-    Rows n = 0..N are evaluated with out-of-range h treated as zero.  A
-    zero h vector gives residual 0 (the trivial solution; callers should
+    Rows n = 0..N are evaluated in floats, with out-of-range h treated as
+    zero: each row's total is ((A h_{n+1} + B h_n) + C h_{n-1}) + D h_{n-2}
+    over the row values of recurrence.float_coeffs, in which each rational
+    product of alpha or beta is rounded once, as float(Fraction) rounds it.
+    A zero h vector gives residual 0 (the trivial solution; callers should
     treat it as degenerate rather than validated).  A non-finite energy,
-    coupling or h entry raises ValueError."""
-    hs = [float(x) for x in h]
-    if len(hs) != spec.n_states:
-        raise ValueError(f"h must have length N = {spec.n_states}, got {len(hs)}")
-    e0, d0 = float(energy), float(coupling)
+    coupling or h entry raises ValueError; an exact input, product or row
+    total beyond the float range gives inf."""
+    h = list(h)
+    if len(h) != spec.n_states:
+        raise ValueError(f"h must have length N = {spec.n_states}, got {len(h)}")
+    try:
+        hs = [float(x) for x in h]
+        e0, d0 = float(energy), float(coupling)
+    except OverflowError:  # exact values beyond the float range
+        return math.inf
     if not math.isfinite(e0):
         raise ValueError(f"energy must be finite, got {e0}")
     if not math.isfinite(d0):
         raise ValueError(f"coupling must be finite, got {d0}")
     if not all(map(math.isfinite, hs)):
         raise ValueError(f"h must be finite, got {hs}")
+    try:
+        rows = recurrence.float_coeffs(spec, e0, d0)
+    except OverflowError:
+        return math.inf
     shift = _unit_exponent(hs)
-    hs = [math.ldexp(x, -shift) for x in hs]
-
-    def h_at(k):
-        return hs[k] if 0 <= k < len(hs) else 0.0
-
-    worst = 0.0
-    scale = 0.0
-    for n in range(spec.n_states + 1):
-        a, b, c, d = recurrence.coeffs(spec, n, e0, d0)
-        terms = (float(a) * h_at(n + 1), float(b) * h_at(n),
-                 float(c) * h_at(n - 1), float(d) * h_at(n - 2))
-        total = sum(terms)
-        if not math.isfinite(total):
-            return math.inf
-        worst = max(worst, abs(total))
-        scale = max(scale, max(abs(t) for t in terms))
-    return worst / scale if scale > 0 else 0.0
+    # h_{-2} .. h_{N+1}, so that row n reads hp[n .. n+3]
+    hp = [0.0, 0.0, *(math.ldexp(x, -shift) for x in hs), 0.0, 0.0]
+    totals, terms = [], []
+    for n, (a, b, c, d) in enumerate(rows):
+        ta, tb, tc, td = a * hp[n + 3], b * hp[n + 2], c * hp[n + 1], d * hp[n]
+        totals.append(ta + tb + tc + td)
+        terms += (ta, tb, tc, td)
+    # a non-finite term makes its row total non-finite too
+    if not all(map(math.isfinite, totals)):
+        return math.inf
+    scale = max(map(abs, terms))
+    return max(map(abs, totals)) / scale if scale > 0 else 0.0
 
 
 def _unit_exponent(h) -> int:

@@ -309,6 +309,54 @@ class TestRoots:
         with pytest.raises(ValueError):
             roots(Poly((3,)))
 
+    def test_polish_equals_the_two_evaluation_loop(self):
+        # each Newton step once evaluated pf twice at the same point; keeping
+        # the value leaves every root and multiplicity bit for bit
+        rng = random.Random(18)
+        for _ in range(20):
+            spec = ModelSpec(alpha=Fraction(rng.randint(-32, 32), 8),
+                             beta=Fraction(rng.randint(-32, 32), 8),
+                             big_m=2, n_states=rng.randint(2, 8))
+            p = det(main_matrix(spec, Poly((0, 1)), Poly((0, 0, Fraction(1, 4))))).as_float()
+            got = [(r.value.real.hex(), r.value.imag.hex(), r.multiplicity) for r in roots(p).roots]
+            assert got == _reference_roots(p)
+
+
+def _reference_roots(p):
+    """roots(p) by the polish loop that evaluated pf at the start and at the
+    end of each step, as (real hex, imaginary hex, multiplicity)."""
+    pf = p.as_float()
+    dpf = pf.derivative()
+    polished = []
+    for z in np.roots(np.array([float(c) for c in reversed(p.coeffs)], dtype=float)):
+        z = complex(z)
+        best, best_val = z, abs(pf(z))
+        cur = z
+        for _ in range(12):
+            dv = dpf(cur)
+            if dv == 0:
+                break
+            step = pf(cur) / dv
+            cur = cur - step
+            val = abs(pf(cur))
+            if val < best_val:
+                best, best_val = cur, val
+            if abs(step) <= 1e-16 * (1 + abs(cur)):
+                break
+        polished.append(best)
+    polished.sort(key=lambda z: (z.real, z.imag))
+    clusters = []
+    for z in polished:
+        for cl in clusters:
+            if abs(z - cl[0]) <= polynomial._CLUSTER_RADIUS * (1 + abs(cl[0])):
+                cl.append(z)
+                break
+        else:
+            clusters.append([z])
+    out = sorted(((sum(cl) / len(cl), len(cl)) for cl in clusters),
+                 key=lambda r: (r[0].real, r[0].imag))
+    return [(z.real.hex(), z.imag.hex(), m) for z, m in out]
+
 
 class TestRealFilter:
     def test_mixed_set(self):

@@ -197,6 +197,20 @@ class TestRecurrenceResidual:
         spec = ModelSpec(alpha=0.0, beta=-1e308, big_m=1, n_states=2)
         assert recurrence_residual(spec, 1.7e308, 0.0, (1.0, 0.5)) == math.inf
 
+    @pytest.mark.parametrize("energy, coupling, h", [
+        (Fraction(10 ** 400), 0, (1, 1)),
+        (0, Fraction(10 ** 400), (1, 1)),
+        (0, 0, (Fraction(10 ** 400), 1)),
+    ])
+    def test_exact_input_beyond_float_range_is_infinite(self, energy, coupling, h):
+        # float() of each exact input raised OverflowError out of
+        # verify_solution
+        spec = ModelSpec(alpha=0, beta=0, big_m=1, n_states=2)
+        assert recurrence_residual(spec, energy, coupling, h) == math.inf
+        report = verify_solution(spec, energy, coupling, h)
+        assert report.recurrence_residual == math.inf
+        assert not report.passed
+
     @pytest.mark.parametrize("alpha, beta", [(0.0, 1e160), (0.0, -1e308), (1e200, -1e308)])
     def test_out_of_range_candidate_fails(self, alpha, beta):
         # at beta = 1e160 an int / int of the ODE route exceeded the float
@@ -208,6 +222,92 @@ class TestRecurrenceResidual:
         assert report.recurrence_residual == math.inf
         assert report.ode_residual_max_coeff == math.inf
         assert not report.passed
+
+
+def reference_recurrence_residual(spec, energy, coupling, h):
+    """recurrence_residual by one coeffs() call per row, in the arithmetic
+    of the spec's own alpha and beta; sum() adds the four terms left to
+    right on Python 3.10 and 3.11."""
+    hs = [float(x) for x in h]
+    e0, d0 = float(energy), float(coupling)
+    shift = verify._unit_exponent(hs)
+    hs = [math.ldexp(x, -shift) for x in hs]
+
+    def h_at(k):
+        return hs[k] if 0 <= k < len(hs) else 0.0
+
+    worst = 0.0
+    scale = 0.0
+    for n in range(spec.n_states + 1):
+        a, b, c, d = recurrence.coeffs(spec, n, e0, d0)
+        terms = (float(a) * h_at(n + 1), float(b) * h_at(n),
+                 float(c) * h_at(n - 1), float(d) * h_at(n - 2))
+        total = sum(terms)
+        if not math.isfinite(total):
+            return math.inf
+        worst = max(worst, abs(total))
+        scale = max(scale, max(abs(t) for t in terms))
+    return worst / scale if scale > 0 else 0.0
+
+
+def _shape_parameter(rng):
+    kind = rng.choice(("float", "int", "eighths", "rational"))
+    if kind == "float":
+        return rng.uniform(-9, 9)
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "eighths":
+        return Fraction(rng.randint(-72, 72), 8)
+    return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice((3, 7, 11, 3 * 10 ** 5 + 7)))
+
+
+def residual_cases(seed, count):
+    """Seeded (spec, E, d, h): float, int, k/8 and non-dyadic Fraction alpha
+    and beta, M = 1..5, N = 1..30, h from 1e-300 to 1e300 with zero entries
+    and some all-zero vectors."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        spec = ModelSpec(alpha=_shape_parameter(rng), beta=_shape_parameter(rng),
+                         big_m=rng.randint(1, 5), n_states=rng.randint(1, 30))
+        # entries within a few decades of a common size, so that the order
+        # of a row's additions shows in its total, and some far from it
+        size = 10.0 ** rng.randint(-298, 298)
+        h = [rng.choice((0.0, 10.0 ** rng.randint(-300, 300), size)) if rng.random() < 0.2
+             else rng.uniform(-1, 1) * size * 10.0 ** rng.randint(-2, 2)
+             for _ in range(spec.n_states)]
+        if rng.random() < 0.05:
+            h = [0.0] * spec.n_states
+        yield spec, rng.uniform(-50, 50), rng.uniform(-50, 50), h
+
+
+class TestResidualBitIdentity:
+    def test_float_coeffs_equal_float_of_coeffs(self):
+        for spec, e0, d0, _ in residual_cases(31, 300):
+            rows = recurrence.float_coeffs(spec, e0, d0)
+            assert len(rows) == spec.n_states + 1
+            for n, row in enumerate(rows):
+                want = [float(x).hex() for x in recurrence.coeffs(spec, n, e0, d0)]
+                assert [x.hex() for x in row] == want
+
+    def test_residual_equals_the_coeffs_row_loop(self):
+        zero = 0
+        for spec, e0, d0, h in residual_cases(32, 600):
+            got = recurrence_residual(spec, e0, d0, h)
+            assert got.hex() == reference_recurrence_residual(spec, e0, d0, h).hex()
+            zero += got == 0.0
+        assert 0 < zero < 600
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (Fraction(-11, 8), Fraction(2, 7)), (1.5e200, -3), (-2, -1.25e300)])
+    def test_overflowing_row_total_is_infinite(self, alpha, beta):
+        # h is scaled below 1, but B_1 h_1 + C_1 h_0 reads about 3.2e308
+        # at E = -d = 1.7e308
+        spec = ModelSpec(alpha=alpha, beta=beta, big_m=2, n_states=4)
+        h = (1.9e300, 1.9e300, 1.9e300, 1.9e300)
+        for e0, d0 in ((1.7e308, -1.7e308), (0.5, 0.25)):
+            want = reference_recurrence_residual(spec, e0, d0, h)
+            assert recurrence_residual(spec, e0, d0, h).hex() == want.hex()
+        assert recurrence_residual(spec, 1.7e308, -1.7e308, h) == math.inf
 
 
 class TestOdeResidualPoly:

@@ -10,8 +10,10 @@ removed afterwards.  For each workload of ``BENCHMARK.json`` it runs
 
 with S its ``run_seconds``, from each side's own checkout in 10
 alternating pairs: odd pairs run the parent first, even pairs the change.  The change is this checkout as it
-stands, committed or not.  Then it runs ``shooting --seed 1 --trace 1`` once
-on each side and compares the traced counts.
+stands, committed or not.  Then it runs ``shooting --seed 1 --trace 1`` and
+``exact-sweep --seed 1 --trace 1`` once on each side and compares the traced
+counts, which repeat exactly for a seed: a change that keeps every
+integration step, or every exact-layer call, keeps them all.
 
 The output has the layout of ``BENCH_9.json``: for every end-to-end metric
 of ``BENCHMARK.json`` on each workload, the per-pair values, each side's
@@ -56,10 +58,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 4242
 TRACE_SEED = 1
-TRACE_WORKLOAD = "shooting"
-# the traced counts that must agree when the change keeps every step
-TRACE_COUNTS = ("shooting.ode_steps", "shooting.rhs_evals",
-                "shooting.wronskian_mismatch.calls", "shooting.pole_errors")
+# traced workload -> the counts that must agree when the change keeps every
+# step or call, and the prefixes of the layers whose seconds are recorded
+TRACED = {
+    "shooting": (("shooting.ode_steps", "shooting.rhs_evals",
+                  "shooting.wronskian_mismatch.calls", "shooting.pole_errors"),
+                 ("shooting.", "trace.")),
+    "exact-sweep": (("polynomial.roots.calls", "polynomial.roots.errors",
+                     "recurrence.full_system.calls", "verify.verify_solution.calls",
+                     "polynomial.det_bipoly.calls", "polynomial.resultant.calls",
+                     "solvers.shifted_coupling_poly.calls"),
+                    ("polynomial.", "recurrence.", "solvers.", "verify.", "cli.", "trace.")),
+}
 # alternating pairs per workload: a gain needs 9 wins among them
 PAIRS = 10
 
@@ -211,19 +221,20 @@ def main(argv=None):
                         for spec in specs}
                 write()
                 print(f"{workload} pair {k}/{PAIRS}", file=sys.stderr, flush=True)
-        traced = {side: run_bench(roots[side], TRACE_WORKLOAD, TRACE_SEED, 10, 1)["metrics"]
-                  for side in ("parent", "change")}
-    counts = {name: {side: traced[side][name]["value"] for side in traced}
-              for name in TRACE_COUNTS}
-    record["traced_shooting_seed1"] = {
-        "command": f"python3 bench/run.py --workload {TRACE_WORKLOAD} --seed {TRACE_SEED} "
-                   "--seconds 10 --trace 1",
-        "counts_equal": all(v["parent"] == v["change"] for v in counts.values()),
-        "counts": counts,
-        "layer_seconds": {name: {side: traced[side][name]["value"] for side in traced}
-                          for name, m in traced["parent"].items()
-                          if m["unit"] == "s" and name.startswith(("shooting.", "trace."))}}
-    write()
+        for workload, (names, layers) in TRACED.items():
+            traced = {side: run_bench(roots[side], workload, TRACE_SEED, 10, 1)["metrics"]
+                      for side in ("parent", "change")}
+            counts = {name: {side: traced[side][name]["value"] for side in traced}
+                      for name in names}
+            record[f"traced_{workload.replace('-', '_')}_seed{TRACE_SEED}"] = {
+                "command": f"python3 bench/run.py --workload {workload} --seed {TRACE_SEED} "
+                           "--seconds 10 --trace 1",
+                "counts_equal": all(v["parent"] == v["change"] for v in counts.values()),
+                "counts": counts,
+                "layer_seconds": {name: {side: traced[side][name]["value"] for side in traced}
+                                  for name, m in traced["parent"].items()
+                                  if m["unit"] == "s" and name.startswith(layers)}}
+            write()
     return 0
 
 
