@@ -94,22 +94,18 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class PotentialCoeffs:
-    """Couplings of V(r) = r^10 + a r^8 + b r^6 + c r^4 + d r^2 + f/r^2.
-
-    d is None while the quadratic coupling has not been solved for; any
-    attempt to evaluate the potential in that state raises TypeError.
-    """
+    """Couplings of V(r) = r^10 + a r^8 + b r^6 + c r^4 + d r^2 + f/r^2."""
 
     a: Number
     b: Number
     c: Number
     f: Number
-    d: Union[Number, None] = None
+    d: Number
 
 
-def potential_coeffs(spec: ModelSpec, d_value: Union[Number, None] = None) -> PotentialCoeffs:
+def potential_coeffs(spec: ModelSpec, d_value: Number) -> PotentialCoeffs:
     """Couplings tied to the solvable family: a = 2*alpha, b = alpha^2 + 2*beta,
-    c = 2*alpha*beta + 2M - 4N - 2, f from spike_strength; d is passed through."""
+    c = 2*alpha*beta + 2M - 4N - 2, f from spike_strength and d = d_value."""
     al, be = spec.alpha, spec.beta
     return PotentialCoeffs(
         a=2 * al,
@@ -122,8 +118,6 @@ def potential_coeffs(spec: ModelSpec, d_value: Union[Number, None] = None) -> Po
 
 def potential_eval(coeffs: PotentialCoeffs, r: Union[Number, complex]) -> complex:
     """Evaluate V(r) including the f/r^2 spike.  r = 0 is singular."""
-    if coeffs.d is None:
-        raise TypeError("quadratic coupling d is unsolved; evaluate after solving")
     if r == 0:
         raise ValueError("potential is singular at r = 0")
     a, b, c, d, f = coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.f

@@ -244,8 +244,6 @@ def q_of_terms(a, b, c, d, ll1, e0):
 def _q_func(coeffs: PotentialCoeffs, big_l, energy):
     """Q(r) = V(r) + L(L+1)/r^2 - E of the decadic well.  Its float terms
     (a, b, c, d, L(L+1), E) are q.terms, which solve_ivp takes."""
-    if coeffs.d is None:
-        raise TypeError("quadratic coupling d is unsolved; shooting needs a numeric d")
     a, b, c, d = (float(coeffs.a), float(coeffs.b), float(coeffs.c), float(coeffs.d))
     if not all(map(math.isfinite, (a, b, c, d))):
         raise ValueError(f"potential coefficients must be finite, got {(a, b, c, d)}")

@@ -82,7 +82,7 @@ def _unit_exponent(h) -> int:
 
 # -- independent symbolic route ---------------------------------------------
 #
-# The state is exp(G(r)) * T(r) * r^(-L) with G = -r^6/6 - a4 r^4/4 - b2 r^2/2
+# The state is exp(G(r)) * T(r) * r^(-L) with G = -r^6/6 - alpha r^4/4 - beta r^2/2
 # and T a polynomial in r^2.  Series are dicts {m: coeff} meaning
 # coeff * r^(m - L); operator polynomials are dicts {p: coeff * r^p}.  Both
 # hold int numerators, so every term is an int over one denominator.
@@ -95,19 +95,16 @@ def _int_numerators(coeffs: dict):
     return {key: c.numerator * (k // c.denominator) for key, c in coeffs.items()}, k
 
 
-def ode_residual_poly(spec: ModelSpec, energy, coupling, h,
-                      coeffs: "PotentialCoeffs | None" = None):
+def ode_residual_poly(spec: ModelSpec, energy, coupling, h):
     """Exact residual of the radial equation for the closed-form state.
 
     Returns a Poly whose k-th coefficient multiplies r^(2k - L - 2); it is
-    the zero polynomial exactly when (E, d, h) is an exact solution.  All
-    inputs are promoted to Fraction (floats convert exactly), so the result
-    is bit-exact.  Passing explicit potential coefficients allows checking
-    a deliberately altered coupling map.
+    the zero polynomial exactly when (E, d, h) is an exact solution, with d
+    the coupling and a, b, c, f from potential_coeffs.  All inputs are
+    promoted to Fraction (floats convert exactly), so the result is
+    bit-exact.
     """
-    if coeffs is None:
-        coeffs = potential_coeffs(spec, coupling)
-    poly, den = _residual_numerators(spec, energy, h, coeffs)
+    poly, den = _residual_numerators(spec, energy, h, potential_coeffs(spec, coupling))
     # exponents are even and >= -2; index k maps to exponent m = 2k - 2
     out = [Fraction(0)] * (max(poly, default=-2) // 2 + 2)
     for m, c in poly.items():
@@ -127,9 +124,12 @@ def _exact(value, name: str) -> Fraction:
 def _residual_numerators(spec: ModelSpec, energy, h, coeffs: PotentialCoeffs, mag=None, shift=0):
     """The nonzero residual coefficients as {exponent: int}, and the one
     denominator they share, of the state h / 2^shift.  With a dict mag, also
-    sum each |term| / den into mag[exponent], term by term in a fixed order."""
-    if coeffs.d is None:
-        raise TypeError("quadratic coupling d is unsolved")
+    sum each |term| / den into mag[exponent], term by term in a fixed order.
+
+    With G' = -(r^5 + alpha r^3 + beta r), the operator of T is
+    V - G'^2 - G'' - E = (a - 2 alpha) r^8 + (b - alpha^2 - 2 beta) r^6
+    + (c - 2 alpha beta + 5) r^4 + (d - beta^2 + 3 alpha) r^2 + beta - E;
+    the r^10 terms of V and G'^2 cancel."""
     al, be = Fraction(spec.alpha), Fraction(spec.beta)
     e0 = _exact(energy, "energy")
     hs = [_exact(x, "h") for x in h]
@@ -142,23 +142,15 @@ def _residual_numerators(spec: ModelSpec, energy, h, coeffs: PotentialCoeffs, ma
     d1 = {m - 1: c * (2 * m - two_l) for m, c in series.items()}
     d2 = {m - 2: c * (2 * m - two_l) * (2 * m - 2 - two_l) for m, c in series.items()}
 
-    g_prime = {5: Fraction(-1), 3: -al, 1: -be}
-    g_second = {4: Fraction(-5), 2: -3 * al, 0: -be}
-    g_prime_sq = {}
-    for p1, c1 in g_prime.items():
-        for p2, c2 in g_prime.items():
-            g_prime_sq[p1 + p2] = g_prime_sq.get(p1 + p2, Fraction(0)) + c1 * c2
-    bucket = {10: Fraction(1), 8: Fraction(coeffs.a), 6: Fraction(coeffs.b),
-              4: Fraction(coeffs.c), 2: _exact(coeffs.d, "coupling")}
-    for src in (g_prime_sq, g_second):
-        for p, c in src.items():
-            bucket[p] = bucket.get(p, Fraction(0)) - c
-    bucket[0] = bucket.get(0, Fraction(0)) - e0
-
     # -psi'' + (L(L+1)/r^2 + V - E) psi, divided by exp(G) * r^(-L):
     #   (V - G'^2 - G'' - E) T  -  2 G' T'  -  T''  +  L(L+1) T / r^2
     # the operators of T, 2 T', 4 T'' and T, over one denominator
-    ops = (bucket, {p: -c for p, c in g_prime.items()}, {0: Fraction(-1, 4)},
+    ops = ({8: Fraction(coeffs.a) - 2 * al,
+            6: Fraction(coeffs.b) - al * al - 2 * be,
+            4: Fraction(coeffs.c) - 2 * al * be + 5,
+            2: _exact(coeffs.d, "coupling") - be * be + 3 * al,
+            0: be - e0},
+           {5: Fraction(1), 3: al, 1: be}, {0: Fraction(-1, 4)},
            {-2: Fraction(4 * spec.big_m ** 2 - 1, 4)})
     ints, dc = _int_numerators({(i, p): c for i, op in enumerate(ops) for p, c in op.items()})
     den = (dc * dh) << shift

@@ -80,18 +80,17 @@ class TestModelSpec:
 class TestPotentialCoeffs:
     def test_example_m2_n3(self):
         spec = ModelSpec(alpha=0, beta=0, big_m=2, n_states=3)
-        c = potential_coeffs(spec)
+        c = potential_coeffs(spec, 0)
         assert (c.a, c.b, c.c) == (0, 0, -10)
-        assert c.d is None
 
     def test_example_m1_n1(self):
         spec = ModelSpec(alpha=1, beta=2, big_m=1, n_states=1)
-        c = potential_coeffs(spec)
+        c = potential_coeffs(spec, 0)
         assert (c.a, c.b, c.c) == (2, 5, 0)
 
     def test_example_minimal(self):
         spec = ModelSpec(alpha=0, beta=0, big_m=1, n_states=1)
-        assert potential_coeffs(spec).c == -4
+        assert potential_coeffs(spec, 0).c == -4
 
     def test_exact_identity_at_rationals(self):
         # re-derive the coupling map from scratch and compare exactly
@@ -136,11 +135,6 @@ class TestPotentialEval:
         c = PotentialCoeffs(a=0, b=0, c=0, f=1, d=0)
         with pytest.raises(ValueError):
             potential_eval(c, 0)
-
-    def test_unsolved_coupling_is_type_error(self):
-        c = PotentialCoeffs(a=0, b=0, c=0, f=1, d=None)
-        with pytest.raises(TypeError):
-            potential_eval(c, 1.0)
 
 
 class TestWavefunctionEval:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import decadic
 from decadic import model, polynomial, recurrence, shooting, solvers, verify, wedges
 
@@ -16,3 +21,13 @@ def test_package_exports_exactly_its_modules_all():
 
 def test_sturmian_multiplet_is_a_solvers_export():
     assert "sturmian_multiplet" in solvers.__all__
+
+
+def test_import_loads_no_scipy():
+    # the tests import scipy in this process, so a fresh interpreter asks
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, decadic, decadic.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

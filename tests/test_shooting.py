@@ -120,11 +120,6 @@ class TestContourValidation:
         with pytest.raises(ValueError):
             integrate_log_derivative(coeffs, 0.5, 0.0, Contour(), "upward")
 
-    def test_unsolved_coupling_rejected(self):
-        coeffs = PotentialCoeffs(a=0, b=0, c=0, f=0, d=None)
-        with pytest.raises(TypeError):
-            integrate_log_derivative(coeffs, 0.5, 0.0, Contour(), "from_left")
-
 
 class TestIntegration:
     def test_exact_state_satisfies_ode_along_contour(self):
@@ -827,6 +822,27 @@ class TestBentContour:
         result = find_eigenvalue(coeffs, spec.angular_momentum, 5.6, contour)
         assert result.converged
         assert abs(result.energy - energy) <= 1e-6
+
+    def test_upper_pair_above_the_spike_is_the_lower_pair_conjugated(self):
+        # at real E the conjugated waypoints conjugate every node, step and
+        # value of the shot, so this upper-pair contour is no third recipe
+        spec, energy, coeffs, _ = reference_m2_n3()
+        big_l = spec.angular_momentum
+        upper = tuple(z.conjugate() for z in BENT_WAYPOINTS)
+        for x_max in (None, 4.0):
+            lower_c = Contour(waypoints=BENT_WAYPOINTS, x_max=x_max)
+            upper_c = Contour(waypoints=upper, x_max=x_max)
+            for e in (energy, -6.3):
+                for direction in ("from_left", "from_right"):
+                    rs, ys = integrate_log_derivative(coeffs, big_l, e, lower_c, direction)
+                    rs_u, ys_u = integrate_log_derivative(coeffs, big_l, e, upper_c, direction)
+                    assert rs_u.tolist() == rs.conj().tolist()
+                    assert ys_u.tolist() == ys.conj().tolist()
+        lower, up = (find_eigenvalue(coeffs, big_l, 5.6, Contour(waypoints=w))
+                     for w in (BENT_WAYPOINTS, upper))
+        assert lower.converged and abs(lower.energy - energy) <= 1e-6
+        assert ((up.energy, up.iterations, up.converged, up.contour.x_max)
+                == (lower.energy, lower.iterations, lower.converged, lower.contour.x_max))
 
 
 class TestCNorm:

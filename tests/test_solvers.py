@@ -194,6 +194,18 @@ class TestShiftedCouplingPoly:
                 f = Fraction(2 * k - spec.n_states, 3)
                 assert p(f) == reference(f + shift)
 
+    def test_depends_on_alpha_and_beta_only_through_s(self):
+        # two shapes with the same s = alpha^2 - 4 beta give one polynomial
+        rng = random.Random(19)
+        for n in range(1, 13):
+            for _ in range(10):
+                al = Fraction(rng.randint(-15, 15), rng.randint(1, 4))
+                be = Fraction(rng.randint(-15, 15), rng.randint(1, 4))
+                al2 = al + Fraction(rng.choice((-1, 1)) * rng.randint(1, 15), rng.randint(1, 4))
+                be2 = (al2 * al2 - (al * al - 4 * be)) / 4
+                assert (shifted_coupling_poly(ModelSpec(alpha=al, beta=be, big_m=1, n_states=n))
+                        == shifted_coupling_poly(ModelSpec(alpha=al2, beta=be2, big_m=1, n_states=n)))
+
     def test_float_inputs_give_float_poly(self):
         spec = ModelSpec(alpha=0.5, beta=0.25, big_m=1, n_states=2)
         p = shifted_coupling_poly(spec)

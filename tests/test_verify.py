@@ -226,8 +226,8 @@ class TestRecurrenceResidual:
 
 def reference_recurrence_residual(spec, energy, coupling, h):
     """recurrence_residual by one coeffs() call per row, in the arithmetic
-    of the spec's own alpha and beta; sum() adds the four terms left to
-    right on Python 3.10 and 3.11."""
+    of the spec's own alpha and beta, adding each row's four terms left to
+    right (sum() of floats is compensated from Python 3.12 on)."""
     hs = [float(x) for x in h]
     e0, d0 = float(energy), float(coupling)
     shift = verify._unit_exponent(hs)
@@ -242,7 +242,7 @@ def reference_recurrence_residual(spec, energy, coupling, h):
         a, b, c, d = recurrence.coeffs(spec, n, e0, d0)
         terms = (float(a) * h_at(n + 1), float(b) * h_at(n),
                  float(c) * h_at(n - 1), float(d) * h_at(n - 2))
-        total = sum(terms)
+        total = ((terms[0] + terms[1]) + terms[2]) + terms[3]
         if not math.isfinite(total):
             return math.inf
         worst = max(worst, abs(total))
@@ -341,7 +341,7 @@ class TestOdeResidualPoly:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             ode_residual_poly(spec, energy, coupling, h)
 
-    def test_broken_coupling_map_localized_at_quartic_order(self):
+    def test_broken_coupling_map_localized_at_quartic_order(self, monkeypatch):
         # drop the -4N contribution from the quartic coupling: the residual
         # must appear exactly at the r^4 * (leading series term) order,
         # i.e. index 3 of the returned polynomial
@@ -349,10 +349,25 @@ class TestOdeResidualPoly:
         good = potential_coeffs(spec, Fraction(0))
         broken = PotentialCoeffs(a=good.a, b=good.b, c=good.c + 4 * spec.n_states,
                                  f=good.f, d=good.d)
-        poly = ode_residual_poly(spec, 0, 0, (Fraction(1),), coeffs=broken)
+        monkeypatch.setattr(verify, "potential_coeffs", lambda *args: broken)
+        poly = ode_residual_poly(spec, 0, 0, (Fraction(1),))
         assert poly.coeffs[:3] == (0, 0, 0)
         assert poly.coeffs[3] == 4 * spec.n_states
         assert poly.degree == 3
+
+    def test_regular_branch_closed_form_at_one_term(self):
+        # N = M + 1 with h_0 = ... = h_(M-1) = 0 leaves one r^(L+1) term:
+        # E = 2 beta (M + 1), d = beta^2 - 2 alpha (M + 2) solves it exactly
+        rng = random.Random(23)
+        for big_m in range(1, 6):
+            for _ in range(12):
+                al = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+                be = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+                spec = ModelSpec(alpha=al, beta=be, big_m=big_m, n_states=big_m + 1)
+                h = (0,) * big_m + (Fraction(1),)
+                poly = ode_residual_poly(spec, 2 * be * (big_m + 1),
+                                         be * be - 2 * al * (big_m + 2), h)
+                assert poly == ZERO
 
     def test_rows_match_recurrence_on_arbitrary_data(self):
         # strongest identity check: on arbitrary (not solution) data the
