@@ -110,10 +110,12 @@ class Contour:
     endpoint's sector.  Without x_max, its nodes are the waypoints.
 
     Both ends +-x_max - i*epsilon of a default contour must lie strictly
-    inside a decay sector, which needs epsilon < x_max * tan(pi/12).  When
-    x_max is None, shooting derives it from the potential and the energy
-    (see _start_radius), at most _X_MAX_START, so epsilon must be below
-    4 * tan(pi/12) ~ 1.072; a given x_max is used as it is."""
+    inside the real-axis pair of decay sectors, centred on 0 and pi (an end
+    in another pair's would quantize on its recipe), which needs
+    epsilon < x_max * tan(pi/12).  When x_max is None, shooting derives it
+    from the potential and the energy (see _start_radius), at most
+    _X_MAX_START, so epsilon must be below 4 * tan(pi/12) ~ 1.072; a given
+    x_max is used as it is."""
 
     epsilon: float = 0.5
     x_max: "float | None" = None
@@ -145,14 +147,14 @@ class Contour:
                         f"{cmath.phase(start):.4f}, is not strictly inside the decay sector "
                         f"of its endpoint at angle {cmath.phase(endpoint):.4f}")
         elif self.x_max is not None:
-            # the sectors are mirror pairs (r -> -conj r), so the left end
-            # -x_max - i*epsilon is inside one exactly when the right end is
+            # _DECAY_SECTORS[0] is centred on 0; the left end -x_max - i*epsilon
+            # is the right end's mirror (r -> -conj r), in the one centred on pi
             end = complex(self.x_max, -self.epsilon)
-            if _decay_sector(end) is None:
+            if not _DECAY_SECTORS[0].contains(cmath.phase(end)):
                 raise ValueError(
                     f"the contour end {end} at angle {cmath.phase(end):.4f} is not "
-                    "strictly inside any decay sector: epsilon must be below "
-                    "x_max * tan(pi/12)")
+                    "strictly inside any decay sector of the real-axis pair: epsilon "
+                    "must be below x_max * tan(pi/12)")
 
     def left_nodes(self):
         return self._half(-1.0)
@@ -281,16 +283,14 @@ _RTOL_FLOOR = 100 * sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class IvpResult:
-    t: list  # accepted times along the leg, starting at 0
+    t: list  # accepted times along the leg, 0 to 1 (a leg that stops raises PoleError)
     y: list  # complex solution at those times
     nfev: int  # counted as scipy counts: 2 for the start, 12 per attempted step
-    status: int  # 0 reached t = 1, -1 step too small, 1 pole
-    t_pole: "float | None" = None
 
 
 # the Riccati right-hand side dr * (Q(z0 + t * dr) - y^2) of one leg into k;
 # stage values far past a pole would overflow y * y, so they give 0j and the
-# pole event ends the run on the accepted values
+# pole event raises PoleError on the accepted values
 _RICCATI = """\
         if abs({y}) <= 1e100:
             r = z0 + {t} * dr
@@ -409,9 +409,10 @@ def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol) -> IvpResult:
     upward crossing of |y| - _POLE_THRESHOLD: the real and imaginary parts
     are scaled and normed separately, as scipy does on the state [re, im],
     so the steps are scipy's.  Sums run in sequence rather than through
-    BLAS, so results may differ from scipy's in the last bits.  The pole is
-    placed by linear interpolation of |y| within the step that crosses the
-    threshold.
+    BLAS, so results may differ from scipy's in the last bits.  Raises
+    PoleError where the leg stops: at the threshold crossing, placed by
+    linear interpolation of |y| within the step that crosses it, or at the
+    last accepted t when the step size collapses.
     """
     t, t_bound = 0.0, 1.0
     y = complex(y0)
@@ -435,7 +436,7 @@ def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol) -> IvpResult:
         rejected = False
         while True:
             if not h_abs >= min_step:  # also ends a NaN step size
-                return IvpResult(ts, ys, nfev, -1)
+                raise PoleError(z0 + t * (z1 - z0))
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
             y_new, f_new, err3, err5 = step(t, h, t_new, y, f)
@@ -460,9 +461,9 @@ def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol) -> IvpResult:
         g_new = abs(y_new) - _POLE_THRESHOLD
         if g <= 0 <= g_new:
             crossing = g / (g - g_new) if g < g_new else 0.0
-            return IvpResult(ts, ys, nfev, 1, t + crossing * (t_new - t))
+            raise PoleError(z0 + (t + crossing * (t_new - t)) * (z1 - z0))
         t, y, f, g = t_new, y_new, f_new, g_new
-    return IvpResult(ts, ys, nfev, 0)
+    return IvpResult(ts, ys, nfev)
 
 
 def _damping(q, nodes) -> float:
@@ -496,8 +497,8 @@ def _start_radius(q, contour: Contour, rtol: float) -> float:
     point.  When the first step down fails, the default contour keeps
     R = _X_MAX_START and a waypoint contour its waypoints (R is its outer
     endpoint's radius), so no derived start lies further out; a default
-    contour whose ends then lie outside every decay sector (epsilon above
-    4 * tan(pi/12)) raises ValueError as it is resolved.
+    contour whose ends then lie outside the real-axis pair's sectors
+    (epsilon above 4 * tan(pi/12)) raises ValueError as it is resolved.
     Where the halves are mirror images (_mirrored), the right half's
     damping is the left half's, bit for bit, and only the left half is
     integrated.
@@ -568,8 +569,6 @@ def integrate_log_derivative(coeffs: PotentialCoeffs, big_l, energy, contour: Co
     for z0, z1 in zip(nodes[:-1], nodes[1:]):
         dr = z1 - z0
         sol = solve_ivp(q.terms, z0, z1, y, rtol, atol)
-        if sol.status != 0:
-            raise PoleError(z0 + (sol.t_pole if sol.status == 1 else sol.t[-1]) * dr)
         rs.extend(z0 + t * dr for t in sol.t[1:])
         ys.extend(sol.y[1:])
         y = ys[-1]

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import recurrence, wedges
+from . import recurrence
 from .model import ModelSpec, PotentialCoeffs, potential_coeffs
 from .polynomial import Poly
 
@@ -25,7 +25,6 @@ __all__ = [
     "VerificationReport",
     "recurrence_residual",
     "ode_residual_poly",
-    "wedge_decay",
     "verify_solution",
 ]
 
@@ -191,35 +190,20 @@ def _scaled_ode_residual(spec, energy, coupling, h) -> float:
     return top / scale if scale > 0 else 0.0
 
 
-def wedge_decay(z: int = 3):
-    """Whether the dominant envelope exp(-r^6/6) decays at both sector
-    centers of each mirror pair for degree z.  For z = 3 this is true for
-    all three pairs by construction; other z document the mismatch."""
-    pairs, _ = wedges.pt_pairs(z)
-    out = []
-    for pair in pairs:
-        ok = (math.cos(6 * pair.left.center) > 0
-              and math.cos(6 * pair.right.center) > 0)
-        out.append((pair.index, ok))
-    return out
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     recurrence_residual: float
     ode_residual_max_coeff: float
-    wedge_decay: tuple
     passed: bool
 
 
 # verify_solution passes a solution when both scaled residuals are at most this
 _RESIDUAL_TOL = 1e-10
-# every report carries the one z = 3 certificate
-_DECADIC_WEDGE_DECAY = tuple(wedge_decay())
 
 
 def verify_solution(spec: ModelSpec, energy, coupling, h) -> VerificationReport:
-    """Run both residual checks plus wedge-decay certification (z = 3).
+    """Run both residual checks; the solution passes when both scaled
+    residuals are at most _RESIDUAL_TOL.
 
     A zero h is the trivial solution: both residuals read 0, but it does
     not pass."""
@@ -228,7 +212,6 @@ def verify_solution(spec: ModelSpec, energy, coupling, h) -> VerificationReport:
     return VerificationReport(
         recurrence_residual=rec_res,
         ode_residual_max_coeff=ode_res,
-        wedge_decay=_DECADIC_WEDGE_DECAY,
         passed=(any(x != 0 for x in h)
                 and rec_res <= _RESIDUAL_TOL and ode_res <= _RESIDUAL_TOL),
     )

@@ -173,12 +173,17 @@ class TestShootCommand:
 
     @pytest.mark.parametrize("options", [
         ("--e-guess", "5.6", "--epsilon", "1", "--x-max", "1.5"),
-        ("--e-guess", "5.5", "--epsilon", "1.2")], ids=["x_max1.5", "eps1.2"])
+        ("--e-guess", "5.5", "--epsilon", "1.2"),
+        ("--e-guess", "5.5", "--epsilon", "8"),
+        ("--e-guess", "5.5", "--x-max", "0.3")], ids=["x_max1.5", "eps1.2", "eps8", "x_max0.3"])
     def test_end_outside_decay_sectors_exits_two(self, capsys, options):
         # 1.5 - i lies at -0.588 rad, outside (-pi/12, pi/12): that shot
         # exited 0, converged at E = 8.779, where the exact level is
         # 192^(1/3) = 5.769.  Above epsilon = 4 tan(pi/12) ~ 1.072 no derived
-        # radius, at most 4, puts the end inside a sector
+        # radius, at most 4, puts the end inside a sector of the real-axis
+        # pair.  Ends in the sectors centred on -pi/3 and -2pi/3, as at
+        # epsilon 8 (derived x_max 2.2) and at x_max 0.3, converged at
+        # E = 8.779 and 7.059
         code, out, err = run_cli(capsys, "shoot", "--alpha", "0", "--beta", "0",
                                  "-M", "2", "-N", "3", "--d", "8.320335292207618", *options)
         assert code == 2

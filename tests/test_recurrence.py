@@ -12,6 +12,7 @@ from decadic import (
     coeffs,
     full_system,
     main_matrix,
+    potential_coeffs,
     small_matrix,
 )
 
@@ -49,6 +50,28 @@ class TestCoeffs:
             coeffs(spec, -1, 0, 0)
         with pytest.raises(ValueError):
             coeffs(spec, 4, 0, 0)
+
+    def test_rows_from_m_are_the_regular_branch_recurrence(self):
+        # rows n = M..N are the recurrence of the module docstring at
+        # M' = -M, N' = N - M, row k = n - M, with the same alpha, beta, E, d;
+        # so is the potential's c = 2 alpha beta + 2M - 4N - 2
+        rng = random.Random(20)
+
+        def rational():
+            return Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+
+        for _ in range(200):
+            m = rng.randint(1, 5)
+            spec = spec_of(rational(), rational(), m, rng.randint(m + 1, m + 6))
+            al, be, energy, d = spec.alpha, spec.beta, rational(), rational()
+            m1, n1 = -m, spec.n_states - m
+            for k in range(n1 + 1):
+                assert coeffs(spec, k + m, energy, d) == (
+                    (2 * k + 2) * (2 * k + 2 - 2 * m1),
+                    energy - be * (4 * k + 2 - 2 * m1),
+                    be * be - d - al * (4 * k - 2 * m1),
+                    4 * (n1 + 1 - k))
+            assert potential_coeffs(spec, d).c == 2 * al * be + 2 * m1 - 4 * n1 - 2
 
     def test_symbolic_entries_are_degree_one(self):
         spec = spec_of(Fraction(1, 2), Fraction(-1, 3), 2, 3)

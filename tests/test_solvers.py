@@ -216,6 +216,37 @@ class TestShiftedCouplingPoly:
         with pytest.raises(WrongModeError):
             shifted_coupling_poly(ModelSpec(alpha=0, beta=0, big_m=2, n_states=2))
 
+    @staticmethod
+    def gcd_degree(p, q):
+        """Degree of gcd(p, q) by Euclid's algorithm over Fraction, on
+        coefficient lists ascending by degree; q is not zero."""
+        def trimmed(c):
+            while len(c) > 1 and c[-1] == 0:
+                c = c[:-1]
+            return c
+
+        p, q = trimmed(list(p)), trimmed(list(q))
+        while q != [0]:
+            rem = p[:]
+            while len(rem) >= len(q) and rem != [0]:
+                factor, shift = rem[-1] / q[-1], len(rem) - len(q)
+                for k, c in enumerate(q):
+                    rem[shift + k] -= factor * c
+                rem = trimmed(rem[:-1] or [Fraction(0)])
+            p, q = q, rem
+        return len(p) - 1
+
+    def test_repeated_root_at_zero_exactly_when_n_is_two_mod_three(self):
+        # at alpha = beta = 0, P_N has a repeated root exactly when
+        # N = 2 (mod 3): a double root at F = 0, that is d = 0
+        for n in range(1, 27):
+            spec = ModelSpec(alpha=Fraction(0), beta=Fraction(0), big_m=1, n_states=n)
+            p = shifted_coupling_poly(spec)
+            dp = p.derivative()
+            assert self.gcd_degree(p.coeffs, dp.coeffs) == (1 if n % 3 == 2 else 0), n
+            if n % 3 == 2:
+                assert p(0) == dp(0) == 0 != dp.derivative()(0), n
+
 
 class TestShiftedCoupling:
     def test_n1_shift_vanishes_at_eigencoupling(self):

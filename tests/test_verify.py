@@ -17,7 +17,6 @@ from decadic import (
     solve_energies,
     sturmian_multiplet,
     verify_solution,
-    wedge_decay,
 )
 
 ZERO = Poly((Fraction(0),))
@@ -99,7 +98,6 @@ def reference_report(spec, energy, coupling, h):
     rec = recurrence_residual(spec, energy, coupling, h)
     return VerificationReport(
         recurrence_residual=rec, ode_residual_max_coeff=ode,
-        wedge_decay=tuple(wedge_decay()),
         passed=any(x != 0 for x in h) and rec <= 1e-10 and ode <= 1e-10)
 
 
@@ -429,24 +427,6 @@ class TestOdeResidualPoly:
                 assert residual > 1e-12 or all(x == 0 for x in h)
 
 
-class TestWedgeDecay:
-    def test_decadic_triple_pass(self):
-        report = wedge_decay(z=3)
-        assert report == [(1, True), (2, True), (3, True)]
-
-    def test_quartic_pairs_against_decadic_envelope(self):
-        # the surviving z = 2 mirror pair straddles the real axis, where
-        # exp(-r^6/6) still decays
-        assert wedge_decay(z=2) == [(1, True)]
-
-    def test_octic_pairs_are_mixed(self):
-        # z = 4 has pairs centered on rays where Re(r^6) < 0: a genuine
-        # mismatch between sector choice and the decadic envelope
-        report = wedge_decay(z=4)
-        assert any(ok for _, ok in report)
-        assert any(not ok for _, ok in report)
-
-
 class TestVerifySolution:
     def test_passes_on_exact_solution(self):
         spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
@@ -454,7 +434,6 @@ class TestVerifySolution:
         assert report.passed
         assert report.recurrence_residual <= 1e-14
         assert report.ode_residual_max_coeff == 0.0
-        assert report.wedge_decay == ((1, True), (2, True), (3, True))
 
     def test_fails_on_perturbed_solution(self):
         spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
@@ -468,15 +447,6 @@ class TestVerifySolution:
         assert report.recurrence_residual == 0.0
         assert report.ode_residual_max_coeff == 0.0
         assert not report.passed
-
-    def test_wedge_certificate_is_computed_once(self, monkeypatch):
-        def no_wedge_decay(*args, **kwargs):
-            raise AssertionError("wedge_decay recomputed per report")
-
-        monkeypatch.setattr(verify, "wedge_decay", no_wedge_decay)
-        spec = ModelSpec(alpha=2.0, beta=0.0, big_m=1, n_states=2)
-        report = verify_solution(spec, 0.0, -4.0, (1.0, 0.5))
-        assert report.wedge_decay == tuple(wedge_decay())
 
     def test_deterministic(self):
         spec = ModelSpec(alpha=0.0, beta=0.0, big_m=2, n_states=3)
