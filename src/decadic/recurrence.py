@@ -14,9 +14,10 @@ Its rows n = 0..N over (h_0 .. h_{N-1}) form the (N+1) x N "full" system.
 The two square secular matrices are row slices of it: rows 1..N are the
 N x N "main" matrix (A_{-1} = 0 and D_{N+1} = 0 structurally), and rows
 0..M-1, over the columns h_0 .. h_{M-1}, are the M x M "small" matrix
-(A_{M-1} = 0).  All three are plain lists of rows.  Passing Poly objects
-as energy or coupling (polynomial.ENERGY and polynomial.COUPLING for the
-two variables) builds the same matrices with symbolic entries.
+(A_{M-1} = 0).  All three are plain lists of rows, laid out by _rows.
+The full system holds float_coeffs' floats; the square matrices coeffs'
+values, so Poly objects as energy or coupling (polynomial.ENERGY and
+polynomial.COUPLING for the two variables) give symbolic entries.
 
 float_coeffs gives the float value of every row's (A_n, B_n, C_n, D_n) at
 float energy and coupling, equal bit for bit to float() of coeffs' entries:
@@ -67,15 +68,15 @@ def float_coeffs(spec: ModelSpec, energy: float, coupling: float):
              c0 - a_num * (4 * n - m2) / a_den, float(4 * (top + 1 - n))) for n in range(top + 1)]
 
 
-def _rows(spec: ModelSpec, energy, coupling, first: int, last: int, n_cols: int):
-    """Recurrence rows n = first..last over (h_0 .. h_{n_cols-1}).
+def _rows(values, first: int, n_cols: int):
+    """Recurrence rows over (h_0 .. h_{n_cols-1}) from the (A_n, B_n, C_n,
+    D_n) values of rows n = first, first + 1, ...
 
     Row n carries D_n at column n-2, C_n at n-1, B_n at n and A_n at n+1;
     entries falling outside the column range are dropped.
     """
     rows = []
-    for n in range(first, last + 1):
-        a, b, c, d = coeffs(spec, n, energy, coupling)
+    for n, (a, b, c, d) in enumerate(values, first):
         row = [0] * n_cols
         for col, value in ((n - 2, d), (n - 1, c), (n, b), (n + 1, a)):
             if 0 <= col < n_cols:
@@ -86,7 +87,8 @@ def _rows(spec: ModelSpec, energy, coupling, first: int, last: int, n_cols: int)
 
 def main_matrix(spec: ModelSpec, energy, coupling):
     """N x N matrix of rows n = 1..N over (h_0 .. h_{N-1}); upper Hessenberg."""
-    return _rows(spec, energy, coupling, 1, spec.n_states, spec.n_states)
+    return _rows((coeffs(spec, n, energy, coupling) for n in range(1, spec.n_states + 1)),
+                 1, spec.n_states)
 
 
 def small_matrix(spec: ModelSpec, energy, coupling):
@@ -100,13 +102,16 @@ def small_matrix(spec: ModelSpec, energy, coupling):
         raise ValueError(
             f"small matrix needs rows 0..{spec.big_m - 1}, but the recurrence "
             f"terminates at row N = {spec.n_states}; require M <= N + 1")
-    return _rows(spec, energy, coupling, 0, spec.big_m - 1, spec.big_m)
+    return _rows((coeffs(spec, n, energy, coupling) for n in range(spec.big_m)),
+                 0, spec.big_m)
 
 
-def full_system(spec: ModelSpec, energy, coupling):
-    """All N+1 recurrence rows (n = 0..N) over (h_0 .. h_{N-1}).
+def full_system(spec: ModelSpec, energy: float, coupling: float):
+    """All N+1 recurrence rows (n = 0..N) over (h_0 .. h_{N-1}), as floats.
 
+    The rows are float_coeffs' values at float energy and coupling, equal
+    bit for bit to float() of the coeffs entries that main_matrix places.
     Rank deficiency of this overdetermined system is the ground truth for a
     genuine solution; solvers use it to reject spurious determinant roots.
     """
-    return _rows(spec, energy, coupling, 0, spec.n_states, spec.n_states)
+    return _rows(float_coeffs(spec, energy, coupling), 0, spec.n_states)

@@ -115,7 +115,8 @@ class Contour:
     epsilon < x_max * tan(pi/12).  When x_max is None, shooting derives it
     from the potential and the energy (see _start_radius), at most
     _X_MAX_START, so epsilon must be below 4 * tan(pi/12) ~ 1.072; a given
-    x_max is used as it is."""
+    x_max is used as it is.  Below epsilon = 2**-511, r^2 = -epsilon^2 at
+    the match point would not be a normal float (it underflows to 0)."""
 
     epsilon: float = 0.5
     x_max: "float | None" = None
@@ -125,6 +126,8 @@ class Contour:
         # "not 0 < v < inf" also rejects NaN
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if self.epsilon < 2.0 ** -511:
+            raise ValueError(f"epsilon must be at least 2**-511 ~ 1.49e-154, got {self.epsilon}")
         if self.x_max is not None and not 0 < self.x_max < math.inf:
             raise ValueError(f"x_max must be positive and finite, got {self.x_max}")
         if self.waypoints is not None:

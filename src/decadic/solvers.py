@@ -16,7 +16,8 @@ the float eliminant, paired with each coupling d that back-substitution
 gives there, goes through one acceptance gate.  The gate keeps a candidate
 only when the full (N+1) x N recurrence system is genuinely rank deficient
 there (this is what rejects extraneous resultant roots) and returns one
-entry per null direction, with its recurrence residual.  sturmian_multiplet,
+entry per null direction, with its recurrence residual; one SVD helper,
+_null_space, finds both, for null_vector too.  sturmian_multiplet,
 solve_energies and solve_coupled all return a Multiplet; solve_sturmian,
 which sturmian_multiplet wraps, also gives the raw couplings and, built on
 first read, the exact coupling polynomial.
@@ -81,39 +82,30 @@ _DET_RTOL = 1e-8
 
 
 def null_vector(matrix):
-    """Null vector of a numerically rank-deficient matrix.
-
-    Normalized so that the first entry above _RANK_RTOL * max|v| equals 1.
-    Raises NotRankDeficientError when the smallest singular value exceeds
-    _RANK_RTOL times the largest (the signature of a spurious root).
-    """
-    _, s, vt = np.linalg.svd(np.asarray(matrix, dtype=float))
-    if _full_rank(s):
+    """The first of _null_space's directions of a numerically rank-deficient
+    matrix; NotRankDeficientError when there is none (a spurious root)."""
+    directions = _null_space(matrix)
+    if not directions:
         raise NotRankDeficientError(
-            f"smallest singular value {s[-1]:.3e} exceeds {_RANK_RTOL:.1e} * {s[0]:.3e}")
-    return _normalize_first_nonzero(vt[-1])
+            f"the matrix has full rank: no singular value is at most {_RANK_RTOL:.1e} "
+            "times the largest")
+    return directions[0]
 
 
-def _full_rank(s):
-    """The rank test on singular values s (descending)."""
-    return s[0] > 0 and s[-1] > _RANK_RTOL * s[0]
-
-
-def _normalize_first_nonzero(v):
-    v = np.asarray(v, dtype=float)
-    threshold = _RANK_RTOL * max(np.max(np.abs(v)), 1e-300)
-    for x in v:
-        if abs(x) > threshold:
-            return tuple(float(t) for t in v / x)
-    return tuple(float(t) for t in v)
-
-
-def _null_space(s, vt):
-    """Independent null directions from the SVD (s, vt) of a tall matrix,
-    each normalized first-nonzero-to-1."""
+def _null_space(matrix):
+    """The null directions of a float matrix, from one SVD: the right singular
+    vectors of singular values at most _RANK_RTOL times the largest (all, for
+    the zero matrix), smallest first, each scaled so that its first entry
+    above _RANK_RTOL * max|v| is 1.  Empty at full rank, wide matrices too."""
+    _, s, vt = np.linalg.svd(np.asarray(matrix, dtype=float))
     cutoff = _RANK_RTOL * s[0] if s[0] > 0 else np.inf
-    return [_normalize_first_nonzero(vt[k])
-            for k in range(vt.shape[0] - 1, -1, -1) if s[k] <= cutoff]
+    directions = []
+    for k in range(len(s) - 1, -1, -1):
+        if s[k] <= cutoff:
+            mags = np.abs(vt[k])
+            first = vt[k][np.argmax(mags > _RANK_RTOL * mags.max())]
+            directions.append(tuple(float(t) for t in vt[k] / first))
+    return directions
 
 
 def _eigvals_hessenberg(a, spec: ModelSpec):
@@ -163,12 +155,13 @@ class SturmianResult:
 
 def shifted_coupling_poly(spec: ModelSpec) -> pl.Poly:
     """The main determinant at E = 0 as a polynomial in the shifted coupling
-    F = d - beta^2 + 2*N*alpha: the main matrix is built with d = F + shift
-    and expanded once.  Exact for rational alpha, beta."""
+    F = d - beta^2 + 2*N*alpha: the main matrix is built with
+    d = F - shifted_coupling(0) and expanded once.  Exact for rational
+    alpha, beta."""
     if spec.big_m != 1:
         raise WrongModeError(f"coupling multiplets require M = 1, got M = {spec.big_m}")
     exact, was_float = _exact_spec(spec)
-    shift = exact.beta * exact.beta - 2 * exact.n_states * exact.alpha
+    shift = -shifted_coupling(0, exact)
     result = pl.det(recurrence.main_matrix(exact, 0, pl.Poly((shift, 1))))
     return result.as_float() if was_float else result
 
@@ -236,29 +229,21 @@ def _entry(spec, e0, d0, h) -> MultipletEntry:
         recurrence_residual=res, validated=res <= verify._RESIDUAL_TOL)
 
 
-def _validated_entries(spec, e0, d0):
-    """The acceptance gate: entries for one (E, d) candidate, one per null
-    direction of the full recurrence system; empty when the rank test fails."""
-    full = np.asarray(recurrence.full_system(spec, e0, d0), dtype=float)
-    _, s, vt = np.linalg.svd(full)
-    if _full_rank(s):
-        return []
-    return [_entry(spec, e0, d0, h) for h in _null_space(s, vt)]
-
-
 def _real_roots(p):
     """The real roots of a float polynomial, one per cluster, ascending."""
     return [r.value.real for r in pl.roots(p).roots if pl._is_real(r.value)]
 
 
 def _through_gate(spec, eliminant, couplings_at) -> Multiplet:
-    """The candidate loop of both energy solvers: every coupling in
+    """The candidate loop of both energy solvers: every coupling d in
     couplings_at(E), at every real root E of the float eliminant, goes
-    through the acceptance gate."""
+    through the acceptance gate, which gives one validated-or-not entry per
+    null direction of the float full recurrence system at (E, d)."""
     entries = []
     for e0 in _real_roots(eliminant):
         for d0 in couplings_at(e0):
-            entries.extend(_validated_entries(spec, e0, d0))
+            full = recurrence.full_system(spec, e0, d0)
+            entries.extend(_entry(spec, e0, d0, h) for h in _null_space(full))
     return Multiplet.from_entries(entries)
 
 

@@ -141,20 +141,22 @@ class LowerPairs:
 
 
 def lower_sector_pairs(delta: float) -> LowerPairs:
-    if not delta > -2:
-        raise ValueError(f"delta must exceed -2, got {delta}")
+    """The LowerPairs of a finite delta above -2 whose sectors floats resolve:
+    some above 3e15 round away beside pi/2, and some below -1.999 lose their
+    mirror symmetry.  Every delta in [-1.99, 1e15] is admissible."""
+    if not -2 < delta < math.inf:
+        raise ValueError(f"delta must be finite and exceed -2, got {delta}")
     w = math.pi / (4 + 2 * delta)
     half_pi = math.pi / 2
-    first = WedgePair(
-        left=Sector(-3 * w - half_pi, -w - half_pi),
-        right=Sector(w - half_pi, 3 * w - half_pi),
-        index=1,
-    )
-    second = WedgePair(
-        left=Sector(-5 * w - half_pi, -3 * w - half_pi),
-        right=Sector(3 * w - half_pi, 5 * w - half_pi),
-        index=2,
-    )
+    try:
+        first, second = (WedgePair(left=Sector(-(k + 2) * w - half_pi, -k * w - half_pi),
+                                   right=Sector(k * w - half_pi, (k + 2) * w - half_pi),
+                                   index=i) for i, k in enumerate((1, 3), 1))
+    except ValueError:
+        raise ValueError(
+            "delta must be finite, exceed -2 and give sectors of half-width "
+            "pi/(4 + 2 delta) that floats resolve, as every delta in [-1.99, 1e15] "
+            f"does; got {delta}") from None
     return LowerPairs(
         half_width=w,
         first=first,

@@ -128,6 +128,15 @@ class TestWedgesCommand:
         assert run_cli(capsys, "wedges")[0] == 2
         assert run_cli(capsys, "wedges", "--degree", "3", "--delta", "1")[0] == 2
 
+    @pytest.mark.parametrize("delta, message", [
+        ("inf", "delta must be finite and exceed -2"),
+        ("1e300", "every delta in [-1.99, 1e15]")])
+    def test_unresolvable_delta_exits_two(self, capsys, delta, message):
+        code, out, err = run_cli(capsys, "wedges", "--delta", delta)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "empty sector" not in err
+
 
 class TestShootCommand:
     def test_recovers_reference_energy(self, capsys):
@@ -151,7 +160,8 @@ class TestShootCommand:
         ("--residual-tol", "0"), ("--residual-tol", "nan"), ("--e-bound", "0"),
         ("--max-iter", "0"), ("--max-iter", "-1"), ("--e-guess", "nan"),
         ("--e-guess", "inf"), ("--d", "nan"), ("--d", "-inf"), ("--x-max", "inf"),
-        ("--epsilon", "inf"), ("--x-max", "1e40"), ("--epsilon", "1e40")])
+        ("--epsilon", "inf"), ("--x-max", "1e40"), ("--epsilon", "1e40"),
+        ("--epsilon", "1e-300")])
     def test_invalid_numeric_option_exits_two(self, capsys, flag, value):
         # "--flag=value", so that argparse takes "-inf" as a value
         code, out, err = run_cli(capsys, "shoot", "-M", "2", "-N", "3",
@@ -170,6 +180,9 @@ class TestShootCommand:
         if flag == "--epsilon" and value == "1e40":
             # the end 4 - 1e40i lies outside every decay sector
             assert "not strictly inside any decay sector" in err
+        if flag == "--epsilon" and value == "1e-300":
+            # r^2 = -epsilon^2 at the match point would underflow to 0
+            assert "epsilon must be at least 2**-511" in err
 
     @pytest.mark.parametrize("options", [
         ("--e-guess", "5.6", "--epsilon", "1", "--x-max", "1.5"),

@@ -53,6 +53,10 @@ class TestContourValidation:
         for bad in ({"epsilon": math.inf}, {"epsilon": math.nan}, {"x_max": math.inf}):
             with pytest.raises(ValueError, match="must be positive and finite"):
                 Contour(**bad)
+        # below 2**-511 the match point's r^2 = -epsilon^2 is not a normal float
+        with pytest.raises(ValueError, match=r"at least 2\*\*-511"):
+            Contour(epsilon=1e-300)
+        assert Contour(epsilon=2**-511).epsilon == 2**-511
 
     def test_waypoints_must_be_odd_polyline(self):
         with pytest.raises(ValueError):

@@ -286,6 +286,15 @@ class TestResidualBitIdentity:
             for n, row in enumerate(rows):
                 want = [float(x).hex() for x in recurrence.coeffs(spec, n, e0, d0)]
                 assert [x.hex() for x in row] == want
+            # the acceptance gate's matrix: coeffs' (A_n, B_n, C_n, D_n) at
+            # columns n+1, n, n-1, n-2 of row n, and 0 off the band
+            band = [[0.0] * spec.n_states for _ in rows]
+            for n, row in enumerate(band):
+                for col, x in zip((n + 1, n, n - 1, n - 2), recurrence.coeffs(spec, n, e0, d0)):
+                    if 0 <= col < spec.n_states:
+                        row[col] = float(x)
+            assert ([[float(x).hex() for x in row] for row in recurrence.full_system(spec, e0, d0)]
+                    == [[x.hex() for x in row] for row in band])
 
     def test_residual_equals_the_coeffs_row_loop(self):
         zero = 0

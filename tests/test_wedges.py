@@ -159,6 +159,15 @@ class TestLowerSectorPairs:
     def test_domain_edge(self):
         with pytest.raises(ValueError):
             lower_sector_pairs(-2.0)
+        with pytest.raises(ValueError, match="must be finite and exceed -2"):
+            lower_sector_pairs(math.inf)
+        # sectors that round away beside pi/2, or lose their mirror symmetry
+        # near -2, name the admissible range rather than an empty Sector
+        for delta in (1e300, 1e17, -1.9999):
+            with pytest.raises(ValueError, match=r"every delta in \[-1.99, 1e15\]"):
+                lower_sector_pairs(delta)
+        for delta in (-1.99, 1e15):
+            assert lower_sector_pairs(delta).half_width > 0
 
     def test_pairs_are_mirror_images(self):
         # WedgePair construction validates the mirror property to 1e-12
