@@ -264,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", dest="coupling_d", type=float, required=True,
                    help="numeric quadratic coupling to insert into the potential")
     p.add_argument("--e-guess", type=float, required=True, help="starting energy")
-    p.add_argument("--epsilon", type=float, default=0.5, help="contour shift")
+    p.add_argument("--epsilon", type=float, default=0.5,
+                   help="contour depth below the spike at r = 0; the path transits at "
+                        "min(epsilon, 0.5)")
     p.add_argument("--x-max", type=float, default=None,
                    help="contour truncation; by default derived from the potential at "
                         "the starting energy (at most 4), and reported in the output")

@@ -4,19 +4,19 @@ The radial equation is integrated in log-derivative (Riccati) form
 
     y' = Q(r) - y^2,      y = psi'/psi,      Q = L(L+1)/r^2 + V(r) - E,
 
-along the contour r(x) = x - i*epsilon, which keeps the centrifugal spike
-smooth for every real x.  The linear form would overflow doubles beyond
-|x| ~ 3.5 because of the exp(+-x^6/6) envelopes; y stays bounded except at
-isolated poles.  Both ends start on the decaying branch (y ~ -r^5 at large
-|r|) and integrate toward the matching point, the contour's middle node,
-where an eigenvalue announces itself by equal left and right
-log-derivatives.  Bent contours ending in other decay wedges, and the
-retries of a pole on the default contour, use explicit waypoints.
+along the contour r(x) = x - i*min(epsilon, 0.5), which keeps the
+centrifugal spike smooth for every real x.  The linear form would overflow
+doubles beyond |x| ~ 3.5 because of the exp(+-x^6/6) envelopes; y stays
+bounded except at isolated poles.  Both ends start on the decaying branch
+(y ~ -r^5 at large |r|) and integrate toward the matching point, the
+contour's middle node, where an eigenvalue announces itself by equal left
+and right log-derivatives.  Bent contours ending in other decay wedges,
+and the retries of a pole on the default contour, use explicit waypoints.
 
 The equation is stiff where |y| ~ |r|^5 is large, so the start radius x_max
 sets most of the cost, on both kinds of contour: the default one starts at
-+-x_max - i*epsilon, and each half of a waypoint contour where its path
-first comes within |r| = x_max.  Unless the caller fixes x_max, it is
++-x_max - i*min(epsilon, 0.5), and each half of a waypoint contour where its
+path first comes within |r| = x_max.  Unless the caller fixes x_max, it is
 derived from the potential at the shot's energy: scanning down from 4 in
 steps of 0.1, the last radius whose starts still lie inside the decay
 sectors of their ends and from which a start error decays below the
@@ -72,7 +72,7 @@ class PoleError(RuntimeError):
         self.location = location
 
 
-# deepest point of the default contour's inner stretch (see Contour)
+# the depth of a default contour deeper than this (see Contour)
 _TRANSIT_DEPTH = 0.5
 # the secant stops when a step is at most _E_TOL * (1 + |E|)
 _E_TOL = 1e-9
@@ -90,16 +90,17 @@ _DAMPING_NODES = 64
 
 @dataclass(frozen=True)
 class Contour:
-    """Integration path.  Default: endpoints at +-x_max - i*epsilon, with
-    the inner stretch transiting at depth min(epsilon, _TRANSIT_DEPTH).
+    """Integration path.  Default: the straight halves from +-x_max - i*delta
+    to the match point -i*delta.  epsilon is the depth below the spike at
+    r = 0; the path transits at delta = min(epsilon, _TRANSIT_DEPTH).
 
-    The log-derivative is single-valued and meromorphic, so the quadrature
-    route between the two wedge endpoints is a free choice; only the
-    endpoints define the boundary conditions.  Deep contours (epsilon near
-    1) would otherwise cross a pocket where Re(r^6) turns negative and the
-    decaying solution becomes recessive by hundreds of orders of magnitude,
-    which double precision cannot carry; transiting closer to the real
-    axis keeps that pocket shallow.
+    A level is fixed by the decay sectors in which the two starts lie, not
+    by the points themselves (the log-derivative is single-valued and
+    meromorphic), so every epsilon above _TRANSIT_DEPTH poses the problem
+    of epsilon = _TRANSIT_DEPTH and shoots its contour.  Deeper contours
+    (epsilon near 1) would cross a pocket where Re(r^6) turns negative and
+    the decaying solution becomes recessive by hundreds of orders of
+    magnitude, which double precision cannot carry.
 
     Alternatively an odd-length polyline of waypoints whose middle node is
     the matching point; both endpoints must lie strictly inside a decay
@@ -109,14 +110,14 @@ class Contour:
     when that already lies within; the start must lie strictly inside the
     endpoint's sector.  Without x_max, its nodes are the waypoints.
 
-    Both ends +-x_max - i*epsilon of a default contour must lie strictly
-    inside the real-axis pair of decay sectors, centred on 0 and pi (an end
-    in another pair's would quantize on its recipe), which needs
-    epsilon < x_max * tan(pi/12).  When x_max is None, shooting derives it
-    from the potential and the energy (see _start_radius), at most
-    _X_MAX_START, so epsilon must be below 4 * tan(pi/12) ~ 1.072; a given
-    x_max is used as it is.  Below epsilon = 2**-511, r^2 = -epsilon^2 at
-    the match point would not be a normal float (it underflows to 0)."""
+    Both starts +-x_max - i*delta of a default contour must lie strictly
+    inside the real-axis pair of decay sectors, centred on 0 and pi (a
+    start in another pair's would quantize on its recipe), which needs
+    x_max > delta / tan(pi/12), ~1.866 at epsilon >= 0.5.  When x_max is
+    None, shooting derives it from the potential and the energy (see
+    _start_radius); a given x_max is used as it is.  Below
+    epsilon = 2**-511, r^2 = -epsilon^2 at the match point would not be a
+    normal float (it underflows to 0)."""
 
     epsilon: float = 0.5
     x_max: "float | None" = None
@@ -150,14 +151,14 @@ class Contour:
                         f"{cmath.phase(start):.4f}, is not strictly inside the decay sector "
                         f"of its endpoint at angle {cmath.phase(endpoint):.4f}")
         elif self.x_max is not None:
-            # _DECAY_SECTORS[0] is centred on 0; the left end -x_max - i*epsilon
-            # is the right end's mirror (r -> -conj r), in the one centred on pi
-            end = complex(self.x_max, -self.epsilon)
-            if not _DECAY_SECTORS[0].contains(cmath.phase(end)):
+            # _DECAY_SECTORS[0] is centred on 0; the left start is the right
+            # one's mirror (r -> -conj r), in the one centred on pi
+            start = self.right_nodes()[0]
+            if not _DECAY_SECTORS[0].contains(cmath.phase(start)):
                 raise ValueError(
-                    f"the contour end {end} at angle {cmath.phase(end):.4f} is not "
-                    "strictly inside any decay sector of the real-axis pair: epsilon "
-                    "must be below x_max * tan(pi/12)")
+                    f"the contour start {start} at angle {cmath.phase(start):.4f} is not "
+                    "strictly inside any decay sector of the real-axis pair: x_max must "
+                    "be above min(epsilon, 0.5) / tan(pi/12), ~1.866 at epsilon >= 0.5")
 
     def left_nodes(self):
         return self._half(-1.0)
@@ -176,11 +177,7 @@ class Contour:
             raise ValueError("x_max is None: shooting derives it per potential and energy, "
                              "so only a contour with x_max has nodes")
         depth = min(self.epsilon, _TRANSIT_DEPTH)
-        nodes = [complex(sign * self.x_max, -self.epsilon)]
-        if depth != self.epsilon:
-            nodes.append(complex(sign * self.x_max, -depth))
-        nodes.append(complex(0.0, -depth))
-        return nodes
+        return [complex(sign * self.x_max, -depth), complex(0.0, -depth)]
 
 
 def _cut(half, radius: float):
@@ -499,9 +496,7 @@ def _start_radius(q, contour: Contour, rtol: float) -> float:
     is damped below rtol (_damping at least ln(1/rtol)) before the matching
     point.  When the first step down fails, the default contour keeps
     R = _X_MAX_START and a waypoint contour its waypoints (R is its outer
-    endpoint's radius), so no derived start lies further out; a default
-    contour whose ends then lie outside the real-axis pair's sectors
-    (epsilon above 4 * tan(pi/12)) raises ValueError as it is resolved.
+    endpoint's radius), so no derived start lies further out.
     Where the halves are mirror images (_mirrored), the right half's
     damping is the left half's, bit for bit, and only the left half is
     integrated.
@@ -639,7 +634,7 @@ def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Con
 
 def _shifted(contour: Contour, x: float) -> Contour:
     """The default contour's halves matched at x: the waypoint contour with
-    the same ends and corners, and x_max their radius, so _cut keeps both."""
+    the same starts, and x_max their radius, so _cut keeps both."""
     if not abs(x) < contour.x_max:
         raise ValueError("matching point must lie strictly inside the contour")
     left, right = contour.left_nodes(), contour.right_nodes()

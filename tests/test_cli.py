@@ -1,10 +1,11 @@
+import cmath
 import json
 import subprocess
 import sys
 
 import pytest
 
-from decadic import polynomial, solvers, verify
+from decadic import polynomial, shooting, solvers, verify
 from decadic.cli import _canonical, main
 
 CBRT192 = 192 ** (1 / 3)
@@ -149,6 +150,16 @@ class TestShootCommand:
         assert doc["result"]["converged"] is True
         assert doc["result"]["energy"] == pytest.approx(CBRT192, abs=1e-6)
 
+    @staticmethod
+    def assert_reference_level(code, out):
+        # the reference shot converged on 192^(1/3), started at
+        # x_max - 0.5i inside the decay sector centred on 0
+        assert code == 0
+        doc = json.loads(out)
+        assert abs(doc["result"]["energy"] - CBRT192) <= 1e-9
+        start = complex(doc["contour"]["x_max"], -0.5)
+        assert shooting._DECAY_SECTORS[0].contains(cmath.phase(start))
+
     def test_non_convergence_exits_one(self, capsys):
         code, out, _ = run_cli(capsys, "shoot", "--alpha", "0", "--beta", "0",
                                "-M", "2", "-N", "3", "--d", "8.32",
@@ -167,6 +178,10 @@ class TestShootCommand:
         code, out, err = run_cli(capsys, "shoot", "-M", "2", "-N", "3",
                                  "--d", "8.320335292207618", "--e-guess", "5.5",
                                  f"{flag}={value}")
+        if flag == "--epsilon" and value == "1e40":
+            # a finite depth is admissible: the path transits at 0.5
+            self.assert_reference_level(code, out)
+            return
         assert code == 2
         assert out == ""
         assert "error:" in err
@@ -177,9 +192,6 @@ class TestShootCommand:
         if flag == "--x-max" and value == "1e40":
             # r^10 overflows at the contour end
             assert "x_max or epsilon is too large" in err
-        if flag == "--epsilon" and value == "1e40":
-            # the end 4 - 1e40i lies outside every decay sector
-            assert "not strictly inside any decay sector" in err
         if flag == "--epsilon" and value == "1e-300":
             # r^2 = -epsilon^2 at the match point would underflow to 0
             assert "epsilon must be at least 2**-511" in err
@@ -190,18 +202,22 @@ class TestShootCommand:
         ("--e-guess", "5.5", "--epsilon", "8"),
         ("--e-guess", "5.5", "--x-max", "0.3")], ids=["x_max1.5", "eps1.2", "eps8", "x_max0.3"])
     def test_end_outside_decay_sectors_exits_two(self, capsys, options):
-        # 1.5 - i lies at -0.588 rad, outside (-pi/12, pi/12): that shot
-        # exited 0, converged at E = 8.779, where the exact level is
-        # 192^(1/3) = 5.769.  Above epsilon = 4 tan(pi/12) ~ 1.072 no derived
-        # radius, at most 4, puts the end inside a sector of the real-axis
-        # pair.  Ends in the sectors centred on -pi/3 and -2pi/3, as at
-        # epsilon 8 (derived x_max 2.2) and at x_max 0.3, converged at
-        # E = 8.779 and 7.059
+        # a start outside (-pi/12, pi/12) quantizes on another recipe: from
+        # 1.5 - i a shot converged at E = 8.779, where the exact level is
+        # 192^(1/3) = 5.769, and from 0.3 - 0.5i, in the sector centred on
+        # -pi/3, at E = 7.059.  The path transits at depth min(epsilon, 0.5),
+        # so at epsilon 1.2 and 8 it starts at 2.5 - 0.5i, inside the
+        # sector, and finds the exact level
         code, out, err = run_cli(capsys, "shoot", "--alpha", "0", "--beta", "0",
                                  "-M", "2", "-N", "3", "--d", "8.320335292207618", *options)
+        if "--epsilon" in options and "--x-max" not in options:
+            self.assert_reference_level(code, out)
+            return
         assert code == 2
         assert out == ""
         assert "not strictly inside any decay sector" in err
+        if "--epsilon" in options:
+            assert "x_max must be above min(epsilon, 0.5) / tan(pi/12), ~1.866" in err
 
 
 class TestSweepCommand:

@@ -103,27 +103,33 @@ class TestContourValidation:
             Contour(waypoints=BENT_WAYPOINTS, x_max=0.4)
 
     def test_default_contour_ends_must_sit_in_decay_sectors(self):
-        # 1.5 - i lies at -0.588 rad, outside (-pi/12, pi/12); a shot from
-        # there converged at E = 8.779, far from the exact 192^(1/3)
+        # 1.5 - 0.5i lies at -0.322 rad, outside (-pi/12, pi/12); a shot
+        # from 1.5 - i converged at E = 8.779, far from the exact 192^(1/3)
         with pytest.raises(ValueError, match="not strictly inside any decay sector"):
             Contour(epsilon=1.0, x_max=1.5)
         # 0.3 - 0.5i lies at -1.030 rad, inside the sector centred on -pi/3:
-        # that end quantized on another pair's recipe
+        # that start quantized on another pair's recipe
         with pytest.raises(ValueError, match="not strictly inside any decay sector"):
             Contour(epsilon=0.5, x_max=0.3)
-        # 4 - i and 3.9 - i lie inside, at -0.245 and -0.251 rad
-        for x_max in (4.0, 3.9):
-            assert Contour(epsilon=1.0, x_max=x_max).right_nodes()[0] == complex(x_max, -1.0)
-        # above epsilon = 4 tan(pi/12) ~ 1.072 no derived radius, at most 4,
-        # puts the end inside a sector: the fallback R = 4 raises
+        # the path transits at depth min(epsilon, 0.5), so the start lies in
+        # the sector exactly when x_max > 0.5 / tan(pi/12) ~ 1.866
+        assert 1.86 < 0.5 / math.tan(math.pi / 12) < 1.87
+        for epsilon in (1.0, 8.0):
+            with pytest.raises(ValueError, match="x_max must be above"):
+                Contour(epsilon=epsilon, x_max=1.86)
+            for x_max in (1.87, 3.9, 4.0):
+                assert (Contour(epsilon=epsilon, x_max=x_max).right_nodes()
+                        == [complex(x_max, -0.5), -0.5j])
+        # at epsilon 1.2 and 8 the start once lay deeper than the sector
+        # centred on 0 allows (raising), or in the one centred on -pi/3
+        # (converging on another level); it now starts at 2.5 - 0.5i
         spec, _, coeffs, _ = reference_m2_n3()
-        assert 1.07 < 4 * math.tan(math.pi / 12) < 1.2
-        Contour(epsilon=1.07, x_max=4.0)
-        # at epsilon = 8 the derived radius once put the end in the sector
-        # centred on -pi/3
         for epsilon in (1.2, 8.0):
-            with pytest.raises(ValueError, match="not strictly inside any decay sector"):
-                find_eigenvalue(coeffs, spec.angular_momentum, 5.5, Contour(epsilon=epsilon))
+            result = find_eigenvalue(coeffs, spec.angular_momentum, 5.5, Contour(epsilon=epsilon))
+            assert result.converged
+            assert abs(result.energy - CBRT192) <= 1e-9
+            start = result.contour.right_nodes()[0]
+            assert shooting._DECAY_SECTORS[0].contains(cmath.phase(start))
 
     def test_direction_validated(self):
         spec = ModelSpec(alpha=0.0, beta=0.0, big_m=1, n_states=1)
@@ -157,8 +163,8 @@ class TestIntegration:
         assert worst <= 1e-8
 
     def test_wkb_start_matches_decadic_asymptote(self):
-        # beyond the transit depth the first leg is vertical; a start that
-        # took "outward" from it landed on the growing branch, y ~ +r^5
+        # a start that took "outward" from the first leg landed on the
+        # growing branch, y ~ +r^5
         coeffs = PotentialCoeffs(a=0.0, b=0.0, c=0.0, f=0.0, d=0.0)
         for epsilon in (0.5, 0.75, 1.0):
             for direction in ("from_left", "from_right"):
@@ -195,10 +201,7 @@ class TestStartRadius:
         big_l = spec.angular_momentum
         q = shooting._q_func(coeffs, big_l, energy)
         radius = shooting._start_radius(q, contour, shooting._RTOL)
-        assert radius <= 4.0
-        if contour.waypoints is not None or contour.epsilon < 1.0:
-            # at epsilon = 1 the sector alone needs R > 3.73
-            assert radius < 4.0
+        assert radius < 4.0
         shot = dataclasses.replace(contour, x_max=radius)
         for direction, half in (("from_left", shot.left_nodes()),
                                 ("from_right", shot.right_nodes())):
@@ -246,11 +249,10 @@ class TestStartRadius:
 
     @staticmethod
     def default_nodes(sign, x_max, epsilon):
-        # the nodes of Contour(epsilon, x_max)'s half, also where its end
+        # the nodes of Contour(epsilon, x_max)'s half, also where its start
         # lies outside every decay sector, so that Contour rejects it
         depth = min(epsilon, shooting._TRANSIT_DEPTH)
-        corner = [complex(sign * x_max, -depth)] if depth != epsilon else []
-        return [complex(sign * x_max, -epsilon), *corner, complex(0.0, -depth)]
+        return [complex(sign * x_max, -depth), complex(0.0, -depth)]
 
     @pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.0])
     def test_mirror_halves_damp_alike(self, monkeypatch, epsilon):
@@ -307,6 +309,37 @@ class TestStartRadius:
     def test_unresolved_contour_has_no_nodes(self):
         with pytest.raises(ValueError, match="only a contour with x_max has nodes"):
             Contour().left_nodes()
+
+    @pytest.mark.parametrize("epsilon", [0.75, 1.0, 1.2, 8.0])
+    def test_deep_contour_shoots_the_transit_contour(self, monkeypatch, epsilon):
+        # a contour deeper than the transit depth 0.5 is the epsilon = 0.5
+        # one: the same halves, the same derived radius and the same shot,
+        # bit for bit, with no stiff leg down to -i*epsilon: 7 integrated
+        # legs per shot, where a vertical first leg made 14
+        spec, _, coeffs, _ = reference_m2_n3()
+        big_l = spec.angular_momentum
+        for x_max in (2.5, 4.0):
+            deep, transit = Contour(epsilon, x_max), Contour(0.5, x_max)
+            assert deep.left_nodes() == transit.left_nodes()
+            assert deep.right_nodes() == transit.right_nodes()
+        q = shooting._q_func(coeffs, big_l, 5.5)
+        assert shooting._start_radius(q, Contour(epsilon), shooting._RTOL) == 2.5
+        assert shooting._start_radius(q, Contour(0.5), shooting._RTOL) == 2.5
+        calls = []
+        solve_ivp = shooting.solve_ivp
+
+        def counting_solve_ivp(*args, **kwargs):
+            calls.append(1)
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "solve_ivp", counting_solve_ivp)
+        transit = find_eigenvalue(coeffs, big_l, 5.5, Contour(0.5))
+        calls.clear()
+        deep = find_eigenvalue(coeffs, big_l, 5.5, Contour(epsilon))
+        assert len(calls) == 7
+        assert ((deep.energy, deep.wronskian_residual, deep.iterations, deep.converged)
+                == (transit.energy, transit.wronskian_residual, transit.iterations, True))
+        assert deep.contour == Contour(epsilon, 2.5)
 
 
 class TestClosedFormOracle:

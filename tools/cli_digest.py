@@ -1,6 +1,6 @@
 """Digest of the decadic CLI's stdout and exit codes over a fixed grid.
 
-Runs 1938 invocations in-process through ``decadic.cli.main`` and prints one
+Runs 1940 invocations in-process through ``decadic.cli.main`` and prints one
 line per invocation: the exit code, the sha256 of stdout and the argv.  Two
 checkouts whose digests are equal line for line give the same exit codes and
 byte-identical stdout on the whole grid (stderr is not compared).
@@ -14,10 +14,11 @@ The grid:
   {-3, -1.5, -0.625, 0, 0.375, 1, 2.25}^2;
 * five sweeps over [-4, 4]^2 with (M, N, steps) in (1, 2, 41), (1, 10, 21),
   (2, 6, 21), (2, 12, 9) and (2, 3, 11);
-* five shots: the README reference state (M=2, N=3, d=8.320335292207618,
+* seven shots: the README reference state (M=2, N=3, d=8.320335292207618,
   E guess 5.5) at epsilon 0.25, 0.5 and 1.0, the same state from -50 with
-  an escape bound of 100 (exit 1), and the M=1, N=2, alpha=2, beta=0 state
-  at d=-4 from E guess 0.3;
+  an escape bound of 100 (exit 1), the M=1, N=2, alpha=2, beta=0 state at
+  d=-4 from E guess 0.3, and the reference state at the depths 1.2 and 8,
+  below the transit depth 0.5;
 * ``wedges`` at every degree z in 1..6, and at delta in
   {-2, -1, 0, 0.5, 1, 2, 3, 4.5}: each side of the real-compatible window
   1 < delta < 3, its ends, and the invalid -2 (exit 2);
@@ -48,6 +49,7 @@ REFERENCE_SHOT = ["shoot", "-M", "2", "-N", "3", "--d=8.320335292207618"]
 SHOTS = [REFERENCE_SHOT + ["--e-guess=5.5", f"--epsilon={eps}"] for eps in ("0.25", "0.5", "1.0")]
 SHOTS += [REFERENCE_SHOT + ["--e-guess=-50", "--e-bound=100"],
           ["shoot", "--alpha=2", "--beta=0", "-M", "1", "-N", "2", "--d=-4", "--e-guess=0.3"]]
+SHOTS += [REFERENCE_SHOT + ["--e-guess=5.5", f"--epsilon={eps}"] for eps in ("1.2", "8")]
 WEDGES = [["wedges", f"--degree={z}"] for z in range(1, 7)]
 DELTAS = ("-2", "-1", "0", "0.5", "1", "2", "3", "4.5")
 WEDGES += [["wedges", f"--delta={delta}"] for delta in DELTAS]
