@@ -12,6 +12,9 @@ bounded except at isolated poles.  Both ends start on the decaying branch
 contour's middle node, where an eigenvalue announces itself by equal left
 and right log-derivatives.  Bent contours ending in other decay wedges,
 and the retries of a pole on the default contour, use explicit waypoints.
+Each start value is the optimally truncated asymptotic series of the
+decaying log-derivative in powers of 1/r^2 (_series_start), which also
+estimates its own error.
 
 The equation is stiff where |y| ~ |r|^5 is large, so the start radius x_max
 sets most of the cost, on both kinds of contour: the default one starts at
@@ -19,9 +22,9 @@ sets most of the cost, on both kinds of contour: the default one starts at
 path first comes within |r| = x_max.  Unless the caller fixes x_max, it is
 derived from the potential at the shot's energy: scanning down from 4 in
 steps of 0.1, the last radius whose starts still lie inside the decay
-sectors of their ends and from which a start error decays below the
-integration tolerance before the matching point, by the WKB damping
-exp(-2 Re of the integral of sqrt(Q) dr) (Bender & Orszag, chapter 10).
+sectors of their ends and whose start error, damped along the path by the
+WKB factor exp(-2 Re of the integral of sqrt(Q) dr) (Bender & Orszag,
+chapter 10), is below the integration tolerance at the matching point.
 
 V is the decadic well of model.potential_coeffs, with real coefficients,
 so at a real energy V(-conj r) = conj V(r): on a contour that is its own PT
@@ -45,7 +48,9 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -86,6 +91,9 @@ _RTOL = 1e-10
 _X_MAX_START = 4.0
 _X_MAX_STEP = 0.1
 _DAMPING_NODES = 64
+# the start's asymptotic series stops once a block's size is below
+# _SERIES_RTOL * |y| (see _series_start)
+_SERIES_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -245,7 +253,9 @@ def q_of_terms(a, b, c, d, ll1, e0):
 
 def _q_func(coeffs: PotentialCoeffs, big_l, energy):
     """Q(r) = V(r) + L(L+1)/r^2 - E of the decadic well.  Its float terms
-    (a, b, c, d, L(L+1), E) are q.terms, which solve_ivp takes."""
+    (a, b, c, d, L(L+1), E) are q.terms, which solve_ivp takes, and
+    q.start(r) -> (y, err) is the decaying branch's start at r
+    (_series_start)."""
     a, b, c, d = (float(coeffs.a), float(coeffs.b), float(coeffs.c), float(coeffs.d))
     if not all(map(math.isfinite, (a, b, c, d))):
         raise ValueError(f"potential coefficients must be finite, got {(a, b, c, d)}")
@@ -253,24 +263,69 @@ def _q_func(coeffs: PotentialCoeffs, big_l, energy):
     terms = (a, b, c, d, ll1, complex(energy))
     q = _q_of_terms(*terms)
     q.terms = terms
+    q.start = _series_start(terms)
     return q
 
 
-def _decaying_sqrt(q0: complex, node0: complex) -> complex:
-    """The root s of Q at the contour end node0 with Re(s * node0) > 0, so
-    that exp(-integral of s) decays radially outward."""
-    s = cmath.sqrt(q0)
-    return -s if (s * node0).real < 0 else s
+def _series_start(terms):
+    """start(r) -> (y, err) for the Q with these terms: the log-derivative at
+    r of the branch decaying radially outward, in every decay sector, and an
+    estimate of its error.
 
+    y is the asymptotic series y = r^5 * sum of c_n r^(-2n) (Bender &
+    Orszag, chapters 3 and 10; Q has even powers only, so the odd ones of y
+    vanish), whose coefficients follow from y' = Q - y^2 with
+    Q = r^10 * sum of Q_n r^(-2n), Q_0..Q_6 = 1, a, b, c, d, -E, L(L+1):
 
-def _wkb_start(q, node0: complex) -> complex:
-    """Log-derivative of the branch decaying radially outward at node0, the
-    two-term WKB form -sqrt(Q) - Q'/(4Q)."""
-    q0 = q(node0)
-    s = _decaying_sqrt(q0, node0)
-    delta = 1e-6 * (1 + abs(node0))
-    dq = (q(node0 + delta) - q(node0 - delta)) / (2 * delta)
-    return -s - dq / (4 * q0)
+        c_0 = -1,   -2 c_n = Q_n - (11 - 2n) c_(n-3) - sum_(i=1..n-1) c_i c_(n-i).
+
+    It is summed in blocks of three terms, optimally truncated.  A block's
+    size is its largest term or the previous block's, whichever is larger:
+    the exact states' cancellations leave runs of up to four zero
+    coefficients (c_6..c_9 at alpha = beta = d = 0, M = 2), and a block of
+    zeros must not pass for convergence.  From the block that ends at c_8
+    on, summing stops after a block whose size is below
+    _SERIES_RTOL * |y|, or before a block whose size exceeds the previous
+    block's; err is the size of the last block summed.  The coefficients do
+    not depend on r; they are computed once, as far as a start needs them,
+    and shared by every start at this Q."""
+    a, b, c, d, ll1, e0 = terms
+    q_n = (1.0, a, b, c, d, -e0, ll1)
+    coeffs = [-1.0]
+
+    def extend(count):
+        for k in range(len(coeffs), count):
+            # sum_(i=1..k-1) c_i c_(k-i), each pair of equal products once
+            pairs = sum(map(operator.mul, coeffs[1:(k + 1) // 2], coeffs[k - 1:k // 2:-1]))
+            total = (q_n[k] if k < len(q_n) else 0.0) - 2 * pairs
+            if k % 2 == 0:
+                total -= coeffs[k // 2] ** 2
+            if k >= 3:
+                total -= (11 - 2 * k) * coeffs[k - 3]
+            coeffs.append(-total / 2)
+
+    def start(r):
+        u = 1 / (r * r)
+        term = r ** 5
+        y, err, last = 0j, math.inf, 0.0
+        for first in itertools.count(0, 3):
+            extend(first + 3)
+            block = []
+            for coeff in coeffs[first:first + 3]:
+                block.append(coeff * term)
+                term *= u
+            largest = max(map(abs, block))
+            size = max(largest, last)
+            checked = first >= 6
+            # "not <=" rather than ">", so that a NaN term stops the sum
+            if checked and not size <= err:
+                return y, err
+            y += sum(block)
+            err, last = size, largest
+            if checked and size <= _SERIES_RTOL * abs(y):
+                return y, err
+
+    return start
 
 
 # step control of scipy.integrate's explicit Runge-Kutta methods
@@ -468,11 +523,16 @@ def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol) -> IvpResult:
 
 def _damping(q, nodes) -> float:
     """2 Re of the integral of sqrt(Q) from the last node (the matching
-    point) out to the first (the contour end), on the branch of the WKB
-    start continued along the path: the nats by which an error in the start
-    value has decayed when the integration reaches the matching point.
+    point) out to the first (the contour end), on the branch decaying
+    radially outward at the end, continued along the path: the nats by
+    which an error in the start value has decayed when the integration
+    reaches the matching point.
     Trapezoid rule, _DAMPING_NODES nodes per straight leg."""
-    s = _decaying_sqrt(q(nodes[0]), nodes[0])
+    # the root of Q at the end with Re(s * end) > 0, so that exp(-integral
+    # of s) decays radially outward
+    s = cmath.sqrt(q(nodes[0]))
+    if (s * nodes[0]).real < 0:
+        s = -s
     total = 0j
     for z0, z1 in zip(nodes[:-1], nodes[1:]):
         step = (z1 - z0) / (_DAMPING_NODES - 1)
@@ -492,16 +552,24 @@ def _start_radius(q, contour: Contour, rtol: float) -> float:
     Scans R down from _X_MAX_START in steps of _X_MAX_STEP and returns the
     last R before the first that fails either test: each half's start lies
     strictly inside a decay sector (on a waypoint contour, its endpoint's,
-    and the half comes within R at all), and on both halves a start error
-    is damped below rtol (_damping at least ln(1/rtol)) before the matching
-    point.  When the first step down fails, the default contour keeps
-    R = _X_MAX_START and a waypoint contour its waypoints (R is its outer
-    endpoint's radius), so no derived start lies further out.
-    Where the halves are mirror images (_mirrored), the right half's
-    damping is the left half's, bit for bit, and only the left half is
-    integrated.
+    and the half comes within R at all), and on both halves the start's
+    own error estimate err (q.start, _series_start), damped by the path
+    (_damping), is at most rtol at the matching point:
+    err * exp(-damping) <= rtol.  When the first step down fails, the
+    default contour keeps R = _X_MAX_START and a waypoint contour its
+    waypoints (R is its outer endpoint's radius), so no derived start lies
+    further out.  Where the halves are mirror images (_mirrored), the right
+    half's start and damping are the left half's, bit for bit, and only the
+    left half is integrated.
     """
-    budget = -math.log(max(rtol, _RTOL_FLOOR))
+    log_rtol = math.log(max(rtol, _RTOL_FLOOR))
+
+    def damped_error(nodes):
+        # ln(err * exp(-damping)), in logs so that a steep path's damping
+        # cannot overflow; an exact start (err = 0) passes
+        _, err = q.start(nodes[0])
+        return (math.log(err) if err else -math.inf) - _damping(q, nodes)
+
     if contour.waypoints is None:
         radius = _X_MAX_START
     else:
@@ -517,8 +585,8 @@ def _start_radius(q, contour: Contour, rtol: float) -> float:
         halves = (trial.left_nodes,)
         if not _mirrored(q, trial):
             halves += (trial.right_nodes,)
-        # ">= budget" rather than "not < budget", so that a NaN fails
-        if not all(_damping(q, half()) >= budget for half in halves):
+        # "<= log_rtol" rather than "not > log_rtol", so that a NaN fails
+        if not all(damped_error(half()) <= log_rtol for half in halves):
             break
         radius = x_max
     return radius
@@ -558,10 +626,9 @@ def integrate_log_derivative(coeffs: PotentialCoeffs, big_l, energy, contour: Co
     q = _q_func(coeffs, big_l, energy)
     contour = _resolved(contour, q, rtol)
     nodes = contour.left_nodes() if direction == "from_left" else contour.right_nodes()
-    y = _wkb_start(q, nodes[0])
-    if not cmath.isfinite(y):
-        raise ValueError(f"the log-derivative overflows at the contour end {nodes[0]}: "
-                         "x_max or epsilon is too large")
+    if not cmath.isfinite(q(nodes[0])):
+        raise ValueError(f"Q overflows at the contour start {nodes[0]}: x_max is too large")
+    y, _ = q.start(nodes[0])
     rs = [nodes[0]]
     ys = [y]
     for z0, z1 in zip(nodes[:-1], nodes[1:]):

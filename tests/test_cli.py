@@ -190,8 +190,8 @@ class TestShootCommand:
         if flag in ("--e-guess", "--d", "--e-bound"):
             assert f"error: {flag} must be" in err
         if flag == "--x-max" and value == "1e40":
-            # r^10 overflows at the contour end
-            assert "x_max or epsilon is too large" in err
+            # r^10 overflows at the contour start, though r^5 does not
+            assert "x_max is too large" in err
         if flag == "--epsilon" and value == "1e-300":
             # r^2 = -epsilon^2 at the match point would underflow to 0
             assert "epsilon must be at least 2**-511" in err

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import functools
 import json
 import math
 import subprocess
@@ -42,6 +43,27 @@ def reference_m2_n3():
     coeffs = potential_coeffs(spec, energy * energy / 4)
     h = [e for e in solve_energies(spec) if e.energy > 1][0].h
     return spec, energy, coeffs, h
+
+
+@functools.cache
+def validated_states():
+    """(spec, energy, coeffs, h) of the reference state and of the four
+    validated states that the shooting benchmark shoots, each the first
+    multi-term solution that verify_solution accepts."""
+    states = [reference_m2_n3()]
+    for big_m, n, alpha, beta in ((1, 2, "3/4", "-3/4"), (1, 4, "7/8", "-7/8"),
+                                  (2, 3, "1", "11/8"), (2, 4, "-7/8", "7/8")):
+        spec = ModelSpec(alpha=Fraction(alpha), beta=Fraction(beta), big_m=big_m, n_states=n)
+        if big_m == 1:
+            result = solve_sturmian(spec)
+            solutions = [(0.0, d, h) for d, h in zip(result.d_values, result.h_vectors)]
+        else:
+            solutions = [(e.energy, e.quadratic_coupling, e.h) for e in solve_energies(spec)]
+        e, d, h = next((e, d, h) for e, d, h in solutions
+                       if sum(1 for x in h if abs(x) > 1e-12) > 1
+                       and verify_solution(spec, e, d, h).passed)
+        states.append((spec, e, potential_coeffs(spec, d), h))
+    return tuple(states)
 
 
 class TestContourValidation:
@@ -122,7 +144,7 @@ class TestContourValidation:
                         == [complex(x_max, -0.5), -0.5j])
         # at epsilon 1.2 and 8 the start once lay deeper than the sector
         # centred on 0 allows (raising), or in the one centred on -pi/3
-        # (converging on another level); it now starts at 2.5 - 0.5i
+        # (converging on another level); it now starts at 1.9 - 0.5i
         spec, _, coeffs, _ = reference_m2_n3()
         for epsilon in (1.2, 8.0):
             result = find_eigenvalue(coeffs, spec.angular_momentum, 5.5, Contour(epsilon=epsilon))
@@ -162,18 +184,44 @@ class TestIntegration:
             worst = max(worst, residual / scale)
         assert worst <= 1e-8
 
-    def test_wkb_start_matches_decadic_asymptote(self):
-        # a start that took "outward" from the first leg landed on the
-        # growing branch, y ~ +r^5
+    def test_start_matches_decaying_branch(self):
+        # the start against the decaying branch itself: y integrated at rtol
+        # 1e-13 onto the start node from -r^5 at R = 4, an error that the
+        # path damps by hundreds of nats.  A start that took "outward" from
+        # the first leg landed on the growing branch, y ~ +r^5
         coeffs = PotentialCoeffs(a=0.0, b=0.0, c=0.0, f=0.0, d=0.0)
+        q = shooting._q_func(coeffs, 0.5, 1.0)
         for epsilon in (0.5, 0.75, 1.0):
             for direction in ("from_left", "from_right"):
                 rs, ys = integrate_log_derivative(coeffs, 0.5, 1.0, Contour(epsilon=epsilon),
                                                   direction)
                 r0 = rs[0]
-                assert abs(ys[0] - (-r0**5)) <= 0.02 * abs(r0**5), (epsilon, direction)
+                far = complex(math.copysign(4.0, r0.real), r0.imag)
+                y_ref = shooting.solve_ivp(q.terms, far, r0, -far**5, 1e-13, 1e-13).y[-1]
+                assert abs(ys[0] - y_ref) <= 1e-9 * abs(y_ref), (epsilon, direction)
                 # decay radially outward
                 assert (ys[0] * r0).real < 0, (epsilon, direction)
+
+    def test_start_error_covers_runs_of_zero_coefficients(self):
+        # at alpha = beta = 0, M = 2, d = 0 the start's coefficients c_6..c_9
+        # vanish at every E (the E = 0 state r^(5/2) exp(-r^6/6) ends the
+        # series at c_3).  Measured by its own three terms, that zero block
+        # passed for convergence: err was 0 at every radius, and the scan at
+        # E = 0.07 came down to R = 1.0 at epsilon 0.25, where the start was
+        # off by 1e-4
+        coeffs = potential_coeffs(ModelSpec(alpha=0.0, beta=0.0, big_m=2, n_states=3), 0.0)
+        q = shooting._q_func(coeffs, 1.5, 0.07)
+        # the decaying branch, integrated inward from -r^5 at R = 3, an error
+        # that the path damps by over 100 nats before R = 1.9
+        z = complex(-3.0, -0.25)
+        y_ref = -z**5
+        for x in (1.9, 1.6, 1.3, 1.0):
+            r0 = complex(-x, -0.25)
+            y_ref = shooting.solve_ivp(q.terms, z, r0, y_ref, 1e-13, 1e-13).y[-1]
+            z = r0
+            y, err = q.start(r0)
+            assert abs(y - y_ref) <= err + 1e-12 * abs(y_ref), x
+        assert shooting._start_radius(q, Contour(epsilon=0.25), shooting._RTOL) > 1.5
 
     def test_samples_cover_the_path(self):
         # a given x_max is used as given, also beyond the largest derived one
@@ -216,7 +264,9 @@ class TestStartRadius:
                 assert abs(abs(rs[0]) - radius) <= 1e-15 * radius
             sector, = (s for s in sectors_for_degree(3) if s.contains(cmath.phase(end)))
             assert sector.contains(cmath.phase(rs[0]))
-            assert shooting._damping(q, half) >= math.log(1 / shooting._RTOL)
+            # the start's own error, damped by the path, is within rtol
+            _, err = q.start(half[0])
+            assert err * math.exp(-shooting._damping(q, half)) <= shooting._RTOL
         # find_eigenvalue derives it once, at e_guess, and reports it.  On
         # the pole test's polyline the integrated y misses the closed form
         # at -i by 4e-3 (1e-2 with the waypoints as given), so the secant
@@ -227,25 +277,9 @@ class TestStartRadius:
 
     @staticmethod
     def potentials():
-        """The Q of the reference state and of the four validated states that
-        the shooting benchmark shoots (each the first multi-term solution
-        that verify_solution accepts)."""
-        spec, energy, coeffs, _ = reference_m2_n3()
-        qs = [shooting._q_func(coeffs, spec.angular_momentum, energy)]
-        for big_m, n, alpha, beta in ((1, 2, "3/4", "-3/4"), (1, 4, "7/8", "-7/8"),
-                                      (2, 3, "1", "11/8"), (2, 4, "-7/8", "7/8")):
-            spec = ModelSpec(alpha=Fraction(alpha), beta=Fraction(beta), big_m=big_m,
-                             n_states=n)
-            if big_m == 1:
-                result = solve_sturmian(spec)
-                states = [(0.0, d, h) for d, h in zip(result.d_values, result.h_vectors)]
-            else:
-                states = [(e.energy, e.quadratic_coupling, e.h) for e in solve_energies(spec)]
-            e, d = next((e, d) for e, d, h in states
-                        if sum(1 for x in h if abs(x) > 1e-12) > 1
-                        and verify_solution(spec, e, d, h).passed)
-            qs.append(shooting._q_func(potential_coeffs(spec, d), spec.angular_momentum, e))
-        return qs
+        """The Q of each of validated_states()."""
+        return [shooting._q_func(coeffs, spec.angular_momentum, energy)
+                for spec, energy, coeffs, _ in validated_states()]
 
     @staticmethod
     def default_nodes(sign, x_max, epsilon):
@@ -256,15 +290,18 @@ class TestStartRadius:
 
     @pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.0])
     def test_mirror_halves_damp_alike(self, monkeypatch, epsilon):
-        # at match point 0 and a real energy the right half's damping is the
-        # left half's bit for bit, so the scan that integrates the left half
+        # at match point 0 and a real energy the right half's damping and
+        # start error are the left half's bit for bit (its start value is
+        # -conj of the left one), so the scan that integrates the left half
         # only derives the radius of the scan that integrates both
         for q in self.potentials():
-            for k in range(24):
+            for k in range(30):
                 x_max = round(4.0 - k * 0.1, 10)
                 left, right = (self.default_nodes(sign, x_max, epsilon) for sign in (-1.0, 1.0))
                 assert (shooting._damping(q, left)
                         == shooting._damping(q, right)), (epsilon, x_max)
+                y, err = q.start(left[0])
+                assert q.start(right[0]) == (-y.conjugate(), err), (epsilon, x_max)
             radius = shooting._start_radius(q, Contour(epsilon), shooting._RTOL)
             with monkeypatch.context() as patched:
                 patched.setattr(shooting, "_mirrored", lambda *args: False)
@@ -318,13 +355,13 @@ class TestStartRadius:
         # legs per shot, where a vertical first leg made 14
         spec, _, coeffs, _ = reference_m2_n3()
         big_l = spec.angular_momentum
-        for x_max in (2.5, 4.0):
+        for x_max in (1.9, 4.0):
             deep, transit = Contour(epsilon, x_max), Contour(0.5, x_max)
             assert deep.left_nodes() == transit.left_nodes()
             assert deep.right_nodes() == transit.right_nodes()
         q = shooting._q_func(coeffs, big_l, 5.5)
-        assert shooting._start_radius(q, Contour(epsilon), shooting._RTOL) == 2.5
-        assert shooting._start_radius(q, Contour(0.5), shooting._RTOL) == 2.5
+        assert shooting._start_radius(q, Contour(epsilon), shooting._RTOL) == 1.9
+        assert shooting._start_radius(q, Contour(0.5), shooting._RTOL) == 1.9
         calls = []
         solve_ivp = shooting.solve_ivp
 
@@ -339,7 +376,7 @@ class TestStartRadius:
         assert len(calls) == 7
         assert ((deep.energy, deep.wronskian_residual, deep.iterations, deep.converged)
                 == (transit.energy, transit.wronskian_residual, transit.iterations, True))
-        assert deep.contour == Contour(epsilon, 2.5)
+        assert deep.contour == Contour(epsilon, 1.9)
 
 
 class TestClosedFormOracle:
@@ -348,14 +385,12 @@ class TestClosedFormOracle:
 
         y(r) = -(r^5 + alpha r^3 + beta r) + sum h_n (2n - L) r^(2n-L-1) / sum h_n r^(2n-L).
 
-    RTOL is fixed here, before any run: the start carries the two-term WKB
-    error, at most START_RTOL, which the path damps.  Once |y - y_exact|
-    is within RTOL * (1 + |y_exact|) at an accepted node it must stay
-    there at every later node, and the matching point must be reached
-    within it."""
+    RTOL is fixed here, before any run.  The start must lie within
+    RTOL * (1 + |y_exact|) of the closed form; once an accepted node does,
+    every later node must stay there, and the matching point must be
+    reached within it."""
 
     RTOL = 1e-9
-    START_RTOL = 1e-3
 
     @staticmethod
     def closed_form(spec, h, r):
@@ -365,16 +400,18 @@ class TestClosedFormOracle:
         den = sum(float(hn) * r ** (2 * n - big_l) for n, hn in enumerate(h))
         return -(r**5 + alpha * r**3 + beta * r) + num / den
 
-    def failures(self, contour):
-        """The checks the integrated halves fail, as readable strings."""
-        spec, energy, coeffs, h = reference_m2_n3()
+    def failures(self, contour, state=None):
+        """The checks the integrated halves of the state (spec, energy,
+        coeffs, h), by default the reference state, fail, as readable
+        strings."""
+        spec, energy, coeffs, h = state or reference_m2_n3()
         failed = []
         for direction in ("from_left", "from_right"):
             rs, ys = integrate_log_derivative(coeffs, spec.angular_momentum, energy, contour,
                                               direction)
             exact = [self.closed_form(spec, h, r) for r in rs]
             errors = [abs(y - ye) / (1 + abs(ye)) for y, ye in zip(ys, exact)]
-            if not errors[0] <= self.START_RTOL:
+            if not errors[0] <= self.RTOL:
                 failed.append(f"{direction}: start error {errors[0]:.2e}")
             settled = next((k for k, e in enumerate(errors) if e <= self.RTOL), len(errors))
             if settled == len(errors):
@@ -404,10 +441,24 @@ class TestClosedFormOracle:
     def test_integrated_log_derivative_matches(self, contour):
         assert self.failures(contour) == []
 
+    @pytest.mark.parametrize("index", [1, 2, 3, 4])
+    def test_validated_states_match_on_the_derived_contour(self, index):
+        state = validated_states()[index]
+        assert self.failures(Contour(), state) == []
+
     def test_too_small_radius_fails(self):
-        # R = 2.2 at epsilon = 0.5 damps the start by under 3 nats, far short
-        # of ln(1/rtol) = 23; the derived radius there is 2.5
-        assert self.failures(Contour(epsilon=0.5, x_max=2.2)) != []
+        # at R = 1.2, epsilon = 0.25 the start's series has passed its
+        # smallest term at 7e-5 and the path damps it by 5 nats, so the
+        # budget rejects R (the derived radius is 1.5), and the shot misses
+        # the closed form
+        spec, energy, coeffs, _ = reference_m2_n3()
+        q = shooting._q_func(coeffs, spec.angular_momentum, energy)
+        contour = Contour(epsilon=0.25, x_max=1.2)
+        assert shooting._start_radius(q, Contour(epsilon=0.25), shooting._RTOL) == 1.5
+        for half in (contour.left_nodes(), contour.right_nodes()):
+            _, err = q.start(half[0])
+            assert err * math.exp(-shooting._damping(q, half)) > shooting._RTOL
+        assert self.failures(contour) != []
 
 
 class TestMismatch:
@@ -485,11 +536,11 @@ class TestScalarDop853:
     @staticmethod
     def legs(contour, direction, energy):
         """The Q of the reference state, the straight legs (z0, z1) of one
-        contour half and the WKB start value at its far end."""
+        contour half and the start value at its far end."""
         spec, _, coeffs, _ = reference_m2_n3()
         q = shooting._q_func(coeffs, spec.angular_momentum, energy)
         nodes = contour.left_nodes() if direction == "from_left" else contour.right_nodes()
-        return q, list(zip(nodes[:-1], nodes[1:])), shooting._wkb_start(q, nodes[0])
+        return q, list(zip(nodes[:-1], nodes[1:])), q.start(nodes[0])[0]
 
     @staticmethod
     def riccati(q, z0, z1):
