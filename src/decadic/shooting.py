@@ -16,6 +16,10 @@ Each start value is the optimally truncated asymptotic series of the
 decaying log-derivative in powers of 1/r^2 (_series_start), which also
 estimates its own error.
 
+find_eigenvalue's secant shoots its far iterates at _LOOSE_RTOL, where a
+cheaper mismatch moves it as far (Dembo, Eisenstat & Steihaug, SIAM J.
+Numer. Anal. 19, 400, 1982), and converges on three _RTOL mismatches.
+
 The equation is stiff where |y| ~ |r|^5 is large, so the start radius x_max
 sets most of the cost, on both kinds of contour: the default one starts at
 +-x_max - i*min(epsilon, 0.5), and each half of a waypoint contour where its
@@ -83,8 +87,11 @@ _TRANSIT_DEPTH = 0.5
 _E_TOL = 1e-9
 # |y| at which an integration stops and reports a pole (PoleError)
 _POLE_THRESHOLD = 1e8
-# default relative tolerance of the integration, the one the secant runs at
+# default relative tolerance of the integration, the one the secant converges at
 _RTOL = 1e-10
+# the secant's far iterates' rtol, until a step is at most _TIGHTEN_STEP * (1 + |E|)
+_LOOSE_RTOL = 1e-5
+_TIGHTEN_STEP = 1e-3
 # the derived start radius is scanned down from _X_MAX_START in _X_MAX_STEP
 # steps; each candidate's damping is a trapezoid sum of _DAMPING_NODES
 # nodes per straight leg
@@ -223,6 +230,10 @@ def _decay_sector(r: complex):
 
 @dataclass(frozen=True)
 class ShootingResult:
+    """iterations counts the secant steps of both phases (see
+    find_eigenvalue); wronskian_residual is the last mismatch, at _RTOL when
+    converged, possibly at _LOOSE_RTOL when not."""
+
     energy: float
     wronskian_residual: float
     iterations: int
@@ -669,6 +680,11 @@ def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Con
                     e_bound: float = 1e6) -> ShootingResult:
     """Secant refinement of the Wronskian mismatch starting from e_guess.
 
+    The mismatches run at rtol _LOOSE_RTOL (1e-5) until a secant step is at
+    most _TIGHTEN_STEP * (1 + |E|), then at _RTOL (1e-10) for the rest of
+    the search; the step test (at most _E_TOL * (1 + |E|)) stops it only
+    when the last three ran at _RTOL.
+
     Non-convergence (wild steps, |E| escaping e_bound, persistent poles) is
     reported in the result, never raised.  A contour without x_max gets the
     radius derived at e_guess, one for the whole search, and the result
@@ -711,13 +727,15 @@ def _shifted(contour: Contour, x: float) -> Contour:
 
 def _secant(coeffs, big_l, e_guess, contour, residual_tol, max_iter, e_bound):
     """(energy, residual, iterations, converged) of the secant search."""
+    rtol = _LOOSE_RTOL
+
     def g(e):
-        return wronskian_mismatch(coeffs, big_l, e, contour)
+        return wronskian_mismatch(coeffs, big_l, e, contour, rtol=rtol)
 
     e0 = float(e_guess)
     e1 = e0 + max(1e-3, 1e-3 * abs(e0))
     f0, f1 = g(e0), g(e1)
-    iterations = 0
+    iterations = tight = 0
     step_converged = False
     for iterations in range(1, max_iter + 1):
         if f1 == f0:
@@ -725,10 +743,13 @@ def _secant(coeffs, big_l, e_guess, contour, residual_tol, max_iter, e_bound):
         e2 = e1 - f1 * (e1 - e0) / (f1 - f0)
         if not math.isfinite(e2) or abs(e2) > e_bound:
             return float(e1), float(abs(f1)), iterations, False
+        if abs(e2 - e1) <= _TIGHTEN_STEP * (1 + abs(e2)):
+            rtol = _RTOL
         e0, f0 = e1, f1
         e1 = e2
         f1 = g(e1)
-        if abs(e1 - e0) <= _E_TOL * (1 + abs(e1)):
+        tight = tight + 1 if rtol == _RTOL else 0
+        if tight >= 3 and abs(e1 - e0) <= _E_TOL * (1 + abs(e1)):
             step_converged = True
             break
     residual = float(abs(f1))

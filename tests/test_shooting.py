@@ -352,7 +352,8 @@ class TestStartRadius:
         # a contour deeper than the transit depth 0.5 is the epsilon = 0.5
         # one: the same halves, the same derived radius and the same shot,
         # bit for bit, with no stiff leg down to -i*epsilon: 7 integrated
-        # legs per shot, where a vertical first leg made 14
+        # legs per shot (4 at _LOOSE_RTOL, 3 at _RTOL), where a vertical
+        # first leg made 14
         spec, _, coeffs, _ = reference_m2_n3()
         big_l = spec.angular_momentum
         for x_max in (1.9, 4.0):
@@ -365,15 +366,15 @@ class TestStartRadius:
         calls = []
         solve_ivp = shooting.solve_ivp
 
-        def counting_solve_ivp(*args, **kwargs):
-            calls.append(1)
-            return solve_ivp(*args, **kwargs)
+        def counting_solve_ivp(terms, z0, z1, y0, rtol, atol):
+            calls.append(rtol)
+            return solve_ivp(terms, z0, z1, y0, rtol, atol)
 
         monkeypatch.setattr(shooting, "solve_ivp", counting_solve_ivp)
         transit = find_eigenvalue(coeffs, big_l, 5.5, Contour(0.5))
         calls.clear()
         deep = find_eigenvalue(coeffs, big_l, 5.5, Contour(epsilon))
-        assert len(calls) == 7
+        assert calls == [shooting._LOOSE_RTOL] * 4 + [shooting._RTOL] * 3
         assert ((deep.energy, deep.wronskian_residual, deep.iterations, deep.converged)
                 == (transit.energy, transit.wronskian_residual, transit.iterations, True))
         assert deep.contour == Contour(epsilon, 1.9)
@@ -752,6 +753,84 @@ class TestFindEigenvalue:
         e8 = find_eigenvalue(coeffs, spec.angular_momentum, 5.76, Contour(x_max=8.0))
         assert e4.converged and e8.converged
         assert abs(e4.energy - e8.energy) <= 1e-7
+
+    @staticmethod
+    def assert_tightened_once(rtols):
+        # loose first, one switch to _RTOL, never undone, and the last three
+        # (the two behind the final slope and the confirming one) at _RTOL
+        loose = rtols.count(shooting._LOOSE_RTOL)
+        assert loose >= 2
+        assert rtols == [shooting._LOOSE_RTOL] * loose + [shooting._RTOL] * (len(rtols) - loose)
+        assert len(rtols) - loose >= 3
+
+    def test_secant_tightens_before_it_converges(self, monkeypatch):
+        rtols = []
+        mismatch = shooting.wronskian_mismatch
+
+        def recording(*args, rtol, **kwargs):
+            rtols.append(rtol)
+            return mismatch(*args, rtol=rtol, **kwargs)
+
+        monkeypatch.setattr(shooting, "wronskian_mismatch", recording)
+        spec, _, coeffs, _ = reference_m2_n3()
+        result = find_eigenvalue(coeffs, spec.angular_momentum, 5.5, Contour(0.5))
+        assert result.converged
+        self.assert_tightened_once(rtols)
+        assert abs(result.energy - CBRT192) <= 1e-9
+        spec, energy, coeffs, _ = validated_states()[3]
+        rtols.clear()
+        result = find_eigenvalue(coeffs, spec.angular_momentum, energy + 0.05, Contour())
+        assert result.converged
+        self.assert_tightened_once(rtols)
+        assert abs(result.energy - energy) <= 1e-9 * (1 + abs(energy))
+
+    @pytest.mark.parametrize("e_star, e_guess", [(3.0, 3.5), (-2.0, 1.0), (40.0, 41.0)])
+    def test_secant_converges_only_at_full_tolerance(self, monkeypatch, e_star, e_guess):
+        # a mismatch whose error scales with rtol: the loose phase lands near
+        # e_star, and only the _RTOL evaluations pin it to _E_TOL
+        rtols = []
+
+        def mismatch(coeffs, big_l, e, contour, *, rtol=shooting._RTOL, atol=1e-10):
+            rtols.append(rtol)
+            return (e - e_star) + rtol * math.sin(1e3 * e)
+
+        monkeypatch.setattr(shooting, "wronskian_mismatch", mismatch)
+        spec, _, coeffs, _ = reference_m2_n3()
+        contour = Contour(0.5, 2.0)
+
+        def converges():
+            rtols.clear()
+            result = find_eigenvalue(coeffs, spec.angular_momentum, e_guess, contour)
+            assert result.converged
+            assert abs(result.energy - e_star) <= shooting._E_TOL * (1 + abs(e_star))
+            self.assert_tightened_once(rtols)
+
+        converges()
+        # one secant step ends the search in the loose phase
+        rtols.clear()
+        result = find_eigenvalue(coeffs, spec.angular_momentum, e_guess, contour, max_iter=1)
+        assert set(rtols) == {shooting._LOOSE_RTOL}
+        assert not result.converged
+        # with the switch put off until a loose step passes the step test
+        # itself, the search still stops only on three _RTOL mismatches (on
+        # two, it stopped 2e-6 to 9e-6 from e_star, unconverged)
+        monkeypatch.setattr(shooting, "_TIGHTEN_STEP", shooting._E_TOL)
+        converges()
+
+    def test_offset_shots_land_within_1e_9(self):
+        # shots from off the exact energy, where the loose phase does the
+        # travelling: each still lands as close as the _RTOL secant alone
+        shots = [(spec, energy, coeffs, energy + offset, Contour())
+                 for spec, energy, coeffs, _ in validated_states()[1:]
+                 for offset in (0.02, -0.02, 0.05, -0.05)]
+        spec, energy, coeffs, _ = reference_m2_n3()
+        shots += [(spec, energy, coeffs, e_guess, Contour(epsilon))
+                  for epsilon in (0.25, 0.5, 1.0) for e_guess in (5.5, 5.7, 6.0)]
+        assert len(shots) == 25
+        for spec, energy, coeffs, e_guess, contour in shots:
+            result = find_eigenvalue(coeffs, spec.angular_momentum, e_guess, contour)
+            assert result.converged, (spec, e_guess, contour)
+            assert abs(result.energy - energy) <= 1e-9 * (1 + abs(energy)), (spec, e_guess)
 
     def test_escape_bound_reports_non_convergence(self):
         spec, energy, coeffs, _ = reference_m2_n3()
