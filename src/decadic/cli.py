@@ -272,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "the starting energy (at most 4), and reported in the output")
     p.add_argument("--residual-tol", type=float, default=1e-6,
                    help="Wronskian-mismatch tolerance for convergence")
-    p.add_argument("--max-iter", type=int, default=40, help="secant iteration cap")
+    p.add_argument("--max-iter", type=int, default=40,
+                   help="cap on the Newton search's mismatch evaluations")
     p.add_argument("--e-bound", type=float, default=1e6,
                    help="abandon the search when |E| escapes this bound")
     _add_out_arg(p)

@@ -16,9 +16,14 @@ Each start value is the optimally truncated asymptotic series of the
 decaying log-derivative in powers of 1/r^2 (_series_start), which also
 estimates its own error.
 
-find_eigenvalue's secant shoots its far iterates at _LOOSE_RTOL, where a
-cheaper mismatch moves it as far (Dembo, Eisenstat & Steihaug, SIAM J.
-Numer. Anal. 19, 400, 1982), and converges on three _RTOL mismatches.
+find_eigenvalue takes Newton steps on the mismatch g(E) (Keller, Numerical
+Methods for Two-Point Boundary-Value Problems, 1968, chapter 2): every
+integration carries u = dy/dE beside y, by the variational equation
+u' = dQ/dE - 2 y u = -1 - 2 y u, so one integration per half gives g and
+its slope (mismatch_and_slope).  Its far iterates run at _LOOSE_RTOL,
+where a cheaper mismatch moves it as far (Dembo, Eisenstat & Steihaug,
+SIAM J. Numer. Anal. 19, 400, 1982), and it converges on two _RTOL
+mismatches.
 
 The equation is stiff where |y| ~ |r|^5 is large, so the start radius x_max
 sets most of the cost, on both kinds of contour: the default one starts at
@@ -34,15 +39,19 @@ V is the decadic well of model.potential_coeffs, with real coefficients,
 so at a real energy V(-conj r) = conj V(r): on a contour that is its own PT
 mirror (r -> -conj r) the left log-derivative is -conj of the right one,
 bit for bit, since IEEE complex arithmetic and cmath.sqrt commute with
-conjugation and DOP853 takes the same steps.  wronskian_mismatch then
-integrates the left half only.
+conjugation and DOP853 takes the same steps.  mismatch_and_slope then
+integrates the left half only, and u of the right half is -conj of the
+left one too.
 
 The integrator is scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
 section II.10) run on one complex scalar in this module: scipy's step,
 generated from its tableau as straight-line code with the Riccati
 right-hand side written into every stage, and scipy's error estimate and
 step control, without solve_ivp's per-step numpy work on a two-element real
-state.  The tableau is kept here as literal floats, scipy's bit for bit
+state.  u rides along: each stage also takes the variational right-hand
+side, and u is updated with the same weights, but the error estimate and
+so the steps are y's alone, so every y is the one a y-only step gives.
+The tableau is kept here as literal floats, scipy's bit for bit
 (_Tableau), so shooting does not import scipy; the step is generated from
 it on the first integration.
 """
@@ -69,6 +78,7 @@ __all__ = [
     "PoleError",
     "integrate_log_derivative",
     "wronskian_mismatch",
+    "mismatch_and_slope",
     "find_eigenvalue",
 ]
 
@@ -83,13 +93,13 @@ class PoleError(RuntimeError):
 
 # the depth of a default contour deeper than this (see Contour)
 _TRANSIT_DEPTH = 0.5
-# the secant stops when a step is at most _E_TOL * (1 + |E|)
+# the search stops when a Newton correction is at most _E_TOL * (1 + |E|)
 _E_TOL = 1e-9
 # |y| at which an integration stops and reports a pole (PoleError)
 _POLE_THRESHOLD = 1e8
-# default relative tolerance of the integration, the one the secant converges at
+# default relative tolerance of the integration, the one the search converges at
 _RTOL = 1e-10
-# the secant's far iterates' rtol, until a step is at most _TIGHTEN_STEP * (1 + |E|)
+# the search's far iterates' rtol, until a step is at most _TIGHTEN_STEP * (1 + |E|)
 _LOOSE_RTOL = 1e-5
 _TIGHTEN_STEP = 1e-3
 # the derived start radius is scanned down from _X_MAX_START in _X_MAX_STEP
@@ -230,9 +240,11 @@ def _decay_sector(r: complex):
 
 @dataclass(frozen=True)
 class ShootingResult:
-    """iterations counts the secant steps of both phases (see
-    find_eigenvalue); wronskian_residual is the last mismatch, at _RTOL when
-    converged, possibly at _LOOSE_RTOL when not."""
+    """iterations counts the mismatch evaluations of both phases (see
+    find_eigenvalue).  A converged energy is one Newton correction past the
+    last evaluated one, and wronskian_residual is |g| at that last one, an
+    _RTOL mismatch; an unconverged energy is the last evaluated one, with
+    its |g|, possibly at _LOOSE_RTOL."""
 
     energy: float
     wronskian_residual: float
@@ -351,19 +363,24 @@ _RTOL_FLOOR = 100 * sys.float_info.epsilon
 class IvpResult:
     t: list  # accepted times along the leg, 0 to 1 (a leg that stops raises PoleError)
     y: list  # complex solution at those times
+    u: complex  # dy/dE at t = 1, carried from u0 by the variational equation
     nfev: int  # counted as scipy counts: 2 for the start, 12 per attempted step
 
 
-# the Riccati right-hand side dr * (Q(z0 + t * dr) - y^2) of one leg into k;
-# stage values far past a pole would overflow y * y, so they give 0j and the
-# pole event raises PoleError on the accepted values
-_RICCATI = """\
-        if abs({y}) <= 1e100:
-            r = z0 + {t} * dr
-            r2 = r * r
-            {k} = dr * (%s - {y} * {y})
-        else:
-            {k} = 0j""" % _Q
+def _riccati(y, t, k, u=None, v=None):
+    """Source of one leg's Riccati stage k = dr * (Q(z0 + t * dr) - y^2)
+    and, given u and v, of the stage v = dr * (dQ/dE - 2 y u) =
+    m2dr * (y * u) - dr of u = dy/dE beside it.  Stage values far past a
+    pole would overflow y * y, so they give 0j, and the pole event raises
+    PoleError on the accepted values."""
+    lines = [f"        if abs({y}) <= 1e100:",
+             f"            r = z0 + {t} * dr",
+             "            r2 = r * r",
+             f"            {k} = dr * ({_Q} - {y} * {y})"]
+    if v:
+        lines.append(f"            {v} = m2dr * ({y} * {u}) - dr")
+    lines += ["        else:", f"            {k} = {v + ' = ' if v else ''}0j"]
+    return "\n".join(lines)
 
 
 class _Tableau:
@@ -413,28 +430,33 @@ def _dop853():
     """The DOP853 step for the Riccati leg, generated from _Tableau.
 
     Returns leg(z0, dr, a, b, c, d, ll1, e0), which gives the leg's
-    right-hand side rhs(t, y) and step(t, h, t_new, y, f) -> (y_new, f_new,
-    err3, err5): the eleven stages after f, the update, f_new = rhs(t_new,
-    y_new) and the two error estimates as straight-line code, with no call
-    per stage.  The coefficients are written in with repr and the zero ones
-    left out; every sum starts from 0j and runs in the tableau's order, as
-    a loop over it would, so the results are the loop's bit for bit.
+    right-hand side rhs(t, y) and step(t, h, t_new, y, f, u) -> (y_new,
+    f_new, err3, err5, u_new): the eleven stages after f, the update,
+    f_new = rhs(t_new, y_new) and the two error estimates as straight-line
+    code, with no call per stage.  The coefficients are written in with repr
+    and the zero ones left out; every sum starts from 0j and runs in the
+    tableau's order, as a loop over it would, so the results are the loop's
+    bit for bit.  u = dy/dE takes the same stages and weights (v0..v11 beside
+    k0..k11); no y line reads it, so y is what a y-only step gives.
     """
-    def combination(weights):
-        return "0j" + "".join(f" + k{j} * {w!r}" for j, w in enumerate(weights) if w)
+    def combination(weights, k="k"):
+        return "0j" + "".join(f" + {k}{j} * {w!r}" for j, w in enumerate(weights) if w)
 
-    source = ["def leg(z0, dr, a, b, c, d, ll1, e0):", "    def rhs(t, y):",
-              _RICCATI.format(y="y", t="t", k="f"), "        return f",
-              "    def step(t, h, t_new, y, k0):"]
+    source = ["def leg(z0, dr, a, b, c, d, ll1, e0):", "    m2dr = -2 * dr",
+              "    def rhs(t, y):", _riccati("y", "t", "f"), "        return f",
+              "    def step(t, h, t_new, y, k0, u):",
+              "        v0 = m2dr * (y * u) - dr if abs(y) <= 1e100 else 0j"]
     for s in range(1, _Tableau.n_stages):
         source += [f"        y_s = y + ({combination(_Tableau.A[s])}) * h",
-                   _RICCATI.format(y="y_s", t=f"(t + {_Tableau.C[s]!r} * h)", k=f"k{s}")]
+                   f"        u_s = u + ({combination(_Tableau.A[s], 'v')}) * h",
+                   _riccati("y_s", f"(t + {_Tableau.C[s]!r} * h)", f"k{s}", "u_s", f"v{s}")]
     n = _Tableau.n_stages  # k{n} is f_new, as in scipy's K
     source += [f"        y_new = y + h * ({combination(_Tableau.B)})",
-               _RICCATI.format(y="y_new", t="t_new", k=f"k{n}"),
+               f"        u_new = u + h * ({combination(_Tableau.B, 'v')})",
+               _riccati("y_new", "t_new", f"k{n}"),
                f"        err3 = {combination(_Tableau.E3)}",
                f"        err5 = {combination(_Tableau.E5)}",
-               f"        return y_new, k{n}, err3, err5",
+               f"        return y_new, k{n}, err3, err5, u_new",
                "    return rhs, step"]
     return _define("\n".join(source), "leg")
 
@@ -462,26 +484,31 @@ def _initial_step(fun, y0, f0, rtol, atol):
     return min(100 * h0, h1, 1.0)
 
 
-def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol) -> IvpResult:
+def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol, u0=0j) -> IvpResult:
     """Integrate the Riccati equation of the Q with these terms (q.terms of
     _q_func) along the straight leg r = z0 + t * (z1 - z0), t from 0 to 1,
     with DOP853:
 
         dy/dt = (z1 - z0) * (Q(r) - y^2),
 
-    where y is the log-derivative in r.  scipy's step, generated from its
-    tableau (_Tableau, _dop853), with the step control of
-    scipy.integrate.solve_ivp(method="DOP853") and a terminal event on the
-    upward crossing of |y| - _POLE_THRESHOLD: the real and imaginary parts
-    are scaled and normed separately, as scipy does on the state [re, im],
-    so the steps are scipy's.  Sums run in sequence rather than through
+    where y is the log-derivative in r, and beside it, from u0 = dy0/dE, its
+    variational equation for u = dy/dE (dQ/dE = -1):
+
+        du/dt = (z1 - z0) * (-1 - 2 y u).
+
+    scipy's step, generated from its tableau (_Tableau, _dop853), with the
+    step control of scipy.integrate.solve_ivp(method="DOP853") and a
+    terminal event on the upward crossing of |y| - _POLE_THRESHOLD: the
+    real and imaginary parts are scaled and normed separately, as scipy
+    does on the state [re, im], so the steps are scipy's.  Sums run in sequence rather than through
     BLAS, so results may differ from scipy's in the last bits.  Raises
     PoleError where the leg stops: at the threshold crossing, placed by
     linear interpolation of |y| within the step that crosses it, or at the
-    last accepted t when the step size collapses.
+    last accepted t when the step size collapses.  The steps, and so every
+    y, do not depend on u.
     """
     t, t_bound = 0.0, 1.0
-    y = complex(y0)
+    y, u = complex(y0), complex(u0)
     if not cmath.isfinite(y):
         raise ValueError(f"y0 must be finite, got {y}")
     # atol = 0 would divide by a zero scale where a part of y stays 0
@@ -505,7 +532,7 @@ def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol) -> IvpResult:
                 raise PoleError(z0 + t * (z1 - z0))
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
-            y_new, f_new, err3, err5 = step(t, h, t_new, y, f)
+            y_new, f_new, err3, err5, u_new = step(t, h, t_new, y, f, u)
             nfev += 12
             scale_re = atol + max(abs(y.real), abs(y_new.real)) * rtol
             scale_im = atol + max(abs(y.imag), abs(y_new.imag)) * rtol
@@ -528,8 +555,8 @@ def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol) -> IvpResult:
         if g <= 0 <= g_new:
             crossing = g / (g - g_new) if g < g_new else 0.0
             raise PoleError(z0 + (t + crossing * (t_new - t)) * (z1 - z0))
-        t, y, f, g = t_new, y_new, f_new, g_new
-    return IvpResult(ts, ys, nfev)
+        t, y, f, g, u = t_new, y_new, f_new, g_new, u_new
+    return IvpResult(ts, ys, u, nfev)
 
 
 def _damping(q, nodes) -> float:
@@ -620,6 +647,28 @@ def _resolved(contour: Contour, q, rtol: float) -> Contour:
     return dataclasses.replace(contour, x_max=_start_radius(q, contour, rtol))
 
 
+def _integrate_half(q, nodes, rtol: float, atol: float):
+    """(rs, ys, u) of the half with these nodes, from its start nodes[0]
+    to the matching point: the accepted points and log-derivatives, and
+    u = dy/dE at the matching point.  y starts on the decaying branch
+    (q.start), u at u0 = -1/(2 y0), the leading term of the start's
+    E-derivative (only the r^0 coefficient -E of Q depends on E, and the
+    series term it enters, c_5 r^(-5), has dc_5/dE = 1/2)."""
+    if not cmath.isfinite(q(nodes[0])):
+        raise ValueError(f"Q overflows at the contour start {nodes[0]}: x_max is too large")
+    y, _ = q.start(nodes[0])
+    u = -0.5 / y
+    rs = [nodes[0]]
+    ys = [y]
+    for z0, z1 in zip(nodes[:-1], nodes[1:]):
+        dr = z1 - z0
+        sol = solve_ivp(q.terms, z0, z1, y, rtol, atol, u)
+        rs.extend(z0 + t * dr for t in sol.t[1:])
+        ys.extend(sol.y[1:])
+        y, u = ys[-1], sol.u
+    return rs, ys, u
+
+
 def integrate_log_derivative(coeffs: PotentialCoeffs, big_l, energy, contour: Contour,
                              direction: str, *, rtol: float = _RTOL, atol: float = 1e-10):
     """Samples (r, y) of the log-derivative along one half of the contour.
@@ -637,53 +686,72 @@ def integrate_log_derivative(coeffs: PotentialCoeffs, big_l, energy, contour: Co
     q = _q_func(coeffs, big_l, energy)
     contour = _resolved(contour, q, rtol)
     nodes = contour.left_nodes() if direction == "from_left" else contour.right_nodes()
-    if not cmath.isfinite(q(nodes[0])):
-        raise ValueError(f"Q overflows at the contour start {nodes[0]}: x_max is too large")
-    y, _ = q.start(nodes[0])
-    rs = [nodes[0]]
-    ys = [y]
-    for z0, z1 in zip(nodes[:-1], nodes[1:]):
-        dr = z1 - z0
-        sol = solve_ivp(q.terms, z0, z1, y, rtol, atol)
-        rs.extend(z0 + t * dr for t in sol.t[1:])
-        ys.extend(sol.y[1:])
-        y = ys[-1]
+    rs, ys, _ = _integrate_half(q, nodes, rtol, atol)
     return np.array(rs), np.array(ys)
+
+
+def mismatch_and_slope(coeffs: PotentialCoeffs, big_l, energy, contour: Contour,
+                       *, rtol: float = _RTOL, atol: float = 1e-10):
+    """(g, g') at this energy: the mismatch of wronskian_mismatch and its
+    derivative in E, from one integration per integrated half.
+
+    With y_l, y_r the left and right log-derivatives at the matching point
+    and u_l, u_r their E-derivatives (carried by the integration, see
+    solve_ivp), N = y_l - y_r and D = 1 + |y_l| + |y_r|:
+
+        g = Re(N / D),   g' = Re((N' D - N D') / D^2),
+        N' = u_l - u_r,  D' = Re(conj(y_l) u_l) / |y_l| + Re(conj(y_r) u_r) / |y_r|.
+
+    On a contour that is its own PT mirror, at a real energy, only the left
+    half is integrated: y_r = -conj(y_l) and u_r = -conj(u_l).  A contour
+    without x_max starts both halves at the radius derived at this energy.
+    Raises PoleError as integrate_log_derivative does."""
+    q = _q_func(coeffs, big_l, energy)
+    contour = _resolved(contour, q, rtol)
+    _, ys, u_l = _integrate_half(q, contour.left_nodes(), rtol, atol)
+    y_l = ys[-1]
+    if _mirrored(q, contour):
+        y_r, u_r = -y_l.conjugate(), -u_l.conjugate()
+    else:
+        _, ys, u_r = _integrate_half(q, contour.right_nodes(), rtol, atol)
+        y_r = ys[-1]
+    num, den = y_l - y_r, 1 + abs(y_l) + abs(y_r)
+    den_slope = _abs_slope(y_l, u_l) + _abs_slope(y_r, u_r)
+    slope = ((u_l - u_r) * den - num * den_slope).real / (den * den)
+    # numpy's complex division, which multiplies by the reciprocal of a real
+    # divisor, so that g is the formula on integrate_log_derivative's
+    # samples bit for bit
+    return float((np.complex128(num) / den).real), float(slope)
+
+
+def _abs_slope(y: complex, u: complex) -> float:
+    """d|y|/dE = Re(conj(y) u) / |y| for u = dy/dE; 0 at y = 0."""
+    return (y.real * u.real + y.imag * u.imag) / abs(y) if y else 0.0
 
 
 def wronskian_mismatch(coeffs: PotentialCoeffs, big_l, energy: float, contour: Contour,
                        *, rtol: float = _RTOL, atol: float = 1e-10) -> float:
     """Dimensionless mismatch of left and right log-derivatives at the match
-    point; vanishes exactly at eigenvalues.  On the symmetric contour the
-    complex parts cancel, so only the real part carries information.
-
-    The right half is taken as -conj of the left one, not integrated, when
-    the energy is real and the contour is its own PT mirror (see the module
-    docstring).  A contour without x_max starts both halves at the radius
-    derived at this energy."""
-    q = _q_func(coeffs, big_l, energy)
-    contour = _resolved(contour, q, rtol)
-    _, ys_l = integrate_log_derivative(coeffs, big_l, energy, contour, "from_left",
-                                       rtol=rtol, atol=atol)
-    yl = ys_l[-1]
-    if _mirrored(q, contour):
-        yr = -yl.conjugate()
-    else:
-        _, ys_r = integrate_log_derivative(coeffs, big_l, energy, contour, "from_right",
-                                           rtol=rtol, atol=atol)
-        yr = ys_r[-1]
-    return float(((yl - yr) / (1 + abs(yl) + abs(yr))).real)
+    point, Re((y_l - y_r) / (1 + |y_l| + |y_r|)); vanishes exactly at
+    eigenvalues.  On the symmetric contour the complex parts cancel, so only
+    the real part carries information.  It is the g of mismatch_and_slope,
+    which says which halves are integrated, and from which radius."""
+    return mismatch_and_slope(coeffs, big_l, energy, contour, rtol=rtol, atol=atol)[0]
 
 
 def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Contour,
                     residual_tol: float = 1e-6, max_iter: int = 40,
                     e_bound: float = 1e6) -> ShootingResult:
-    """Secant refinement of the Wronskian mismatch starting from e_guess.
+    """Newton refinement of the Wronskian mismatch starting from e_guess.
 
-    The mismatches run at rtol _LOOSE_RTOL (1e-5) until a secant step is at
-    most _TIGHTEN_STEP * (1 + |E|), then at _RTOL (1e-10) for the rest of
-    the search; the step test (at most _E_TOL * (1 + |E|)) stops it only
-    when the last three ran at _RTOL.
+    Each step evaluates (g, g') by mismatch_and_slope, at rtol _LOOSE_RTOL
+    (1e-5) until a Newton step is at most _TIGHTEN_STEP * (1 + |E|), then
+    at _RTOL (1e-10) for the rest of the search.  It converges when, after
+    at least two _RTOL evaluations, the correction |g / g'| is at most
+    _E_TOL * (1 + |E|) and |g| is at most residual_tol; it returns the
+    corrected energy and |g| of the last evaluated one.  g' = 0 or not
+    finite, a step beyond e_bound and max_iter evaluations end it
+    unconverged, at the last evaluated energy.
 
     Non-convergence (wild steps, |E| escaping e_bound, persistent poles) is
     reported in the result, never raised.  A contour without x_max gets the
@@ -707,7 +775,7 @@ def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Con
     for x in match_points:
         shot = contour if x == 0.0 else _shifted(contour, x)
         try:
-            found = _secant(coeffs, big_l, e_guess, shot, residual_tol, max_iter, e_bound)
+            found = _newton(coeffs, big_l, e_guess, shot, residual_tol, max_iter, e_bound)
         except PoleError:
             continue
         return ShootingResult(*found, contour=contour)
@@ -725,32 +793,24 @@ def _shifted(contour: Contour, x: float) -> Contour:
     return Contour(waypoints=waypoints, x_max=abs(left[0]))
 
 
-def _secant(coeffs, big_l, e_guess, contour, residual_tol, max_iter, e_bound):
-    """(energy, residual, iterations, converged) of the secant search."""
-    rtol = _LOOSE_RTOL
-
-    def g(e):
-        return wronskian_mismatch(coeffs, big_l, e, contour, rtol=rtol)
-
-    e0 = float(e_guess)
-    e1 = e0 + max(1e-3, 1e-3 * abs(e0))
-    f0, f1 = g(e0), g(e1)
-    iterations = tight = 0
-    step_converged = False
+def _newton(coeffs, big_l, e_guess, contour, residual_tol, max_iter, e_bound):
+    """(energy, residual, iterations, converged) of the Newton search."""
+    rtol, tight = _LOOSE_RTOL, 0
+    next_energy = float(e_guess)
     for iterations in range(1, max_iter + 1):
-        if f1 == f0:
+        energy = next_energy
+        g, slope = mismatch_and_slope(coeffs, big_l, energy, contour, rtol=rtol)
+        tight += rtol == _RTOL
+        if not slope or not math.isfinite(slope):
             break
-        e2 = e1 - f1 * (e1 - e0) / (f1 - f0)
-        if not math.isfinite(e2) or abs(e2) > e_bound:
-            return float(e1), float(abs(f1)), iterations, False
-        if abs(e2 - e1) <= _TIGHTEN_STEP * (1 + abs(e2)):
+        correction = g / slope
+        next_energy = energy - correction
+        if (tight >= 2 and abs(correction) <= _E_TOL * (1 + abs(energy))
+                and abs(g) <= residual_tol):
+            return next_energy, abs(g), iterations, True
+        # "not <=" rather than ">", so that a NaN step ends the search too
+        if not abs(next_energy) <= e_bound:
+            break
+        if abs(correction) <= _TIGHTEN_STEP * (1 + abs(next_energy)):
             rtol = _RTOL
-        e0, f0 = e1, f1
-        e1 = e2
-        f1 = g(e1)
-        tight = tight + 1 if rtol == _RTOL else 0
-        if tight >= 3 and abs(e1 - e0) <= _E_TOL * (1 + abs(e1)):
-            step_converged = True
-            break
-    residual = float(abs(f1))
-    return float(e1), residual, iterations, step_converged and residual <= residual_tol
+    return energy, abs(g), iterations, False

@@ -269,7 +269,7 @@ class TestStartRadius:
             assert err * math.exp(-shooting._damping(q, half)) <= shooting._RTOL
         # find_eigenvalue derives it once, at e_guess, and reports it.  On
         # the pole test's polyline the integrated y misses the closed form
-        # at -i by 4e-3 (1e-2 with the waypoints as given), so the secant
+        # at -i by 4e-3 (1e-2 with the waypoints as given), so the search
         # does not settle there
         result = find_eigenvalue(coeffs, big_l, energy, contour)
         assert result.converged == (contour.waypoints != POLE_TEST_WAYPOINTS)
@@ -351,9 +351,9 @@ class TestStartRadius:
     def test_deep_contour_shoots_the_transit_contour(self, monkeypatch, epsilon):
         # a contour deeper than the transit depth 0.5 is the epsilon = 0.5
         # one: the same halves, the same derived radius and the same shot,
-        # bit for bit, with no stiff leg down to -i*epsilon: 7 integrated
-        # legs per shot (4 at _LOOSE_RTOL, 3 at _RTOL), where a vertical
-        # first leg made 14
+        # bit for bit, with no stiff leg down to -i*epsilon: 5 integrated
+        # legs per shot (3 at _LOOSE_RTOL, 2 at _RTOL), where a vertical
+        # first leg and the secant made 14
         spec, _, coeffs, _ = reference_m2_n3()
         big_l = spec.angular_momentum
         for x_max in (1.9, 4.0):
@@ -366,15 +366,15 @@ class TestStartRadius:
         calls = []
         solve_ivp = shooting.solve_ivp
 
-        def counting_solve_ivp(terms, z0, z1, y0, rtol, atol):
+        def counting_solve_ivp(terms, z0, z1, y0, rtol, atol, u0):
             calls.append(rtol)
-            return solve_ivp(terms, z0, z1, y0, rtol, atol)
+            return solve_ivp(terms, z0, z1, y0, rtol, atol, u0)
 
         monkeypatch.setattr(shooting, "solve_ivp", counting_solve_ivp)
         transit = find_eigenvalue(coeffs, big_l, 5.5, Contour(0.5))
         calls.clear()
         deep = find_eigenvalue(coeffs, big_l, 5.5, Contour(epsilon))
-        assert calls == [shooting._LOOSE_RTOL] * 4 + [shooting._RTOL] * 3
+        assert calls == [shooting._LOOSE_RTOL] * 3 + [shooting._RTOL] * 2
         assert ((deep.energy, deep.wronskian_residual, deep.iterations, deep.converged)
                 == (transit.energy, transit.wronskian_residual, transit.iterations, True))
         assert deep.contour == Contour(epsilon, 1.9)
@@ -591,6 +591,18 @@ class TestScalarDop853:
             # both integrators start the next leg from the same value
             y0 = ours.y[-1]
 
+    def test_y_does_not_depend_on_u(self):
+        # u = dy/dE rides along: the steps, the values and the count of
+        # right-hand sides are those of u0 = 0 for every u0
+        q, legs, y0 = self.legs(Contour(epsilon=0.5, x_max=4.0), "from_left", 5.5)
+        (z0, z1), = legs
+        runs = [shooting.solve_ivp(q.terms, z0, z1, y0, rtol, 1e-10, u0)
+                for rtol in (1e-10, 1e-5) for u0 in (0j, -0.5 / y0, complex(1e3, -1e3))]
+        for plain, *carried in (runs[:3], runs[3:]):
+            for sol in carried:
+                assert (sol.t, sol.nfev) == (plain.t, plain.nfev)
+                assert TestGeneratedStep.bits(sol.y) == TestGeneratedStep.bits(plain.y)
+
     def test_non_finite_start_raises_at_once(self):
         # terms that cannot be unpacked: a leg that were integrated before
         # the checks would raise TypeError instead
@@ -644,32 +656,30 @@ class TestScalarDop853:
 class TestGeneratedStep:
     """The straight-line step of shooting._dop853 gives, bit for bit, what a
     loop over scipy's tableau gives with the Riccati right-hand side called
-    once per stage."""
+    once per stage, and u = dy/dE what the same loop gives with the
+    variational right-hand side dr * (-1 - 2 y u) beside it."""
 
     @staticmethod
-    def looped_step(rhs, t, h, t_new, y, f):
+    def looped_step(rhs, slope_rhs, t, h, t_new, y, f, u):
         from scipy.integrate import DOP853
 
-        k = [f]
+        def combination(stages, weights):
+            total = 0j
+            for j, w in enumerate(weights):
+                if w:
+                    total += stages[j] * float(w)
+            return total
+
+        k, v = [f], [slope_rhs(y, u)]
         for s in range(1, DOP853.n_stages):
-            dy = 0j
-            for j in range(s):
-                if DOP853.A[s, j]:
-                    dy += k[j] * float(DOP853.A[s, j])
-            k.append(rhs(t + float(DOP853.C[s]) * h, y + dy * h))
-        dy = 0j
-        for j, b in enumerate(DOP853.B):
-            if b:
-                dy += k[j] * float(b)
-        y_new = y + h * dy
+            y_s = y + combination(k, DOP853.A[s, :s]) * h
+            u_s = u + combination(v, DOP853.A[s, :s]) * h
+            k.append(rhs(t + float(DOP853.C[s]) * h, y_s))
+            v.append(slope_rhs(y_s, u_s))
+        y_new = y + h * combination(k, DOP853.B)
+        u_new = u + h * combination(v, DOP853.B)
         k.append(rhs(t_new, y_new))
-        err3 = err5 = 0j
-        for j, (e3, e5) in enumerate(zip(DOP853.E3, DOP853.E5)):
-            if e3:
-                err3 += k[j] * float(e3)
-            if e5:
-                err5 += k[j] * float(e5)
-        return y_new, k[-1], err3, err5
+        return (y_new, k[-1], combination(k, DOP853.E3), combination(k, DOP853.E5), u_new)
 
     def test_tableau_is_scipys(self):
         # every entry shooting keeps, zeros included, so that a moved or
@@ -693,10 +703,12 @@ class TestGeneratedStep:
         return [(z.real.hex(), z.imag.hex()) for z in values]
 
     def assert_same_steps(self, q, z0, z1, points):
-        """Compares the steps (t, h, y) of the leg; returns how many stage
-        values of the loop fell outside the guard |y| <= 1e100."""
+        """Compares the steps (t, h, y) of the leg, with u = -1/(2y) (the
+        start's) and u = 0; returns how many stage values of the loop fell
+        outside the guard |y| <= 1e100."""
         rhs, step = shooting._dop853()(z0, z1 - z0, *q.terms)
         riccati = TestScalarDop853.riccati(q, z0, z1)
+        dr = z1 - z0
         guarded = []
 
         def reference(t, y):
@@ -704,13 +716,24 @@ class TestGeneratedStep:
                 guarded.append(y)
             return riccati(t, y)
 
+        def slope_reference(y, u):
+            return -2 * dr * (y * u) - dr if abs(y) <= 1e100 else 0j
+
         for t, h, y in points:
             t_new = t + h
             f = rhs(t, y)
             assert self.bits([f]) == self.bits([reference(t, y)])
-            ours = step(t, t_new - t, t_new, y, f)
-            assert (self.bits(ours)
-                    == self.bits(self.looped_step(reference, t, t_new - t, t_new, y, f))), (t, h, y)
+            steps = []
+            for u in (-0.5 / y if y else 0j, 0j):
+                counted = len(guarded)
+                ours = step(t, t_new - t, t_new, y, f, u)
+                looped = self.looped_step(reference, slope_reference, t, t_new - t, t_new, y, f, u)
+                assert self.bits(ours) == self.bits(looped), (t, h, y, u)
+                steps.append(ours[:4])
+            # the y outputs do not depend on u; the second loop's stages are
+            # the first one's
+            assert self.bits(steps[0]) == self.bits(steps[1])
+            del guarded[counted:]
         return len(guarded)
 
     @pytest.mark.parametrize("contour", [
@@ -755,71 +778,82 @@ class TestFindEigenvalue:
         assert abs(e4.energy - e8.energy) <= 1e-7
 
     @staticmethod
-    def assert_tightened_once(rtols):
-        # loose first, one switch to _RTOL, never undone, and the last three
-        # (the two behind the final slope and the confirming one) at _RTOL
+    def recording(monkeypatch, mismatch=None):
+        """Records (energy, rtol) of every mismatch the search evaluates,
+        through mismatch (by default the real one) in place of
+        mismatch_and_slope."""
+        evaluations = []
+        mismatch = mismatch or shooting.mismatch_and_slope
+
+        def recorded(coeffs, big_l, energy, contour, *, rtol, **kwargs):
+            evaluations.append((energy, rtol))
+            return mismatch(coeffs, big_l, energy, contour, rtol=rtol, **kwargs)
+
+        monkeypatch.setattr(shooting, "mismatch_and_slope", recorded)
+        return evaluations
+
+    @staticmethod
+    def assert_tightened_once(evaluations, result):
+        # loose first, one switch to _RTOL, never undone, at least two _RTOL
+        # evaluations, and the last correction within _E_TOL
+        rtols = [rtol for _, rtol in evaluations]
         loose = rtols.count(shooting._LOOSE_RTOL)
         assert loose >= 2
         assert rtols == [shooting._LOOSE_RTOL] * loose + [shooting._RTOL] * (len(rtols) - loose)
-        assert len(rtols) - loose >= 3
+        assert len(rtols) - loose >= 2
+        assert len(rtols) == result.iterations
+        last = evaluations[-1][0]
+        assert abs(result.energy - last) <= shooting._E_TOL * (1 + abs(last))
 
     def test_secant_tightens_before_it_converges(self, monkeypatch):
-        rtols = []
-        mismatch = shooting.wronskian_mismatch
-
-        def recording(*args, rtol, **kwargs):
-            rtols.append(rtol)
-            return mismatch(*args, rtol=rtol, **kwargs)
-
-        monkeypatch.setattr(shooting, "wronskian_mismatch", recording)
+        # (the Newton search, as the secant before it)
+        evaluations = self.recording(monkeypatch)
         spec, _, coeffs, _ = reference_m2_n3()
         result = find_eigenvalue(coeffs, spec.angular_momentum, 5.5, Contour(0.5))
         assert result.converged
-        self.assert_tightened_once(rtols)
+        self.assert_tightened_once(evaluations, result)
         assert abs(result.energy - CBRT192) <= 1e-9
         spec, energy, coeffs, _ = validated_states()[3]
-        rtols.clear()
+        evaluations.clear()
         result = find_eigenvalue(coeffs, spec.angular_momentum, energy + 0.05, Contour())
         assert result.converged
-        self.assert_tightened_once(rtols)
+        self.assert_tightened_once(evaluations, result)
         assert abs(result.energy - energy) <= 1e-9 * (1 + abs(energy))
 
     @pytest.mark.parametrize("e_star, e_guess", [(3.0, 3.5), (-2.0, 1.0), (40.0, 41.0)])
     def test_secant_converges_only_at_full_tolerance(self, monkeypatch, e_star, e_guess):
-        # a mismatch whose error scales with rtol: the loose phase lands near
-        # e_star, and only the _RTOL evaluations pin it to _E_TOL
-        rtols = []
+        # (the Newton search, as the secant before it) a mismatch whose error
+        # scales with rtol: the loose phase lands near e_star, and only the
+        # _RTOL evaluations pin it to _E_TOL
+        def mismatch(coeffs, big_l, e, contour, *, rtol, atol=1e-10):
+            return ((e - e_star) + rtol * math.sin(1e3 * e),
+                    1 + 1e3 * rtol * math.cos(1e3 * e))
 
-        def mismatch(coeffs, big_l, e, contour, *, rtol=shooting._RTOL, atol=1e-10):
-            rtols.append(rtol)
-            return (e - e_star) + rtol * math.sin(1e3 * e)
-
-        monkeypatch.setattr(shooting, "wronskian_mismatch", mismatch)
+        evaluations = self.recording(monkeypatch, mismatch)
         spec, _, coeffs, _ = reference_m2_n3()
         contour = Contour(0.5, 2.0)
 
         def converges():
-            rtols.clear()
+            evaluations.clear()
             result = find_eigenvalue(coeffs, spec.angular_momentum, e_guess, contour)
             assert result.converged
             assert abs(result.energy - e_star) <= shooting._E_TOL * (1 + abs(e_star))
-            self.assert_tightened_once(rtols)
+            self.assert_tightened_once(evaluations, result)
 
         converges()
-        # one secant step ends the search in the loose phase
-        rtols.clear()
+        # one evaluation ends the search in the loose phase
+        evaluations.clear()
         result = find_eigenvalue(coeffs, spec.angular_momentum, e_guess, contour, max_iter=1)
-        assert set(rtols) == {shooting._LOOSE_RTOL}
+        assert evaluations == [(e_guess, shooting._LOOSE_RTOL)]
         assert not result.converged
         # with the switch put off until a loose step passes the step test
-        # itself, the search still stops only on three _RTOL mismatches (on
-        # two, it stopped 2e-6 to 9e-6 from e_star, unconverged)
+        # itself, the search still stops only on _RTOL mismatches
         monkeypatch.setattr(shooting, "_TIGHTEN_STEP", shooting._E_TOL)
         converges()
 
     def test_offset_shots_land_within_1e_9(self):
         # shots from off the exact energy, where the loose phase does the
-        # travelling: each still lands as close as the _RTOL secant alone
+        # travelling: each still lands as close as an _RTOL search alone
         shots = [(spec, energy, coeffs, energy + offset, Contour())
                  for spec, energy, coeffs, _ in validated_states()[1:]
                  for offset in (0.02, -0.02, 0.05, -0.05)]
@@ -917,6 +951,64 @@ class TestFindEigenvalue:
             assert abs(result.energy - energy) <= 1e-6, (spec, energy, coupling)
 
 
+class TestNewton:
+    """find_eigenvalue takes Newton steps on (g, g') of mismatch_and_slope,
+    whose slope comes from u = dy/dE carried by the integration."""
+
+    @pytest.mark.parametrize("contour", [
+        Contour(epsilon=0.25), Contour(epsilon=0.5), Contour(epsilon=1.0),
+        Contour(waypoints=BENT_WAYPOINTS)], ids=["eps0.25", "eps0.5", "eps1", "bent"])
+    def test_slope_matches_central_difference(self, monkeypatch, contour):
+        # u starts at -1/(2 y0), the leading term of the start's derivative;
+        # the path damps its error, to 2.2e-3 relative at epsilon 0.5, E 5.5
+        spec, _, coeffs, _ = reference_m2_n3()
+        big_l, h = spec.angular_momentum, 1e-6
+        for energy in (5.5, 5.77, 6.0):
+            q = shooting._q_func(coeffs, big_l, energy)
+            shot = shooting._resolved(contour, q, shooting._RTOL)
+            g, slope = shooting.mismatch_and_slope(coeffs, big_l, energy, shot)
+            assert g == wronskian_mismatch(coeffs, big_l, energy, shot)
+            central = (wronskian_mismatch(coeffs, big_l, energy + h, shot)
+                       - wronskian_mismatch(coeffs, big_l, energy - h, shot)) / (2 * h)
+            assert abs(slope - central) <= 1e-2 * abs(central), (energy, slope, central)
+            if contour.waypoints is None:
+                # u_r = -conj(u_l) on the mirror, as the right half gives it
+                with monkeypatch.context() as patched:
+                    patched.setattr(shooting, "_mirrored", lambda *args: False)
+                    assert (shooting.mismatch_and_slope(coeffs, big_l, energy, shot)
+                            == (g, slope))
+
+    def test_exactly_linear_mismatch_converges(self, monkeypatch):
+        # g = (e - 3) + rtol is exactly linear at each tolerance.  The secant
+        # stalled on it: a loose step landed on the loose root, so the next
+        # step was 0 and every later slope was taken between equal energies;
+        # it ended after 4 steps at 2.99999, unconverged.  Newton takes the
+        # slope from the evaluation itself
+        def mismatch(coeffs, big_l, e, contour, *, rtol, atol=1e-10):
+            return (e - 3.0) + rtol, 1.0
+
+        evaluations = TestFindEigenvalue.recording(monkeypatch, mismatch)
+        spec, _, coeffs, _ = reference_m2_n3()
+        result = find_eigenvalue(coeffs, spec.angular_momentum, 3.5, Contour(0.5, 2.0))
+        assert result.converged
+        assert abs(result.energy - (3.0 - shooting._RTOL)) <= shooting._E_TOL * 4
+        TestFindEigenvalue.assert_tightened_once(evaluations, result)
+        # a search that ends in the loose phase is unconverged
+        result = find_eigenvalue(coeffs, spec.angular_momentum, 3.5, Contour(0.5, 2.0),
+                                 max_iter=1)
+        assert (result.energy, result.iterations, result.converged) == (3.5, 1, False)
+
+    def test_flat_mismatch_ends_unconverged(self, monkeypatch):
+        # g' = 0 or not finite ends the search at the last evaluated energy
+        spec, _, coeffs, _ = reference_m2_n3()
+        for slope in (0.0, math.nan, math.inf):
+            monkeypatch.setattr(shooting, "mismatch_and_slope",
+                                lambda *args, rtol, slope=slope: (1e-3, slope))
+            result = find_eigenvalue(coeffs, spec.angular_momentum, 3.5, Contour(0.5, 2.0))
+            assert (result.energy, result.wronskian_residual, result.iterations,
+                    result.converged) == (3.5, 1e-3, 1, False)
+
+
 class TestPoles:
     def test_pole_error_reports_location(self, monkeypatch):
         # M = 2, N = 2 state at E = 4, d = 4 has psi(+-i) = 0; route the
@@ -940,19 +1032,19 @@ class TestPoles:
 
     @staticmethod
     def poles_at(monkeypatch, *xs):
-        """Make every half that ends at x in xs raise PoleError; returns the
-        x at which each half shot ends, poled or not."""
+        """Make every mismatch matched at x in xs raise PoleError; returns
+        the x at which each mismatch is matched, poled or not."""
         ends = []
-        integrate = shooting.integrate_log_derivative
+        mismatch = shooting.mismatch_and_slope
 
-        def poled(*args, **kwargs):
-            rs, ys = integrate(*args, **kwargs)
-            ends.append(rs[-1].real)
-            if any(abs(rs[-1].real - x) <= 1e-12 for x in xs):
-                raise PoleError(rs[-1])
-            return rs, ys
+        def poled(coeffs, big_l, energy, contour, **kwargs):
+            end = contour.left_nodes()[-1]
+            ends.append(end.real)
+            if any(abs(end.real - x) <= 1e-12 for x in xs):
+                raise PoleError(end)
+            return mismatch(coeffs, big_l, energy, contour, **kwargs)
 
-        monkeypatch.setattr(shooting, "integrate_log_derivative", poled)
+        monkeypatch.setattr(shooting, "mismatch_and_slope", poled)
         return ends
 
     @pytest.mark.parametrize("x_max", [None, 4.0], ids=["derived", "given"])
