@@ -3,14 +3,17 @@
 One polynomial type, Poly, generic over its coefficients and exact
 whenever they are ints or Fractions.  A polynomial in the energy E and the
 quadratic coupling d is a Poly in d whose coefficients are Polys in E; the
-generators are ENERGY and COUPLING, and p(d)(E) evaluates one.  det expands
-the banded secular matrices by a last-column minor recurrence that is exact
-and evaluation-order independent; its entries may be scalars or Polys, so a
-substitution such as d = E^2/4 goes into the entries and the determinant is
-expanded once.  On rational entries det runs on ints: each row is scaled by
-the lcm of its denominators and the result divided once at the end.
-Elimination of d between the two secular determinants uses the Sylvester
-resultant.
+generators are ENERGY and COUPLING, and p(d)(E) evaluates one.  One kernel,
+det_coeffs, expands a determinant whose entries are plain coefficient lists
+(polynomials in one variable over ints, or over Polys in E for det_bipoly),
+by a last-column minor recurrence on the banded secular matrices that is
+exact and evaluation-order independent; the solvers hand it int lists built
+from the numerators of alpha and beta, so a substitution such as d = E^2/4
+goes into the entries and the determinant is expanded once, without a
+Fraction or a Poly operation.  det takes scalar or Poly entries: on
+rational ones it scales each row by the lcm of its denominators, runs the
+kernel on ints and divides the result once at the end.  Elimination of d
+between the two secular determinants uses the Sylvester resultant.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "Root",
     "RootSet",
     "det",
+    "det_coeffs",
     "char_poly",
     "det_bipoly",
     "roots",
@@ -173,17 +177,32 @@ class RootSet:
         return sum(r.multiplicity for r in self.roots)
 
 
-def _is_zero(v) -> bool:
-    if isinstance(v, Poly):
-        return v.is_zero
-    return v == 0
+def _mul(a, b):
+    """Product of two coefficient lists (ascending; 0 or [] is zero)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _add(a, b, sign):
+    """a + sign * b for coefficient lists a, b and sign = +1 or -1."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = out[i] + c if sign > 0 else out[i] - c
+    return out
 
 
 def _lower_bandwidth(rows) -> int:
     w = 0
     for i, row in enumerate(rows):
         for j in range(i):
-            if not _is_zero(row[j]):
+            if row[j]:
                 w = max(w, i - j)
                 break
     return w
@@ -196,22 +215,24 @@ def _det_lower_hessenberg(rows):
 
         p_k = sum_j (+/-) rows[j][k-1] * (prod of subdiagonal j..k-2) * p_j
 
-    which is division-free, hence exact over Fraction and Poly entries.
+    which is division-free, hence exact over ints, Fractions and Polys.  The
+    sum runs up from the diagonal to column k-1's first nonzero entry.
     """
     n = len(rows)
-    minors = [1] + [None] * n
+    minors = [[1]] + [None] * n
     for k in range(1, n + 1):
-        acc = rows[k - 1][k - 1] * minors[k - 1]
-        chain = 1
-        for j in range(k - 2, -1, -1):
-            chain = chain * rows[j + 1][j]
-            if _is_zero(chain):
+        col = k - 1
+        top = next(j for j in range(k) if rows[j][col] or j == col)
+        acc = _mul(rows[col][col], minors[col])
+        chain = [1]
+        for j in range(col - 1, top - 1, -1):
+            sub = rows[j + 1][j]
+            if not sub:
                 break
-            entry = rows[j][k - 1]
-            if _is_zero(entry):
-                continue
-            term = entry * chain * minors[j]
-            acc = acc + term if (k - 1 - j) % 2 == 0 else acc - term
+            chain = _mul(chain, sub)
+            entry = rows[j][col]
+            if entry:
+                acc = _add(acc, _mul(_mul(entry, chain), minors[j]), (-1) ** (col - j))
         minors[k] = acc
     return minors[n]
 
@@ -219,23 +240,21 @@ def _det_lower_hessenberg(rows):
 def _det_memo(rows):
     """Division-free determinant by minor expansion memoized on column masks."""
     n = len(rows)
-    cache = {0: 1}
+    cache = {0: [1]}
 
     def minor(mask, depth):
         # det of rows[depth:] on the columns present in mask
         if mask in cache:
             return cache[mask]
-        acc = 0
+        acc = []
         sign = 1
         remaining = mask
         while remaining:
             col_bit = remaining & (-remaining)
             remaining ^= col_bit
             entry = rows[depth][col_bit.bit_length() - 1]
-            if not _is_zero(entry):
-                sub = minor(mask ^ col_bit, depth + 1)
-                term = entry * sub
-                acc = acc + term if sign > 0 else acc - term
+            if entry:
+                acc = _add(acc, _mul(entry, minor(mask ^ col_bit, depth + 1)), sign)
             sign = -sign
         cache[mask] = acc
         return acc
@@ -243,6 +262,20 @@ def _det_memo(rows):
     full = (1 << n) - 1
     # cache keyed by mask alone is safe: depth = n - popcount(mask)
     return minor(full, 0)
+
+
+def det_coeffs(rows):
+    """Division-free determinant of a square matrix whose entries are
+    polynomials in one variable, each an ascending coefficient list (0 or []
+    for a zero entry) over ints, Fractions, floats or Polys; the result is
+    one such list, untrimmed.  This is the kernel of det: exact on exact
+    coefficients, and fastest on ints."""
+    if _lower_bandwidth(rows) <= 1:
+        return _det_lower_hessenberg(rows)
+    transposed = [list(col) for col in zip(*rows)]
+    if _lower_bandwidth(transposed) <= 1:
+        return _det_lower_hessenberg(transposed)
+    return _det_memo(rows)
 
 
 def _denominator(v):
@@ -260,13 +293,20 @@ def _map_leaves(v, f):
     return f(v)
 
 
+def _coeff_list(v):
+    """A scalar or Poly entry as det_coeffs takes it."""
+    if isinstance(v, Poly):
+        return [] if v.is_zero else list(v.coeffs)
+    return [v] if v != 0 else []
+
+
 def _expand(rows):
-    if _lower_bandwidth(rows) <= 1:
-        return _det_lower_hessenberg(rows)
-    transposed = [list(col) for col in zip(*rows)]
-    if _lower_bandwidth(transposed) <= 1:
-        return _det_lower_hessenberg(transposed)
-    return _det_memo(rows)
+    """det_coeffs of rows of scalars or Polys: a Poly when an entry is one,
+    else a scalar."""
+    result = det_coeffs([[_coeff_list(v) for v in row] for row in rows])
+    if any(isinstance(v, Poly) for row in rows for v in row):
+        return Poly(result)
+    return result[0] if result else 0
 
 
 def det(m):
@@ -276,7 +316,8 @@ def det(m):
     With int and Fraction leaves only, row i is scaled by the lcm k_i of its
     leaf denominators, the integer matrix expanded and each leaf of the
     result divided once by prod k_i, since det(diag(k) A) = prod k * det(A).
-    A matrix with other leaves (floats) is expanded as it is.
+    A matrix with other leaves (floats) is expanded as it is.  Either way
+    the expansion is det_coeffs', over the coefficients of the Poly entries.
     """
     rows = [list(r) for r in m]
     if any(len(r) != len(rows) for r in rows):
@@ -325,9 +366,49 @@ def _is_real(z) -> bool:
     return abs(z.imag) <= _REAL_TOLERANCE * (1 + abs(z))
 
 
+def _polish(z, rc, drc):
+    """Newton's iteration from z on the float polynomial whose coefficients,
+    descending, are rc (drc its derivative's): the iterate of least |p| in
+    at most 12 steps, stopping early at a zero slope or at a step of at most
+    1e-16 * (1 + |iterate|).  Both are evaluated by Horner's rule from 0, as
+    Poly.__call__ evaluates them, so the result is that loop's bit for bit."""
+    cur = z
+    # one evaluation of p per step: its value at cur serves both the best
+    # test and the next step
+    f_cur = 0
+    for c in rc:
+        f_cur = f_cur * cur + c
+    best, best_val = cur, abs(f_cur)
+    for _ in range(12):
+        dv = 0
+        for c in drc:
+            dv = dv * cur + c
+        if dv == 0:
+            break
+        step = f_cur / dv
+        cur = cur - step
+        f_cur = 0
+        for c in rc:
+            f_cur = f_cur * cur + c
+        val = abs(f_cur)
+        if val < best_val:
+            best, best_val = cur, val
+        if abs(step) <= 1e-16 * (1 + abs(cur)):
+            break
+    return best
+
+
 def roots(p: Poly) -> RootSet:
     """All complex roots via companion-matrix eigenvalues plus Newton polish.
 
+    The polish is the same in fewer operations: Newton's step in complex
+    floats keeps a real start real, with the real part the real iteration
+    gives, so a real start is polished in real floats; and it commutes with
+    conjugation (negating an imaginary part is exact and every rounding is
+    symmetric), while LAPACK gives the complex roots of a real polynomial
+    in exact conjugate pairs, so a root whose conjugate is already polished
+    takes that result, conjugated.  Only the sign of a zero part can differ
+    from the complex iteration's, and the cluster sum below makes it +0.
     Multiplicities are assigned by clustering within
     _CLUSTER_RADIUS * (1 + |root|).
     """
@@ -339,26 +420,16 @@ def roots(p: Poly) -> RootSet:
     raw = np.roots(desc)
 
     pf = p.as_float()
-    dpf = pf.derivative()
+    rc, drc = pf.coeffs[::-1], pf.derivative().coeffs[::-1]
     polished = []
-    for z in raw:
-        cur = complex(z)
-        # one evaluation of pf per step: its value at cur serves both the
-        # best test and the next step
-        f_cur = pf(cur)
-        best, best_val = cur, abs(f_cur)
-        for _ in range(12):
-            dv = dpf(cur)
-            if dv == 0:
-                break
-            step = f_cur / dv
-            cur = cur - step
-            f_cur = pf(cur)
-            val = abs(f_cur)
-            if val < best_val:
-                best, best_val = cur, val
-            if abs(step) <= 1e-16 * (1 + abs(cur)):
-                break
+    done = {}
+    for z in map(complex, raw.tolist()):
+        if not z.imag:
+            best = complex(_polish(z.real, rc, drc))
+        elif z.conjugate() in done:
+            best = done[z.conjugate()].conjugate()
+        else:
+            best = done[z] = _polish(z, rc, drc)
         polished.append(best)
 
     polished.sort(key=lambda z: (z.real, z.imag))

@@ -22,14 +22,20 @@ polynomial.COUPLING for the two variables) give symbolic entries.
 float_coeffs gives the float value of every row's (A_n, B_n, C_n, D_n) at
 float energy and coupling, equal bit for bit to float() of coeffs' entries:
 each rational product beta k, beta^2 or alpha k is rounded once, by one
-int / int, as float(Fraction) rounds it.
+int / int, as float(Fraction) rounds it.  integer_main_matrix gives the
+exact main matrix at a polynomial energy and coupling on ints alone: every
+entry an int coefficient list, all under one common scale.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .model import ModelSpec
 
-__all__ = ["coeffs", "float_coeffs", "main_matrix", "small_matrix", "full_system"]
+__all__ = ["coeffs", "float_coeffs", "main_matrix", "integer_main_matrix", "small_matrix",
+           "full_system"]
 
 
 def coeffs(spec: ModelSpec, n: int, energy, coupling):
@@ -89,6 +95,40 @@ def main_matrix(spec: ModelSpec, energy, coupling):
     """N x N matrix of rows n = 1..N over (h_0 .. h_{N-1}); upper Hessenberg."""
     return _rows((coeffs(spec, n, energy, coupling) for n in range(1, spec.n_states + 1)),
                  1, spec.n_states)
+
+
+def integer_main_matrix(spec: ModelSpec, energy, coupling):
+    """main_matrix at a polynomial energy and coupling, times one int scale.
+
+    alpha and beta must be ints or Fractions, and energy and coupling are
+    polynomials in one variable, as ascending sequences of int or Fraction
+    coefficients.  Returns (rows, scale): scale is the lcm of the
+    denominators of alpha, beta^2 and every coefficient, and each entry of
+    rows is scale times main_matrix's, as an ascending list of ints (0 for
+    a zero entry), so that polynomial.det_coeffs(rows) is scale^N times the
+    main determinant, built from numerators without a Fraction operation.
+    """
+    al, be = spec.alpha, spec.beta
+    scale = math.lcm(al.denominator, be.denominator ** 2,
+                     *(Fraction(c).denominator for c in (*energy, *coupling)))
+    a_k = al.numerator * (scale // al.denominator)  # alpha * scale
+    b_k = be.numerator * (scale // be.denominator)  # beta * scale
+    b_sq = be.numerator ** 2 * (scale // be.denominator ** 2)  # beta^2 * scale
+    e = [int(c * scale) for c in energy]
+    c0 = [-int(c * scale) for c in coupling]  # (beta^2 - coupling) * scale
+    c0[0] += b_sq
+    m2 = 2 * spec.big_m
+    top = spec.n_states
+    values = []
+    for n in range(1, top + 1):
+        a = (2 * n + 2) * (2 * n + 2 - m2) * scale
+        b = e.copy()
+        b[0] -= b_k * (4 * n + 2 - m2)
+        c = c0.copy()
+        c[0] -= a_k * (4 * n - m2)
+        values.append(([a] if a else 0, b if any(b) else 0, c if any(c) else 0,
+                       [4 * (top + 1 - n) * scale]))
+    return _rows(values, 1, top), scale
 
 
 def small_matrix(spec: ModelSpec, energy, coupling):

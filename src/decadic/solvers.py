@@ -11,16 +11,23 @@ Three regimes:
   in d over polynomials in E, eliminate d with a resultant and
   back-substitute each real E.
 
+The M = 2 eliminant and the M = 1 coupling polynomial are expanded from
+the integer numerators and denominators of alpha and beta under one
+common scale (recurrence.integer_main_matrix, polynomial.det_coeffs), and
+divided once at the end.
+
 The M = 2 and coupled routes share one candidate loop: each real root E of
 the float eliminant, paired with each coupling d that back-substitution
 gives there, goes through one acceptance gate.  The gate keeps a candidate
 only when the full (N+1) x N recurrence system is genuinely rank deficient
 there (this is what rejects extraneous resultant roots) and returns one
-entry per null direction, with its recurrence residual; one SVD helper,
-_null_space, finds both, for null_vector too.  sturmian_multiplet,
-solve_energies and solve_coupled all return a Multiplet; solve_sturmian,
-which sturmian_multiplet wraps, also gives the raw couplings and, built on
-first read, the exact coupling polynomial.
+entry per null direction, with its recurrence residual.  One batched SVD
+per solve, _null_spaces, finds both for every candidate at once, as it
+finds solve_sturmian's null vectors of every a - d I; _null_space, its
+batch of one, serves null_vector.  sturmian_multiplet, solve_energies and
+solve_coupled all return a Multiplet; solve_sturmian, which
+sturmian_multiplet wraps, also gives the raw couplings and, built on first
+read, the exact coupling polynomial.
 
 The tolerances are fixed module constants, one per rule: the reality test
 is polynomial's, the rank test reads _RANK_RTOL, the coupled determinant
@@ -29,6 +36,7 @@ test _DET_RTOL and validation verify._RESIDUAL_TOL.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 from dataclasses import dataclass
@@ -84,7 +92,10 @@ _DET_RTOL = 1e-8
 def null_vector(matrix):
     """The first of _null_space's directions of a numerically rank-deficient
     matrix; NotRankDeficientError when there is none (a spurious root)."""
-    directions = _null_space(matrix)
+    return _first_direction(_null_space(matrix))
+
+
+def _first_direction(directions):
     if not directions:
         raise NotRankDeficientError(
             f"the matrix has full rank: no singular value is at most {_RANK_RTOL:.1e} "
@@ -92,20 +103,31 @@ def null_vector(matrix):
     return directions[0]
 
 
+def _null_spaces(matrices):
+    """The null directions of each of a sequence of float matrices of one
+    shape, from one batched SVD: the right singular vectors of singular
+    values at most _RANK_RTOL times the largest (all, for the zero matrix),
+    smallest first, each scaled so that its first entry above
+    _RANK_RTOL * max|v| is 1.  Empty at full rank, wide matrices too."""
+    if not matrices:
+        return []
+    _, s_all, vt_all = np.linalg.svd(np.asarray(matrices, dtype=float))
+    spaces = []
+    for s, vt in zip(s_all, vt_all):
+        cutoff = _RANK_RTOL * s[0] if s[0] > 0 else np.inf
+        directions = []
+        for k in range(len(s) - 1, -1, -1):
+            if s[k] <= cutoff:
+                mags = np.abs(vt[k])
+                first = vt[k][np.argmax(mags > _RANK_RTOL * mags.max())]
+                directions.append(tuple(float(t) for t in vt[k] / first))
+        spaces.append(directions)
+    return spaces
+
+
 def _null_space(matrix):
-    """The null directions of a float matrix, from one SVD: the right singular
-    vectors of singular values at most _RANK_RTOL times the largest (all, for
-    the zero matrix), smallest first, each scaled so that its first entry
-    above _RANK_RTOL * max|v| is 1.  Empty at full rank, wide matrices too."""
-    _, s, vt = np.linalg.svd(np.asarray(matrix, dtype=float))
-    cutoff = _RANK_RTOL * s[0] if s[0] > 0 else np.inf
-    directions = []
-    for k in range(len(s) - 1, -1, -1):
-        if s[k] <= cutoff:
-            mags = np.abs(vt[k])
-            first = vt[k][np.argmax(mags > _RANK_RTOL * mags.max())]
-            directions.append(tuple(float(t) for t in vt[k] / first))
-    return directions
+    """_null_spaces of the one matrix."""
+    return _null_spaces([matrix])[0]
 
 
 def _eigvals_hessenberg(a, spec: ModelSpec):
@@ -156,14 +178,22 @@ class SturmianResult:
 def shifted_coupling_poly(spec: ModelSpec) -> pl.Poly:
     """The main determinant at E = 0 as a polynomial in the shifted coupling
     F = d - beta^2 + 2*N*alpha: the main matrix is built with
-    d = F - shifted_coupling(0) and expanded once.  Exact for rational
-    alpha, beta."""
+    d = F - shifted_coupling(0) and expanded once, on ints.  Exact
+    (Fractions) for rational alpha, beta."""
     if spec.big_m != 1:
         raise WrongModeError(f"coupling multiplets require M = 1, got M = {spec.big_m}")
     exact, was_float = _exact_spec(spec)
-    shift = -shifted_coupling(0, exact)
-    result = pl.det(recurrence.main_matrix(exact, 0, pl.Poly((shift, 1))))
+    coeffs, den = _main_det(exact, (0,), (-shifted_coupling(0, exact), 1))
+    result = pl.Poly(coeffs if den == 1 else tuple(Fraction(c, den) for c in coeffs))
     return result.as_float() if was_float else result
+
+
+def _main_det(exact, energy, coupling):
+    """(coefficients, denominator): the main determinant of the exact spec at
+    a polynomial energy and coupling (see recurrence.integer_main_matrix),
+    as ascending ints over one int denominator."""
+    rows, scale = recurrence.integer_main_matrix(exact, energy, coupling)
+    return pl.det_coeffs(rows), scale ** exact.n_states
 
 
 def solve_sturmian(spec: ModelSpec) -> SturmianResult:
@@ -174,9 +204,8 @@ def solve_sturmian(spec: ModelSpec) -> SturmianResult:
     a = np.array(recurrence.main_matrix(spec, 0.0, 0.0), dtype=float)
     vals = _eigvals_hessenberg(a, spec)
     d_values = sorted(float(v.real) for v in vals if pl._is_real(v))
-    h_vectors = []
-    for d in d_values:
-        h_vectors.append(null_vector(a - d * np.eye(spec.n_states)))
+    h_vectors = [_first_direction(directions) for directions in
+                 _null_spaces([a - d * np.eye(spec.n_states) for d in d_values])]
     shifts = tuple(float(shifted_coupling(d, spec)) for d in d_values)
     return SturmianResult(
         d_values=tuple(d_values),
@@ -196,25 +225,27 @@ def sturmian_multiplet(spec: ModelSpec) -> Multiplet:
 def solve_energies(spec: ModelSpec) -> Multiplet:
     """Energy multiplet at M = 2, where the small determinant fixes d = E^2/4.
 
-    The main matrix is built with energy E and coupling E^2/4 as Poly
-    entries and its determinant expanded exactly once, to a polynomial in E;
-    each distinct real root is accepted only if the full recurrence system
-    is rank deficient there.
+    The main matrix is built with energy E and coupling E^2/4 in its
+    entries and its determinant expanded exactly once, on ints, to a
+    polynomial in E; each float coefficient is one int / int division, as
+    float() of the exact Fraction rounds it.  Each distinct real root is
+    accepted only if the full recurrence system is rank deficient there.
     """
     if spec.big_m != 2:
         raise WrongModeError(f"energy multiplets require M = 2, got M = {spec.big_m}")
     exact, _ = _exact_spec(spec)
-    poly_e = pl.det(recurrence.main_matrix(
-        exact, pl.Poly((0, 1)), pl.Poly((0, 0, Fraction(1, 4)))))
-    return _through_gate(spec, _as_float(poly_e, "the M = 2 eliminant", spec),
-                         lambda e: (e * e / 4,))
+    coeffs, den = _main_det(exact, (0, 1), (0, 0, Fraction(1, 4)))
+    with _float_range("the M = 2 eliminant", spec):
+        eliminant = pl.Poly(tuple(c / den for c in coeffs))
+    return _through_gate(spec, eliminant, lambda e: (e * e / 4,))
 
 
-def _as_float(p, name, spec):
-    """p.as_float(), raising ValueError when an exact coefficient of the
-    polynomial called name overflows the float range."""
+@contextlib.contextmanager
+def _float_range(name, spec):
+    """Raises ValueError in place of the OverflowError of an exact
+    coefficient of the polynomial called name beyond the float range."""
     try:
-        return p.as_float()
+        yield
     except OverflowError:
         raise ValueError(f"{name} overflows the float range at "
                          f"alpha = {spec.alpha}, beta = {spec.beta}") from None
@@ -238,13 +269,16 @@ def _through_gate(spec, eliminant, couplings_at) -> Multiplet:
     """The candidate loop of both energy solvers: every coupling d in
     couplings_at(E), at every real root E of the float eliminant, goes
     through the acceptance gate, which gives one validated-or-not entry per
-    null direction of the float full recurrence system at (E, d)."""
-    entries = []
+    null direction of the float full recurrence system at (E, d); one SVD
+    serves every candidate."""
+    candidates, fulls = [], []
     for e0 in _real_roots(eliminant):
         for d0 in couplings_at(e0):
-            full = recurrence.full_system(spec, e0, d0)
-            entries.extend(_entry(spec, e0, d0, h) for h in _null_space(full))
-    return Multiplet.from_entries(entries)
+            candidates.append((e0, d0))
+            fulls.append(recurrence.full_system(spec, e0, d0))
+    return Multiplet.from_entries(
+        [_entry(spec, e0, d0, h)
+         for (e0, d0), directions in zip(candidates, _null_spaces(fulls)) for h in directions])
 
 
 def solve_coupled(spec: ModelSpec) -> Multiplet:
@@ -264,15 +298,17 @@ def solve_coupled(spec: ModelSpec) -> Multiplet:
     exact, _ = _exact_spec(spec)
     p_small = pl.det_bipoly(recurrence.small_matrix(exact, pl.ENERGY, pl.COUPLING))
     p_main = pl.det_bipoly(recurrence.main_matrix(exact, pl.ENERGY, pl.COUPLING))
-    eliminant = _as_float(pl.resultant(p_small, p_main), "the coupled resultant", spec)
+    eliminant = pl.resultant(p_small, p_main)
+    with _float_range("the coupled resultant", spec):
+        eliminant = eliminant.as_float()
     if eliminant.is_zero:
         raise pl.DegenerateResultantError(
             "the resultant vanishes identically; the secular determinants "
             "share a common factor in d")
     # float copies of both determinants, and copies with |coefficients|:
     # evaluated at (|E|, |d|) those give a cancellation-free scale
-    dets_f = [pl.Poly(tuple(_as_float(c, "a secular determinant", spec) for c in p.coeffs))
-              for p in (p_small, p_main)]
+    with _float_range("a secular determinant", spec):
+        dets_f = [pl.Poly(tuple(c.as_float() for c in p.coeffs)) for p in (p_small, p_main)]
     dets_abs = [pl.Poly(tuple(pl.Poly(tuple(abs(x) for x in c.coeffs)) for c in p.coeffs))
                 for p in dets_f]
 

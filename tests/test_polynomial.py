@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import decadic.polynomial as polynomial
+import decadic.solvers as solvers
 from decadic import (
     COUPLING,
     ENERGY,
@@ -15,6 +16,8 @@ from decadic import (
     char_poly,
     det,
     det_bipoly,
+    det_coeffs,
+    integer_main_matrix,
     main_matrix,
     real_filter,
     resultant,
@@ -261,6 +264,22 @@ class TestDetIntegerKernel:
         assert det([[1, 2], [3, 4]]) == -2
 
 
+    def test_integer_main_matrix_equals_gaussian_elimination(self):
+        # the int rows' det_coeffs over scale^N, at rational points, against
+        # Gaussian elimination of main_matrix built at those points, on
+        # sweep-style floats (power-of-two denominators up to 2^53)
+        for n in (3, 6, 12):
+            for al, be in ((-3.6, 0.4), (1.2, -2.8)):
+                for big_m, energy, coupling in ((2, (0, 1), (0, 0, Fraction(1, 4))),
+                                                (1, (0,), (Fraction(be) ** 2, 1))):
+                    spec = ModelSpec(alpha=Fraction(al), beta=Fraction(be), big_m=big_m,
+                                     n_states=n)
+                    rows, scale = integer_main_matrix(spec, energy, coupling)
+                    p = Poly(tuple(Fraction(c, scale ** n) for c in det_coeffs(rows)))
+                    for x in (Fraction(-7, 3), Fraction(1, 2), Fraction(5)):
+                        assert p(x) == gauss_det(main_matrix(spec, Poly(energy)(x),
+                                                             Poly(coupling)(x)))
+
 class TestRoots:
     def test_plus_minus_one(self):
         rs = roots(Poly((-1, 0, 1)))
@@ -321,6 +340,104 @@ class TestRoots:
             got = [(r.value.real.hex(), r.value.imag.hex(), r.multiplicity) for r in roots(p).roots]
             assert got == _reference_roots(p)
 
+
+    def test_polish_equals_the_complex_loop(self):
+        # the real-float polish of a real start and the mirrored conjugate
+        # leave every root's repr, every multiplicity and the ArithmeticError
+        # text as the complex loop that polished each start gives them
+        # the eliminants of the M = 2 sweeps over [-4, 4]^2 at N = 6 (21^2)
+        # and N = 12 (9^2), whose grid values are floats with 2^-52 steps
+        polys = list(_root_shapes(random.Random(27), 400))
+        for n, steps in ((6, 21), (12, 9)):
+            for i in range(steps):
+                for j in range(steps):
+                    spec = ModelSpec(alpha=Fraction(-4 + 8 * i / (steps - 1)),
+                                     beta=Fraction(-4 + 8 * j / (steps - 1)), big_m=2, n_states=n)
+                    coeffs, den = solvers._main_det(spec, (0, 1), (0, 0, Fraction(1, 4)))
+                    polys.append(Poly(tuple(c / den for c in coeffs)))
+        failed = 0
+        for p in polys:
+            try:
+                want = _complex_loop_roots(p)
+            except ArithmeticError as exc:
+                with pytest.raises(ArithmeticError) as caught:
+                    roots(p)
+                assert str(caught.value) == str(exc)
+                failed += 1
+                continue
+            assert [(repr(r.value), r.multiplicity) for r in roots(p).roots] == want
+        assert failed >= 10
+
+
+def _root_shapes(rng, count):
+    """Seeded real float polynomials from their roots: exact real roots
+    (ints and eighths), conjugate pairs (pure imaginary ones too), roots at
+    zero (so zero low coefficients), even polynomials (zero odd ones) and
+    repeated roots up to multiplicity 4."""
+    for _ in range(count):
+        p = Poly((rng.choice((1.0, -2.0, 0.5)),))
+        for _ in range(rng.randint(1, 5)):
+            shape = rng.randrange(5)
+            a = rng.randint(-24, 24) / 8
+            b = rng.randint(1, 24) / 8
+            if shape == 0:
+                factor = Poly((-a, 1.0))
+            elif shape == 1:
+                factor = Poly((a * a + b * b, -2 * a, 1.0))
+            elif shape == 2:
+                factor = Poly((b * b, 0.0, 1.0))
+            elif shape == 3:
+                factor = Poly((0.0, 1.0))
+            else:
+                factor = Poly((-a * a, 0.0, 1.0))
+            for _ in range(rng.choice((1, 1, 1, 2, 3, 4))):
+                p = p * factor
+        yield p
+
+
+def _complex_loop_roots(p):
+    """roots(p) by the loop that polished every start in complex floats, one
+    pf evaluation per step, as (repr, multiplicity) per root."""
+    pf = p.as_float()
+    dpf = pf.derivative()
+    polished = []
+    for z in np.roots(np.array([float(c) for c in reversed(p.coeffs)], dtype=float)):
+        cur = complex(z)
+        f_cur = pf(cur)
+        best, best_val = cur, abs(f_cur)
+        for _ in range(12):
+            dv = dpf(cur)
+            if dv == 0:
+                break
+            step = f_cur / dv
+            cur = cur - step
+            f_cur = pf(cur)
+            val = abs(f_cur)
+            if val < best_val:
+                best, best_val = cur, val
+            if abs(step) <= 1e-16 * (1 + abs(cur)):
+                break
+        polished.append(best)
+    polished.sort(key=lambda z: (z.real, z.imag))
+    clusters = []
+    for z in polished:
+        for cl in clusters:
+            if abs(z - cl[0]) <= polynomial._CLUSTER_RADIUS * (1 + abs(cl[0])):
+                cl.append(z)
+                break
+        else:
+            clusters.append([z])
+    out = []
+    scale = pf.max_abs_coeff()
+    for cl in clusters:
+        center = sum(cl) / len(cl)
+        if abs(pf(center)) > polynomial._RESIDUAL_TOL * scale:
+            raise ArithmeticError(
+                f"root {center} has residual {abs(pf(center)):.3e} above "
+                f"{polynomial._RESIDUAL_TOL:.1e} * {scale:.3e}")
+        out.append((center, len(cl)))
+    out.sort(key=lambda r: (r[0].real, r[0].imag))
+    return [(repr(z), m) for z, m in out]
 
 def _reference_roots(p):
     """roots(p) by the polish loop that evaluated pf at the start and at the

@@ -50,6 +50,11 @@ def table_poly(n, al, be):
     raise ValueError(n)
 
 
+# (alpha, beta) as a sweep over [-4, 4] makes them: floats whose exact
+# values have power-of-two denominators up to 2^53 (0.4 is 3602879701896397 / 2^53)
+FLOAT_GRID_VALUES = ((-3.6, 0.4), (-4 + 8 * 7 / 20, 4 - 8 * 3 / 20), (1.2, -2.8))
+
+
 def rational_specs(seed, big_m, sizes):
     """One spec with small random rational alpha, beta per size."""
     rng = random.Random(seed)
@@ -64,13 +69,15 @@ class _Expanded(Exception):
 
 
 def expanded_determinant(monkeypatch, solve, spec):
-    """The exact polynomial that solve(spec) gets from its pl.det call."""
-    real_det = pl.det
+    """The exact polynomial that solve(spec) expands, through its one
+    solvers._main_det call (int coefficients over one denominator)."""
+    real_main_det = solvers._main_det
 
-    def spy(m):
-        raise _Expanded(real_det(m))
+    def spy(*args):
+        coeffs, den = real_main_det(*args)
+        raise _Expanded(Poly(tuple(Fraction(c, den) for c in coeffs)))
 
-    monkeypatch.setattr(pl, "det", spy)
+    monkeypatch.setattr(solvers, "_main_det", spy)
     with pytest.raises(_Expanded) as caught:
         solve(spec)
     monkeypatch.undo()
@@ -194,6 +201,18 @@ class TestShiftedCouplingPoly:
                 f = Fraction(2 * k - spec.n_states, 3)
                 assert p(f) == reference(f + shift)
 
+    def test_float_grid_values_equal_shifted_char_poly(self):
+        # sweep-style float alpha and beta (power-of-two denominators): built from
+        # their numerators, the polynomial equals char_poly at F + shift
+        for n in (3, 6, 12):
+            for al, be in FLOAT_GRID_VALUES:
+                spec = ModelSpec(alpha=al, beta=be, big_m=1, n_states=n)
+                exact = ModelSpec(alpha=Fraction(al), beta=Fraction(be), big_m=1, n_states=n)
+                shift = exact.beta ** 2 - 2 * n * exact.alpha
+                reference = char_poly(main_matrix(exact, 0, 0))(Poly((shift, 1)))
+                assert shifted_coupling_poly(exact) == reference
+                assert shifted_coupling_poly(spec).coeffs == reference.as_float().coeffs
+
     def test_depends_on_alpha_and_beta_only_through_s(self):
         # two shapes with the same s = alpha^2 - 4 beta give one polynomial
         rng = random.Random(19)
@@ -300,6 +319,17 @@ class TestEnergies:
             poly_e = expanded_determinant(monkeypatch, solve_energies, spec)
             det = det_bipoly(main_matrix(spec, ENERGY, COUPLING))
             assert poly_e == det(quarter)
+
+    def test_float_grid_values_equal_bivariate_route(self, monkeypatch):
+        # sweep-style float alpha and beta (power-of-two denominators): the
+        # eliminant built from their numerators under one scale is exact
+        quarter = Poly((0, 0, Fraction(1, 4)))
+        for n in (3, 6, 12):
+            for al, be in FLOAT_GRID_VALUES:
+                spec = ModelSpec(alpha=al, beta=be, big_m=2, n_states=n)
+                exact = ModelSpec(alpha=Fraction(al), beta=Fraction(be), big_m=2, n_states=n)
+                poly_e = expanded_determinant(monkeypatch, solve_energies, spec)
+                assert poly_e == det_bipoly(main_matrix(exact, ENERGY, COUPLING))(quarter)
 
     def test_quintic_roots_are_determinant_roots(self):
         # the degree-5 reference polynomial's roots must all satisfy our
@@ -422,6 +452,30 @@ class TestNullVector:
     def test_full_rank_rejected(self):
         with pytest.raises(NotRankDeficientError):
             null_vector([[1, 0], [0, 1]])
+
+    def test_batched_null_spaces_equal_one_svd_each(self):
+        # one SVD over a stack gives each matrix the directions that its own
+        # SVD gives, bit for bit: full rank (none), the zero matrix (all),
+        # wide and tall matrices, and a stack of mixed rank
+        rng = np.random.default_rng(41)
+        spec = ModelSpec(alpha=0.0, beta=0.0, big_m=2, n_states=3)
+        singular = np.array(recurrence.full_system(spec, 0.0, 0.0))
+        rank_one = np.outer(rng.standard_normal(4), rng.standard_normal(3))
+        stacks = [
+            [np.eye(3), rng.standard_normal((3, 3))],
+            [np.zeros((3, 3))],
+            [rng.standard_normal((2, 4)), np.zeros((2, 4)), np.outer([1.0, 2.0], [1, 0, 0, 1])],
+            [singular, rng.standard_normal((4, 3)), rank_one, np.zeros((4, 3)), singular],
+        ]
+        for stack in stacks:
+            batched = solvers._null_spaces(stack)
+            assert batched == [solvers._null_space(m) for m in stack]
+        assert solvers._null_spaces(stacks[0]) == [[], []]
+        assert len(solvers._null_spaces(stacks[1])[0]) == 3
+        assert [len(d) for d in solvers._null_spaces(stacks[3])] == [1, 0, 2, 3, 1]
+        assert solvers._null_spaces([]) == []
+        with pytest.raises(NotRankDeficientError):
+            null_vector(stacks[0][1])
 
     def test_first_nonzero_normalization(self):
         spec = ModelSpec(alpha=0.0, beta=0.0, big_m=2, n_states=3)
