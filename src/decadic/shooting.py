@@ -13,7 +13,7 @@ contour's middle node, where an eigenvalue announces itself by equal left
 and right log-derivatives.  Bent contours ending in other decay wedges,
 and the retries of a pole on the default contour, use explicit waypoints.
 Each start value is the optimally truncated asymptotic series of the
-decaying log-derivative in powers of 1/r^2 (_series_start), which also
+decaying log-derivative in powers of 1/r^2 (_SeriesStart), which also
 estimates its own error.
 
 find_eigenvalue takes Newton steps on the mismatch g(E) (Keller, Numerical
@@ -34,6 +34,11 @@ steps of 0.1, the last radius whose starts still lie inside the decay
 sectors of their ends and whose start error, damped along the path by the
 WKB factor exp(-2 Re of the integral of sqrt(Q) dr) (Bender & Orszag,
 chapter 10), is below the integration tolerance at the matching point.
+The scan takes every trial radius at once, in numpy: one array of the
+nodes of all their integrated halves gives every damping (_dampings), and
+one matrix of series terms every start's error (_SeriesStart.errors).
+find_eigenvalue derives the radius with the Q at its guess and takes its
+first Newton step with that same Q, start series and all.
 
 V is the decadic well of model.potential_coeffs, with real coefficients,
 so at a real energy V(-conj r) = conj V(r): on a contour that is its own PT
@@ -97,8 +102,10 @@ _TRANSIT_DEPTH = 0.5
 _E_TOL = 1e-9
 # |y| at which an integration stops and reports a pole (PoleError)
 _POLE_THRESHOLD = 1e8
-# default relative tolerance of the integration, the one the search converges at
+# default relative and absolute tolerances of the integration; the search
+# converges at _RTOL
 _RTOL = 1e-10
+_ATOL = 1e-10
 # the search's far iterates' rtol, until a step is at most _TIGHTEN_STEP * (1 + |E|)
 _LOOSE_RTOL = 1e-5
 _TIGHTEN_STEP = 1e-3
@@ -109,8 +116,11 @@ _X_MAX_START = 4.0
 _X_MAX_STEP = 0.1
 _DAMPING_NODES = 64
 # the start's asymptotic series stops once a block's size is below
-# _SERIES_RTOL * |y| (see _series_start)
+# _SERIES_RTOL * |y| (see _SeriesStart); the scan sums its trial starts'
+# series over _SERIES_FIRST coefficients, then _SERIES_MORE more at a time
 _SERIES_RTOL = 1e-13
+_SERIES_FIRST = 48
+_SERIES_MORE = 24
 
 
 @dataclass(frozen=True)
@@ -163,46 +173,56 @@ class Contour:
             object.__setattr__(self, "waypoints", pts)
             if len(pts) < 3 or len(pts) % 2 == 0:
                 raise ValueError("waypoints must be an odd-length polyline of >= 3 nodes")
-            for sign, endpoint in ((-1.0, pts[0]), (1.0, pts[-1])):
-                sector = _decay_sector(endpoint)
-                if sector is None:
+            for endpoint in (pts[0], pts[-1]):
+                if _decay_sector(endpoint) is None:
                     raise ValueError(
                         f"contour endpoint at angle {cmath.phase(endpoint):.4f} is not "
                         "strictly inside any decay sector")
-                start = self._half(sign)[0]
-                if not sector.contains(cmath.phase(start)):
-                    raise ValueError(
-                        f"the start at |r| = x_max = {self.x_max}, angle "
-                        f"{cmath.phase(start):.4f}, is not strictly inside the decay sector "
-                        f"of its endpoint at angle {cmath.phase(endpoint):.4f}")
-        elif self.x_max is not None:
+        if self.x_max is not None:
+            self._halves(self.x_max)
+
+    def left_nodes(self):
+        return self._half(-1.0, self.x_max)
+
+    def right_nodes(self):
+        return self._half(1.0, self.x_max)
+
+    def _half(self, sign: float, x_max):
+        """Nodes of the left (sign -1) or right (+1) half started at radius
+        x_max, from its start to the match point, the middle node: x = 0 on
+        the default contour."""
+        if self.waypoints is not None:
+            mid = len(self.waypoints) // 2
+            half = self.waypoints[: mid + 1] if sign < 0 else self.waypoints[mid:][::-1]
+            return list(half) if x_max is None else _cut(half, x_max)
+        if x_max is None:
+            raise ValueError("x_max is None: shooting derives it per potential and energy, "
+                             "so only a contour with x_max has nodes")
+        depth = min(self.epsilon, _TRANSIT_DEPTH)
+        return [complex(sign * x_max, -depth), complex(0.0, -depth)]
+
+    def _halves(self, x_max: float):
+        """(left, right) nodes of the halves started at radius x_max.  Raises
+        ValueError when a start lies outside the decay sector of its end, or
+        a waypoint half never comes within x_max."""
+        left, right = self._half(-1.0, x_max), self._half(1.0, x_max)
+        if self.waypoints is None:
             # _DECAY_SECTORS[0] is centred on 0; the left start is the right
             # one's mirror (r -> -conj r), in the one centred on pi
-            start = self.right_nodes()[0]
+            start = right[0]
             if not _DECAY_SECTORS[0].contains(cmath.phase(start)):
                 raise ValueError(
                     f"the contour start {start} at angle {cmath.phase(start):.4f} is not "
                     "strictly inside any decay sector of the real-axis pair: x_max must "
                     "be above min(epsilon, 0.5) / tan(pi/12), ~1.866 at epsilon >= 0.5")
-
-    def left_nodes(self):
-        return self._half(-1.0)
-
-    def right_nodes(self):
-        return self._half(1.0)
-
-    def _half(self, sign: float):
-        """Nodes of the left (sign -1) or right (+1) half, from its start to
-        the match point, the middle node: x = 0 on the default contour."""
-        if self.waypoints is not None:
-            mid = len(self.waypoints) // 2
-            half = self.waypoints[: mid + 1] if sign < 0 else self.waypoints[mid:][::-1]
-            return list(half) if self.x_max is None else _cut(half, self.x_max)
-        if self.x_max is None:
-            raise ValueError("x_max is None: shooting derives it per potential and energy, "
-                             "so only a contour with x_max has nodes")
-        depth = min(self.epsilon, _TRANSIT_DEPTH)
-        return [complex(sign * self.x_max, -depth), complex(0.0, -depth)]
+            return left, right
+        for start, endpoint in ((left[0], self.waypoints[0]), (right[0], self.waypoints[-1])):
+            if not _decay_sector(endpoint).contains(cmath.phase(start)):
+                raise ValueError(
+                    f"the start at |r| = x_max = {x_max}, angle "
+                    f"{cmath.phase(start):.4f}, is not strictly inside the decay sector "
+                    f"of its endpoint at angle {cmath.phase(endpoint):.4f}")
+        return left, right
 
 
 def _cut(half, radius: float):
@@ -278,7 +298,7 @@ def _q_func(coeffs: PotentialCoeffs, big_l, energy):
     """Q(r) = V(r) + L(L+1)/r^2 - E of the decadic well.  Its float terms
     (a, b, c, d, L(L+1), E) are q.terms, which solve_ivp takes, and
     q.start(r) -> (y, err) is the decaying branch's start at r
-    (_series_start)."""
+    (_SeriesStart)."""
     a, b, c, d = (float(coeffs.a), float(coeffs.b), float(coeffs.c), float(coeffs.d))
     if not all(map(math.isfinite, (a, b, c, d))):
         raise ValueError(f"potential coefficients must be finite, got {(a, b, c, d)}")
@@ -286,11 +306,11 @@ def _q_func(coeffs: PotentialCoeffs, big_l, energy):
     terms = (a, b, c, d, ll1, complex(energy))
     q = _q_of_terms(*terms)
     q.terms = terms
-    q.start = _series_start(terms)
+    q.start = _SeriesStart(terms)
     return q
 
 
-def _series_start(terms):
+class _SeriesStart:
     """start(r) -> (y, err) for the Q with these terms: the log-derivative at
     r of the branch decaying radially outward, in every decay sector, and an
     estimate of its error.
@@ -311,12 +331,16 @@ def _series_start(terms):
     _SERIES_RTOL * |y|, or before a block whose size exceeds the previous
     block's; err is the size of the last block summed.  The coefficients do
     not depend on r; they are computed once, as far as a start needs them,
-    and shared by every start at this Q."""
-    a, b, c, d, ll1, e0 = terms
-    q_n = (1.0, a, b, c, d, -e0, ll1)
-    coeffs = [-1.0]
+    and shared by every start at this Q, the batch of errors (errors) among
+    them."""
 
-    def extend(count):
+    def __init__(self, terms):
+        a, b, c, d, ll1, e0 = terms
+        self._q_n = (1.0, a, b, c, d, -e0, ll1)
+        self.coeffs = [-1.0]
+
+    def _extend(self, count):
+        coeffs, q_n = self.coeffs, self._q_n
         for k in range(len(coeffs), count):
             # sum_(i=1..k-1) c_i c_(k-i), each pair of equal products once
             pairs = sum(map(operator.mul, coeffs[1:(k + 1) // 2], coeffs[k - 1:k // 2:-1]))
@@ -327,14 +351,14 @@ def _series_start(terms):
                 total -= (11 - 2 * k) * coeffs[k - 3]
             coeffs.append(-total / 2)
 
-    def start(r):
+    def __call__(self, r):
         u = 1 / (r * r)
         term = r ** 5
         y, err, last = 0j, math.inf, 0.0
         for first in itertools.count(0, 3):
-            extend(first + 3)
+            self._extend(first + 3)
             block = []
-            for coeff in coeffs[first:first + 3]:
+            for coeff in self.coeffs[first:first + 3]:
                 block.append(coeff * term)
                 term *= u
             largest = max(map(abs, block))
@@ -348,7 +372,44 @@ def _series_start(terms):
             if checked and size <= _SERIES_RTOL * abs(y):
                 return y, err
 
-    return start
+    def errors(self, starts, count: int):
+        """(err, stopped): for each of the array starts, the err of
+        start(r) summed from its first count coefficients (a multiple of 3,
+        at least 9), in one matrix of terms c_n r^(5 - 2n), each the start's
+        product chain.  stopped is False where the sum goes on past them;
+        that err means nothing, and where a coefficient overflows (the
+        recurrence raises OverflowError), the sums stop before its block.
+        Call under np.errstate: a term may overflow."""
+        try:
+            self._extend(count)
+        except OverflowError:
+            # start(r) raises there too, if it gets that far; it always
+            # sums the first three blocks
+            count = len(self.coeffs) // 3 * 3
+            if count < 9:
+                raise
+        r2 = starts * starts
+        powers = np.empty((len(starts), count), complex)
+        powers[:, 0] = starts * (r2 * r2)
+        powers[:, 1:] = (1 / r2)[:, None]
+        blocks = (np.array(self.coeffs[:count]) * np.cumprod(powers, axis=1)).reshape(
+            len(starts), -1, 3)
+        # the largest term of each block and its size as Python's max takes
+        # them, so that a NaN term weighs as it does in start(r)
+        mags = np.abs(blocks)
+        largest = mags[..., 0]
+        for k in (1, 2):
+            largest = np.where(mags[..., k] > largest, mags[..., k], largest)
+        last = np.zeros_like(largest)
+        last[:, 1:] = largest[:, :-1]
+        size = np.where(last > largest, last, largest)
+        y = np.cumsum(blocks.sum(axis=2), axis=1)
+        # from the third block on: before a block that grows (or is NaN),
+        # or after one below _SERIES_RTOL * |y|
+        grows = ~(size[:, 2:] <= size[:, 1:-1])
+        stops = grows | (size[:, 2:] <= _SERIES_RTOL * np.abs(y[:, 2:]))
+        rows, first = np.arange(len(starts)), stops.argmax(axis=1)
+        return size[rows, first + 2 - grows[rows, first]], stops[rows, first]
 
 
 # step control of scipy.integrate's explicit Runge-Kutta methods
@@ -559,29 +620,41 @@ def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol, u0=0j) -> IvpResu
     return IvpResult(ts, ys, u, nfev)
 
 
-def _damping(q, nodes) -> float:
-    """2 Re of the integral of sqrt(Q) from the last node (the matching
-    point) out to the first (the contour end), on the branch decaying
-    radially outward at the end, continued along the path: the nats by
-    which an error in the start value has decayed when the integration
-    reaches the matching point.
-    Trapezoid rule, _DAMPING_NODES nodes per straight leg."""
+def _dampings(q, paths):
+    """For each path, a list of nodes: 2 Re of the integral of sqrt(Q) from
+    its last node (the matching point) out to its first (the contour end),
+    on the branch decaying radially outward at the end, continued along the
+    path: the nats by which an error in the start value has decayed when
+    the integration reaches the matching point.
+
+    Trapezoid rule, _DAMPING_NODES nodes per straight leg, on one array of
+    every path's nodes; a path of fewer legs is padded with zero-length
+    legs at its matching point, which add 0 and flip no branch.  Call under
+    np.errstate where Q may overflow."""
+    legs = max(map(len, paths)) - 1
+    ends = np.array([path + path[-1:] * (legs + 1 - len(path)) for path in paths])
+    steps = (ends[:, 1:] - ends[:, :-1]) / (_DAMPING_NODES - 1)
+    nodes = np.empty((len(paths), 1 + legs * (_DAMPING_NODES - 1)), complex)
+    nodes[:, 0] = ends[:, 0]
+    nodes[:, 1:] = (ends[:, :-1, None]
+                    + np.arange(1, _DAMPING_NODES) * steps[:, :, None]).reshape(len(paths), -1)
+    s = np.sqrt(q(nodes))
     # the root of Q at the end with Re(s * end) > 0, so that exp(-integral
-    # of s) decays radially outward
-    s = cmath.sqrt(q(nodes[0]))
-    if (s * nodes[0]).real < 0:
-        s = -s
-    total = 0j
-    for z0, z1 in zip(nodes[:-1], nodes[1:]):
-        step = (z1 - z0) / (_DAMPING_NODES - 1)
-        for k in range(1, _DAMPING_NODES):
-            s_next = cmath.sqrt(q(z0 + k * step))
-            if (s_next * s.conjugate()).real < 0:
-                s_next = -s_next
-            total += (s + s_next) * step
-            s = s_next
+    # of s) decays radially outward, then at each node the root nearer the
+    # previous one: the branch is the product of the -1 flips so far
+    flips = np.empty(nodes.shape, bool)
+    flips[:, 0] = (s[:, 0] * nodes[:, 0]).real < 0
+    flips[:, 1:] = s.real[:, 1:] * s.real[:, :-1] + s.imag[:, 1:] * s.imag[:, :-1] < 0
+    s = np.where(np.logical_xor.accumulate(flips, axis=1), -s, s)
+    pairs = (s[:, :-1] + s[:, 1:]).reshape(len(paths), legs, _DAMPING_NODES - 1)
+    total = (pairs.sum(axis=2) * steps).sum(axis=1)
     # total / 2 runs inward, from the end to the matching point
     return -total.real
+
+
+def _damping(q, nodes) -> float:
+    """The damping of the one path with these nodes (_dampings)."""
+    return float(_dampings(q, [nodes])[0])
 
 
 def _start_radius(q, contour: Contour, rtol: float) -> float:
@@ -591,52 +664,75 @@ def _start_radius(q, contour: Contour, rtol: float) -> float:
     last R before the first that fails either test: each half's start lies
     strictly inside a decay sector (on a waypoint contour, its endpoint's,
     and the half comes within R at all), and on both halves the start's
-    own error estimate err (q.start, _series_start), damped by the path
-    (_damping), is at most rtol at the matching point:
+    own error estimate err (q.start, _SeriesStart), damped by the path
+    (_dampings), is at most rtol at the matching point:
     err * exp(-damping) <= rtol.  When the first step down fails, the
     default contour keeps R = _X_MAX_START and a waypoint contour its
     waypoints (R is its outer endpoint's radius), so no derived start lies
     further out.  Where the halves are mirror images (_mirrored), the right
     half's start and damping are the left half's, bit for bit, and only the
     left half is integrated.
+
+    The error test runs on every trial R in the sectors at once: one array
+    pass for all their dampings, and one matrix of series terms for all
+    their starts' errors (_SeriesStart.errors), whose coefficients are
+    extended until every trial down to the first that fails has stopped
+    summing.  The trials below it are computed and discarded.
     """
     log_rtol = math.log(max(rtol, _RTOL_FLOOR))
-
-    def damped_error(nodes):
-        # ln(err * exp(-damping)), in logs so that a steep path's damping
-        # cannot overflow; an exact start (err = 0) passes
-        _, err = q.start(nodes[0])
-        return (math.log(err) if err else -math.inf) - _damping(q, nodes)
-
     if contour.waypoints is None:
         radius = _X_MAX_START
     else:
         radius = max(abs(contour.waypoints[0]), abs(contour.waypoints[-1]))
+    # radii[k] is trial k's R; paths are the integrated halves, trial[j]
+    # the trial of paths[j]
+    radii, paths, trial = [radius], [], []
     for k in range(1, round(_X_MAX_START / _X_MAX_STEP)):
         x_max = round(_X_MAX_START - k * _X_MAX_STEP, 10)
         try:
-            trial = dataclasses.replace(contour, x_max=x_max)
+            left, right = contour._halves(x_max)
         except ValueError:
             # a start outside its sector, or a waypoint half that never
             # comes within x_max
             break
-        halves = (trial.left_nodes,)
-        if not _mirrored(q, trial):
-            halves += (trial.right_nodes,)
-        # "<= log_rtol" rather than "not > log_rtol", so that a NaN fails
-        if not all(damped_error(half()) <= log_rtol for half in halves):
-            break
-        radius = x_max
-    return radius
+        halves = [left] if _mirrored(q, left, right) else [left, right]
+        paths += halves
+        trial += [k] * len(halves)
+        radii.append(x_max)
+    if not paths:
+        return radius
+    trial = np.array(trial)
+    starts = np.array([path[0] for path in paths])
+    count = _SERIES_FIRST
+    with np.errstate(all="ignore"):
+        damping = _dampings(q, paths)
+        done = 0  # paths[:done] are known to pass
+        while True:
+            err, stopped = q.start.errors(starts[done:], count)
+            # ln(err * exp(-damping)), in logs so that a steep path's damping
+            # cannot overflow; an exact start (err = 0) passes, and a NaN
+            # damping or error fails
+            passed = stopped & (np.log(err) - damping[done:] <= log_rtol)
+            if passed.all():
+                return radii[-1]
+            failed = ~passed & (stopped | np.isnan(damping[done:]))
+            first = done + passed.argmin()
+            if failed[trial[done:] == trial[first]].any():
+                return radii[trial[first] - 1]
+            if len(q.start.coeffs) < count:
+                # the trial's sum needs a coefficient that overflows: raise
+                # as start(r) does
+                q.start._extend(count)
+            done = first
+            count += _SERIES_MORE
 
 
-def _mirrored(q, contour: Contour) -> bool:
-    """True when the energy of q is real and the right half of the contour
-    is the PT mirror (r -> -conj r) of the left half, so that the right
-    half's values are the left half's mirrored, bit for bit (see the module
+def _mirrored(q, left, right) -> bool:
+    """True when the energy of q is real and the right half's nodes are the
+    PT mirror (r -> -conj r) of the left half's, so that the right half's
+    values are the left half's mirrored, bit for bit (see the module
     docstring)."""
-    mirrored = [-z.conjugate() for z in contour.right_nodes()]
-    return q.terms[-1].imag == 0 and contour.left_nodes() == mirrored
+    return q.terms[-1].imag == 0 and left == [-z.conjugate() for z in right]
 
 
 def _resolved(contour: Contour, q, rtol: float) -> Contour:
@@ -670,7 +766,7 @@ def _integrate_half(q, nodes, rtol: float, atol: float):
 
 
 def integrate_log_derivative(coeffs: PotentialCoeffs, big_l, energy, contour: Contour,
-                             direction: str, *, rtol: float = _RTOL, atol: float = 1e-10):
+                             direction: str, *, rtol: float = _RTOL, atol: float = _ATOL):
     """Samples (r, y) of the log-derivative along one half of the contour.
 
     direction is "from_left" or "from_right"; integration starts on the
@@ -691,7 +787,7 @@ def integrate_log_derivative(coeffs: PotentialCoeffs, big_l, energy, contour: Co
 
 
 def mismatch_and_slope(coeffs: PotentialCoeffs, big_l, energy, contour: Contour,
-                       *, rtol: float = _RTOL, atol: float = 1e-10):
+                       *, rtol: float = _RTOL, atol: float = _ATOL):
     """(g, g') at this energy: the mismatch of wronskian_mismatch and its
     derivative in E, from one integration per integrated half.
 
@@ -707,13 +803,18 @@ def mismatch_and_slope(coeffs: PotentialCoeffs, big_l, energy, contour: Contour,
     without x_max starts both halves at the radius derived at this energy.
     Raises PoleError as integrate_log_derivative does."""
     q = _q_func(coeffs, big_l, energy)
-    contour = _resolved(contour, q, rtol)
-    _, ys, u_l = _integrate_half(q, contour.left_nodes(), rtol, atol)
+    return _mismatch_and_slope(q, _resolved(contour, q, rtol), rtol, atol)
+
+
+def _mismatch_and_slope(q, contour: Contour, rtol: float, atol: float):
+    """mismatch_and_slope for the Q of q on a contour with x_max."""
+    left, right = contour.left_nodes(), contour.right_nodes()
+    _, ys, u_l = _integrate_half(q, left, rtol, atol)
     y_l = ys[-1]
-    if _mirrored(q, contour):
+    if _mirrored(q, left, right):
         y_r, u_r = -y_l.conjugate(), -u_l.conjugate()
     else:
-        _, ys, u_r = _integrate_half(q, contour.right_nodes(), rtol, atol)
+        _, ys, u_r = _integrate_half(q, right, rtol, atol)
         y_r = ys[-1]
     num, den = y_l - y_r, 1 + abs(y_l) + abs(y_r)
     den_slope = _abs_slope(y_l, u_l) + _abs_slope(y_r, u_r)
@@ -730,7 +831,7 @@ def _abs_slope(y: complex, u: complex) -> float:
 
 
 def wronskian_mismatch(coeffs: PotentialCoeffs, big_l, energy: float, contour: Contour,
-                       *, rtol: float = _RTOL, atol: float = 1e-10) -> float:
+                       *, rtol: float = _RTOL, atol: float = _ATOL) -> float:
     """Dimensionless mismatch of left and right log-derivatives at the match
     point, Re((y_l - y_r) / (1 + |y_l| + |y_r|)); vanishes exactly at
     eigenvalues.  On the symmetric contour the complex parts cancel, so only
@@ -770,12 +871,13 @@ def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Con
         raise ValueError(f"residual_tol must be positive, got {residual_tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    contour = _resolved(contour, _q_func(coeffs, big_l, e_guess), _RTOL)
+    q = _q_func(coeffs, big_l, e_guess)
+    contour = _resolved(contour, q, _RTOL)
     match_points = (0.0,) if contour.waypoints is not None else (0.0, 0.3, -0.3)
     for x in match_points:
         shot = contour if x == 0.0 else _shifted(contour, x)
         try:
-            found = _newton(coeffs, big_l, e_guess, shot, residual_tol, max_iter, e_bound)
+            found = _newton(coeffs, big_l, q, shot, residual_tol, max_iter, e_bound)
         except PoleError:
             continue
         return ShootingResult(*found, contour=contour)
@@ -793,13 +895,16 @@ def _shifted(contour: Contour, x: float) -> Contour:
     return Contour(waypoints=waypoints, x_max=abs(left[0]))
 
 
-def _newton(coeffs, big_l, e_guess, contour, residual_tol, max_iter, e_bound):
-    """(energy, residual, iterations, converged) of the Newton search."""
+def _newton(coeffs, big_l, q, contour, residual_tol, max_iter, e_bound):
+    """(energy, residual, iterations, converged) of the Newton search from
+    the energy of q, the Q that derived the contour's radius."""
     rtol, tight = _LOOSE_RTOL, 0
-    next_energy = float(e_guess)
+    next_energy = q.terms[-1].real
     for iterations in range(1, max_iter + 1):
         energy = next_energy
-        g, slope = mismatch_and_slope(coeffs, big_l, energy, contour, rtol=rtol)
+        if iterations > 1:
+            q = _q_func(coeffs, big_l, energy)
+        g, slope = _mismatch_and_slope(q, contour, rtol, _ATOL)
         tight += rtol == _RTOL
         if not slope or not math.isfinite(slope):
             break

@@ -1,11 +1,13 @@
 import cmath
 import dataclasses
 import functools
+import importlib.util
 import json
 import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,9 @@ CBRT192 = 192 ** (1 / 3)
 # whose endpoints are mirror images only up to the last bits
 POLE_TEST_WAYPOINTS = (complex(-4, -0.5), complex(0, -1), complex(4, -0.5))
 BENT_WAYPOINTS = (4 * cmath.exp(-2j * math.pi / 3), -0.5j, 4 * cmath.exp(-1j * math.pi / 3))
+# halves of two legs, cut to one leg below |r| = 1.53
+TWO_LEG_WAYPOINTS = (complex(-3, -0.5), complex(-1.5, -0.3), -0.5j, complex(1.5, -0.3),
+                     complex(3, -0.5))
 
 
 def reference_m2_n3():
@@ -308,30 +313,42 @@ class TestStartRadius:
                 assert shooting._start_radius(q, Contour(epsilon), shooting._RTOL) == radius
 
     def test_mirror_scan_integrates_one_half(self, monkeypatch):
-        ends = []
-        damping = shooting._damping
+        # the scan damps the integrated halves of all its trials in one
+        # batch: one half per trial, the left one, on a mirror contour at a
+        # real energy, and both halves otherwise
+        batches = []
+        dampings = shooting._dampings
 
-        def recording_damping(q, nodes):
-            ends.append(nodes[0])
-            return damping(q, nodes)
+        def recording_dampings(q, paths):
+            batches.append(paths)
+            return dampings(q, paths)
 
-        monkeypatch.setattr(shooting, "_damping", recording_damping)
+        monkeypatch.setattr(shooting, "_dampings", recording_dampings)
         spec, energy, coeffs, _ = reference_m2_n3()
         mirror = Contour(waypoints=POLE_TEST_WAYPOINTS)
         for contour, e, halves in (
                 (Contour(0.5), energy, 1), (Contour(0.5), complex(energy, 0.01), 2),
                 (mirror, energy, 1), (mirror, complex(energy, 0.01), 2)):
-            ends.clear()
+            batches.clear()
             q = shooting._q_func(coeffs, spec.angular_momentum, e)
             shooting._start_radius(q, contour, shooting._RTOL)
-            # a trial's two starts lie at one |r|, mirror images of each other
-            radii = [abs(z) for z in ends]
-            trials = sorted(set(radii), reverse=True)
+            paths, = batches
+            # the trials are every R from 3.9 down whose starts lie in their
+            # sectors; a trial's two starts lie at one |r|, mirror images of
+            # each other
+            trials = []
+            for k in range(1, 40):
+                try:
+                    dataclasses.replace(contour, x_max=round(4.0 - k * 0.1, 10))
+                except ValueError:
+                    break
+                trials.append(k)
             assert len(trials) > 5, (contour, e)
-            # the left half first; the trial that ends the scan may stop there
-            assert all(z.real < 0 for z in ends[::halves]), (contour, e)
-            assert all(radii.count(r) == halves for r in trials[:-1]), (contour, e)
-            assert 1 <= radii.count(trials[-1]) <= halves, (contour, e)
+            assert len(paths) == halves * len(trials), (contour, e)
+            radii = [abs(path[0]) for path in paths]
+            assert len(set(radii)) == len(trials), (contour, e)
+            assert all(radii.count(r) == halves for r in radii), (contour, e)
+            assert all(path[0].real < 0 for path in paths[::halves]), (contour, e)
 
     def test_given_contours_used_as_given(self):
         spec, energy, coeffs, _ = reference_m2_n3()
@@ -378,6 +395,160 @@ class TestStartRadius:
         assert ((deep.energy, deep.wronskian_residual, deep.iterations, deep.converged)
                 == (transit.energy, transit.wronskian_residual, transit.iterations, True))
         assert deep.contour == Contour(epsilon, 1.9)
+
+
+def scalar_damping(q, nodes):
+    """The damping of one path node by node in cmath, as _start_radius took
+    it before it damped every trial in one array pass: the oracle of
+    shooting._dampings."""
+    s = cmath.sqrt(q(nodes[0]))
+    if (s * nodes[0]).real < 0:
+        s = -s
+    total = 0j
+    for z0, z1 in zip(nodes[:-1], nodes[1:]):
+        step = (z1 - z0) / (shooting._DAMPING_NODES - 1)
+        for k in range(1, shooting._DAMPING_NODES):
+            s_next = cmath.sqrt(q(z0 + k * step))
+            if (s_next * s.conjugate()).real < 0:
+                s_next = -s_next
+            total += (s + s_next) * step
+            s = s_next
+    return -total.real
+
+
+def scalar_start_radius(q, contour, rtol):
+    """(radius, margin): the scan one trial Contour at a time, with q.start
+    and scalar_damping on each integrated half, as _start_radius ran it
+    before its array pass; margin is the smallest distance in nats between
+    the threshold and a finite damped error of the trials it evaluated."""
+    log_rtol = math.log(max(rtol, shooting._RTOL_FLOOR))
+    if contour.waypoints is None:
+        radius = 4.0
+    else:
+        radius = max(abs(contour.waypoints[0]), abs(contour.waypoints[-1]))
+    margin = math.inf
+    for k in range(1, 40):
+        x_max = round(4.0 - k * 0.1, 10)
+        try:
+            trial = dataclasses.replace(contour, x_max=x_max)
+        except ValueError:
+            break
+        left, right = trial.left_nodes(), trial.right_nodes()
+        damped = []
+        for half in [left] if shooting._mirrored(q, left, right) else [left, right]:
+            _, err = q.start(half[0])
+            damped.append((math.log(err) if err else -math.inf) - scalar_damping(q, half))
+        margin = min([margin] + [abs(d - log_rtol) for d in damped if math.isfinite(d)])
+        if not all(d <= log_rtol for d in damped):
+            break
+        radius = x_max
+    return radius, margin
+
+
+class TestStartRadiusOracle:
+    """_start_radius takes every trial radius in one array pass; it derives
+    the radius of the scan that took them one at a time (scalar_start_radius)
+    on every case here, none of them within 1e-6 nats of the threshold, so
+    that a platform's last-bit difference cannot flip one unnoticed."""
+
+    @staticmethod
+    def census_states():
+        """(spec, E, d) of the census test's subset (tests/test_shot_census.py)."""
+        path = Path(__file__).resolve().parent.parent / "tools" / "shot_census.py"
+        spec = importlib.util.spec_from_file_location("shot_census", path)
+        census = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(census)
+        found, _ = census.states(("1", "2.25"), ("-3", "2.25"), ((1, 4), (2, 4), (3, 4)))
+        return found
+
+    @staticmethod
+    def assert_same_radius(cases):
+        for label, coeffs, big_l, energy, contour in cases:
+            # separate potentials, so that neither scan extends the other's
+            # series coefficients
+            radius = shooting._start_radius(shooting._q_func(coeffs, big_l, energy), contour,
+                                            shooting._RTOL)
+            expected, margin = scalar_start_radius(shooting._q_func(coeffs, big_l, energy),
+                                                   contour, shooting._RTOL)
+            assert radius == expected, label
+            assert margin > 1e-6, label
+
+    def test_workload_and_reference_contours(self):
+        spec, energy, coeffs, _ = reference_m2_n3()
+        big_l = spec.angular_momentum
+        cases = [(f"reference {e} {contour}", coeffs, big_l, e, contour)
+                 for e in (5.5, 5.6, energy, complex(5.5, 0.01), complex(5.7, -0.3))
+                 for contour in (Contour(0.25), Contour(0.5), Contour(1.0),
+                                 Contour(waypoints=BENT_WAYPOINTS),
+                                 Contour(waypoints=POLE_TEST_WAYPOINTS),
+                                 Contour(waypoints=TWO_LEG_WAYPOINTS))]
+        # the default contour's halves matched off centre, with the starts
+        # at x_max as given or cut further in
+        cases += [(f"shifted {x} {x_max} {e}", coeffs, big_l, e,
+                   Contour(waypoints=shooting._shifted(Contour(0.5, x_max), x).waypoints))
+                  for x in (0.3, -0.3) for x_max in (1.9, 4.0)
+                  for e in (5.5, complex(5.5, 0.01))]
+        # the shooting benchmark's states, from every offset it may deal
+        cases += [(f"state {state} {e}", state_coeffs, state.angular_momentum, e, Contour())
+                  for state, state_e, state_coeffs, _ in validated_states()[1:]
+                  for offset in (0.02, 0.03, 0.04, 0.05)
+                  for e in (state_e - offset, state_e + offset)]
+        self.assert_same_radius(cases)
+
+    def test_census_subset(self):
+        cases = []
+        for spec, energy, coupling in self.census_states():
+            coeffs = potential_coeffs(spec, coupling)
+            cases += [(f"{spec} {energy} {offset} {epsilon}", coeffs, spec.angular_momentum,
+                       energy + offset, Contour(epsilon))
+                      for offset in (0.05, -0.05) for epsilon in (0.25, 0.5, 1.0)]
+        assert len(cases) == 168
+        self.assert_same_radius(cases)
+
+    def test_dampings_and_errors_match_the_scalar_ones(self):
+        # the batch sums in another order, and numpy divides complex
+        # numbers its own way, so it agrees with the scalar values to
+        # rounding, not bit for bit
+        spec, _, coeffs, _ = reference_m2_n3()
+        q = shooting._q_func(coeffs, spec.angular_momentum, 5.5)
+        paths = [Contour(0.25, x_max).left_nodes() for x_max in (3.9, 2.5, 1.0)]
+        paths += [shooting._shifted(Contour(0.5, 2.0), 0.3).left_nodes(),
+                  Contour(waypoints=BENT_WAYPOINTS, x_max=1.9).right_nodes(),
+                  Contour(waypoints=TWO_LEG_WAYPOINTS, x_max=2.5).left_nodes(),
+                  Contour(waypoints=TWO_LEG_WAYPOINTS, x_max=1.4).right_nodes()]
+        # the one-leg paths are padded to two legs
+        assert [len(path) for path in paths] == [2, 2, 2, 2, 2, 3, 2]
+        for path, damping in zip(paths, shooting._dampings(q, paths)):
+            expected = scalar_damping(q, path)
+            assert abs(damping - expected) <= 1e-12 * (1 + abs(expected))
+        starts = np.array([path[0] for path in paths])
+        errors, stopped = q.start.errors(starts, 96)
+        assert stopped.all()
+        for r, err in zip(starts, errors):
+            expected = q.start(r)[1]
+            assert abs(err - expected) <= 1e-12 * expected
+
+    def test_overflow_fails_the_trials_quietly(self):
+        # a waypoint half that detours to |r| = 2e31, where Q overflows,
+        # on every trial from 3.9 down to its end at |r| = 3.04: the first
+        # trial fails (with no RuntimeWarning, which would raise here), so
+        # the scan keeps the waypoints as given
+        spec, energy, coeffs, _ = reference_m2_n3()
+        far = complex(-2e31, -0.5)
+        detour = Contour(waypoints=(complex(-3, -0.5), far, -0.5j, -far.conjugate(),
+                                    complex(3, -0.5)))
+        q = shooting._q_func(coeffs, spec.angular_momentum, 5.5)
+        assert not cmath.isfinite(q(far / 2))
+        for e in (5.5, complex(5.5, 0.01)):
+            q = shooting._q_func(coeffs, spec.angular_momentum, e)
+            assert shooting._start_radius(q, detour, shooting._RTOL) == abs(complex(3, -0.5))
+        # a potential whose series coefficients overflow past the first few
+        # blocks: the scalar scan summed no further than those, and derived
+        # R = 1.9; the batch stops its sums before the overflowing block
+        huge = PotentialCoeffs(a=1e20, b=0.0, c=0.0, f=0.0, d=0.0)
+        self.assert_same_radius([("huge a", huge, 0.5, 1.0, Contour(0.5))])
+        q = shooting._q_func(huge, 0.5, 1.0)
+        assert shooting._start_radius(q, Contour(0.5), shooting._RTOL) == 1.9
 
 
 class TestClosedFormOracle:
@@ -780,16 +951,19 @@ class TestFindEigenvalue:
     @staticmethod
     def recording(monkeypatch, mismatch=None):
         """Records (energy, rtol) of every mismatch the search evaluates,
-        through mismatch (by default the real one) in place of
-        mismatch_and_slope."""
+        through mismatch(energy, rtol) -> (g, g') in place of
+        _mismatch_and_slope, or through the real one."""
         evaluations = []
-        mismatch = mismatch or shooting.mismatch_and_slope
+        real = shooting._mismatch_and_slope
 
-        def recorded(coeffs, big_l, energy, contour, *, rtol, **kwargs):
+        def recorded(q, contour, rtol, atol):
+            energy = q.terms[-1].real
             evaluations.append((energy, rtol))
-            return mismatch(coeffs, big_l, energy, contour, rtol=rtol, **kwargs)
+            if mismatch is None:
+                return real(q, contour, rtol, atol)
+            return mismatch(energy, rtol)
 
-        monkeypatch.setattr(shooting, "mismatch_and_slope", recorded)
+        monkeypatch.setattr(shooting, "_mismatch_and_slope", recorded)
         return evaluations
 
     @staticmethod
@@ -825,7 +999,7 @@ class TestFindEigenvalue:
         # (the Newton search, as the secant before it) a mismatch whose error
         # scales with rtol: the loose phase lands near e_star, and only the
         # _RTOL evaluations pin it to _E_TOL
-        def mismatch(coeffs, big_l, e, contour, *, rtol, atol=1e-10):
+        def mismatch(e, rtol):
             return ((e - e_star) + rtol * math.sin(1e3 * e),
                     1 + 1e3 * rtol * math.cos(1e3 * e))
 
@@ -984,7 +1158,7 @@ class TestNewton:
         # step was 0 and every later slope was taken between equal energies;
         # it ended after 4 steps at 2.99999, unconverged.  Newton takes the
         # slope from the evaluation itself
-        def mismatch(coeffs, big_l, e, contour, *, rtol, atol=1e-10):
+        def mismatch(e, rtol):
             return (e - 3.0) + rtol, 1.0
 
         evaluations = TestFindEigenvalue.recording(monkeypatch, mismatch)
@@ -1002,8 +1176,8 @@ class TestNewton:
         # g' = 0 or not finite ends the search at the last evaluated energy
         spec, _, coeffs, _ = reference_m2_n3()
         for slope in (0.0, math.nan, math.inf):
-            monkeypatch.setattr(shooting, "mismatch_and_slope",
-                                lambda *args, rtol, slope=slope: (1e-3, slope))
+            monkeypatch.setattr(shooting, "_mismatch_and_slope",
+                                lambda *args, slope=slope: (1e-3, slope))
             result = find_eigenvalue(coeffs, spec.angular_momentum, 3.5, Contour(0.5, 2.0))
             assert (result.energy, result.wronskian_residual, result.iterations,
                     result.converged) == (3.5, 1e-3, 1, False)
@@ -1035,16 +1209,16 @@ class TestPoles:
         """Make every mismatch matched at x in xs raise PoleError; returns
         the x at which each mismatch is matched, poled or not."""
         ends = []
-        mismatch = shooting.mismatch_and_slope
+        mismatch = shooting._mismatch_and_slope
 
-        def poled(coeffs, big_l, energy, contour, **kwargs):
+        def poled(q, contour, rtol, atol):
             end = contour.left_nodes()[-1]
             ends.append(end.real)
             if any(abs(end.real - x) <= 1e-12 for x in xs):
                 raise PoleError(end)
-            return mismatch(coeffs, big_l, energy, contour, **kwargs)
+            return mismatch(q, contour, rtol, atol)
 
-        monkeypatch.setattr(shooting, "mismatch_and_slope", poled)
+        monkeypatch.setattr(shooting, "_mismatch_and_slope", poled)
         return ends
 
     @pytest.mark.parametrize("x_max", [None, 4.0], ids=["derived", "given"])

@@ -22,8 +22,9 @@ Uses only the stdlib and the ``decadic`` found on ``sys.path``:
     PYTHONPATH=src python3 tools/shot_census.py > census.txt
 
 prints one line per shot: the category, alpha, beta, M, N, the exact
-energy, the guess, the energy found and the iterations, so two checkouts'
-censuses compare line by line.  The tallies, overall and by alpha, go to
+energy, the guess, the energy found, the iterations and the start radius
+derived at the guess (``result.contour.x_max``), so two checkouts'
+censuses compare line by line, radius included.  The tallies, overall and by alpha, go to
 stderr.  The full grid is 2838 shots, about 4.5 minutes on a 2-core VM.
 """
 
@@ -111,7 +112,8 @@ def main() -> None:
     found, skipped = states()
     shots = census(found)
     for category, spec, energy, guess, result in shots:
-        outcome = "- -" if result is None else f"{result.energy!r} {result.iterations}"
+        outcome = ("- - -" if result is None else
+                   f"{result.energy!r} {result.iterations} {result.contour.x_max!r}")
         print(category, spec.alpha, spec.beta, spec.big_m, spec.n_states, repr(energy),
               repr(guess), outcome)
     print(f"{len(found)} states, {len(shots)} shots; {len(skipped)} specs skipped "
