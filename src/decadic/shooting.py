@@ -10,8 +10,8 @@ doubles beyond |x| ~ 3.5 because of the exp(+-x^6/6) envelopes; y stays
 bounded except at isolated poles.  Both ends start on the decaying branch
 (y ~ -r^5 at large |r|) and integrate toward the matching point, the
 contour's middle node, where an eigenvalue announces itself by equal left
-and right log-derivatives.  Bent contours ending in other decay wedges,
-and the retries of a pole on the default contour, use explicit waypoints.
+and right log-derivatives.  Bent contours ending in other decay wedges use
+explicit waypoints.
 Each start value is the optimally truncated asymptotic series of the
 decaying log-derivative in powers of 1/r^2 (_SeriesStart), which also
 estimates its own error.
@@ -346,7 +346,7 @@ class _SeriesStart:
             pairs = sum(map(operator.mul, coeffs[1:(k + 1) // 2], coeffs[k - 1:k // 2:-1]))
             total = (q_n[k] if k < len(q_n) else 0.0) - 2 * pairs
             if k % 2 == 0:
-                total -= coeffs[k // 2] ** 2
+                total -= coeffs[k // 2] * coeffs[k // 2]
             if k >= 3:
                 total -= (11 - 2 * k) * coeffs[k - 3]
             coeffs.append(-total / 2)
@@ -377,17 +377,9 @@ class _SeriesStart:
         start(r) summed from its first count coefficients (a multiple of 3,
         at least 9), in one matrix of terms c_n r^(5 - 2n), each the start's
         product chain.  stopped is False where the sum goes on past them;
-        that err means nothing, and where a coefficient overflows (the
-        recurrence raises OverflowError), the sums stop before its block.
-        Call under np.errstate: a term may overflow."""
-        try:
-            self._extend(count)
-        except OverflowError:
-            # start(r) raises there too, if it gets that far; it always
-            # sums the first three blocks
-            count = len(self.coeffs) // 3 * 3
-            if count < 9:
-                raise
+        that err means nothing.  Call under np.errstate: a coefficient or a
+        term may overflow, and the sums stop before its block."""
+        self._extend(count)
         r2 = starts * starts
         powers = np.empty((len(starts), count), complex)
         powers[:, 0] = starts * (r2 * r2)
@@ -559,14 +551,15 @@ def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol, u0=0j) -> IvpResu
 
     scipy's step, generated from its tableau (_Tableau, _dop853), with the
     step control of scipy.integrate.solve_ivp(method="DOP853") and a
-    terminal event on the upward crossing of |y| - _POLE_THRESHOLD: the
+    terminal event on |y| - _POLE_THRESHOLD, armed from the start: the
     real and imaginary parts are scaled and normed separately, as scipy
     does on the state [re, im], so the steps are scipy's.  Sums run in sequence rather than through
     BLAS, so results may differ from scipy's in the last bits.  Raises
-    PoleError where the leg stops: at the threshold crossing, placed by
-    linear interpolation of |y| within the step that crosses it, or at the
-    last accepted t when the step size collapses.  The steps, and so every
-    y, do not depend on u.
+    PoleError where the leg stops: at z0 when |y0| is not below the
+    threshold, at the first accepted point that is not, placed by linear
+    interpolation of |y| within the step that crosses it, or at the last
+    accepted t when the step size collapses.  The steps, and so every y, do
+    not depend on u.
     """
     t, t_bound = 0.0, 1.0
     y, u = complex(y0), complex(u0)
@@ -577,6 +570,8 @@ def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol, u0=0j) -> IvpResu
         raise ValueError(f"atol must be positive, got {atol}")
     if math.isnan(rtol):
         raise ValueError("rtol must not be NaN")
+    if not abs(y) < _POLE_THRESHOLD:
+        raise PoleError(z0)
     rtol = max(rtol, _RTOL_FLOOR)
     rhs, step = _dop853()(z0, z1 - z0, *terms)
     f = rhs(t, y)
@@ -613,8 +608,8 @@ def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol, u0=0j) -> IvpResu
         ts.append(t_new)
         ys.append(y_new)
         g_new = abs(y_new) - _POLE_THRESHOLD
-        if g <= 0 <= g_new:
-            crossing = g / (g - g_new) if g < g_new else 0.0
+        if g_new >= 0:
+            crossing = g / (g - g_new)
             raise PoleError(z0 + (t + crossing * (t_new - t)) * (z1 - z0))
         t, y, f, g, u = t_new, y_new, f_new, g_new, u_new
     return IvpResult(ts, ys, u, nfev)
@@ -650,11 +645,6 @@ def _dampings(q, paths):
     total = (pairs.sum(axis=2) * steps).sum(axis=1)
     # total / 2 runs inward, from the end to the matching point
     return -total.real
-
-
-def _damping(q, nodes) -> float:
-    """The damping of the one path with these nodes (_dampings)."""
-    return float(_dampings(q, [nodes])[0])
 
 
 def _start_radius(q, contour: Contour, rtol: float) -> float:
@@ -719,10 +709,6 @@ def _start_radius(q, contour: Contour, rtol: float) -> float:
             first = done + passed.argmin()
             if failed[trial[done:] == trial[first]].any():
                 return radii[trial[first] - 1]
-            if len(q.start.coeffs) < count:
-                # the trial's sum needs a coefficient that overflows: raise
-                # as start(r) does
-                q.start._extend(count)
             done = first
             count += _SERIES_MORE
 
@@ -773,9 +759,8 @@ def integrate_log_derivative(coeffs: PotentialCoeffs, big_l, energy, contour: Co
     decaying branch at the half's start (its far end, or on a waypoint
     contour where its path first comes within |r| = x_max) and runs toward
     the matching point.  A contour without x_max, default or waypoint,
-    starts at the radius derived at this energy.
-    Raises PoleError when y passes through a pole (find_eigenvalue then
-    retries the default contour's halves, matched at x = +-0.3).
+    starts at the radius derived at this energy.  Raises PoleError where a
+    leg stops (solve_ivp).
     """
     if direction not in ("from_left", "from_right"):
         raise ValueError(f'direction must be "from_left" or "from_right", got {direction!r}')
@@ -854,13 +839,13 @@ def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Con
     finite, a step beyond e_bound and max_iter evaluations end it
     unconverged, at the last evaluated energy.
 
-    Non-convergence (wild steps, |E| escaping e_bound, persistent poles) is
-    reported in the result, never raised.  A contour without x_max gets the
-    radius derived at e_guess, one for the whole search, and the result
-    carries it.  A pole on a default contour retries its halves matched at
-    x = +0.3, then -0.3 (_shifted); the result still carries the default
-    contour.  A non-finite e_guess, an e_bound or residual_tol that is not
-    positive (NaN included) and a max_iter below 1 raise ValueError first.
+    Non-convergence (wild steps, |E| escaping e_bound, a leg that stops at
+    a pole) is reported in the result, never raised: a PoleError ends the
+    search at e_guess, with an infinite residual and no iterations.  A
+    contour without x_max gets the radius derived at e_guess, one for the
+    whole search, and the result carries it.  A non-finite e_guess, an
+    e_bound or residual_tol that is not positive (NaN included) and a
+    max_iter below 1 raise ValueError first.
     """
     if not math.isfinite(e_guess):
         raise ValueError(f"e_guess must be finite, got {e_guess}")
@@ -873,26 +858,12 @@ def find_eigenvalue(coeffs: PotentialCoeffs, big_l, e_guess: float, contour: Con
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     q = _q_func(coeffs, big_l, e_guess)
     contour = _resolved(contour, q, _RTOL)
-    match_points = (0.0,) if contour.waypoints is not None else (0.0, 0.3, -0.3)
-    for x in match_points:
-        shot = contour if x == 0.0 else _shifted(contour, x)
-        try:
-            found = _newton(coeffs, big_l, q, shot, residual_tol, max_iter, e_bound)
-        except PoleError:
-            continue
-        return ShootingResult(*found, contour=contour)
-    return ShootingResult(energy=float(e_guess), wronskian_residual=math.inf,
-                          iterations=0, converged=False, contour=contour)
-
-
-def _shifted(contour: Contour, x: float) -> Contour:
-    """The default contour's halves matched at x: the waypoint contour with
-    the same starts, and x_max their radius, so _cut keeps both."""
-    if not abs(x) < contour.x_max:
-        raise ValueError("matching point must lie strictly inside the contour")
-    left, right = contour.left_nodes(), contour.right_nodes()
-    waypoints = (*left[:-1], complex(x, left[-1].imag), *right[-2::-1])
-    return Contour(waypoints=waypoints, x_max=abs(left[0]))
+    try:
+        found = _newton(coeffs, big_l, q, contour, residual_tol, max_iter, e_bound)
+    except PoleError:
+        return ShootingResult(energy=float(e_guess), wronskian_residual=math.inf,
+                              iterations=0, converged=False, contour=contour)
+    return ShootingResult(*found, contour=contour)
 
 
 def _newton(coeffs, big_l, q, contour, residual_tol, max_iter, e_bound):

@@ -271,7 +271,7 @@ class TestStartRadius:
             assert sector.contains(cmath.phase(rs[0]))
             # the start's own error, damped by the path, is within rtol
             _, err = q.start(half[0])
-            assert err * math.exp(-shooting._damping(q, half)) <= shooting._RTOL
+            assert err * math.exp(-shooting._dampings(q, [half])[0]) <= shooting._RTOL
         # find_eigenvalue derives it once, at e_guess, and reports it.  On
         # the pole test's polyline the integrated y misses the closed form
         # at -i by 4e-3 (1e-2 with the waypoints as given), so the search
@@ -303,8 +303,8 @@ class TestStartRadius:
             for k in range(30):
                 x_max = round(4.0 - k * 0.1, 10)
                 left, right = (self.default_nodes(sign, x_max, epsilon) for sign in (-1.0, 1.0))
-                assert (shooting._damping(q, left)
-                        == shooting._damping(q, right)), (epsilon, x_max)
+                assert (shooting._dampings(q, [left])[0]
+                        == shooting._dampings(q, [right])[0]), (epsilon, x_max)
                 y, err = q.start(left[0])
                 assert q.start(right[0]) == (-y.conjugate(), err), (epsilon, x_max)
             radius = shooting._start_radius(q, Contour(epsilon), shooting._RTOL)
@@ -485,7 +485,8 @@ class TestStartRadiusOracle:
         # the default contour's halves matched off centre, with the starts
         # at x_max as given or cut further in
         cases += [(f"shifted {x} {x_max} {e}", coeffs, big_l, e,
-                   Contour(waypoints=shooting._shifted(Contour(0.5, x_max), x).waypoints))
+                   Contour(waypoints=(complex(-x_max, -0.5), complex(x, -0.5),
+                                      complex(x_max, -0.5))))
                   for x in (0.3, -0.3) for x_max in (1.9, 4.0)
                   for e in (5.5, complex(5.5, 0.01))]
         # the shooting benchmark's states, from every offset it may deal
@@ -512,7 +513,7 @@ class TestStartRadiusOracle:
         spec, _, coeffs, _ = reference_m2_n3()
         q = shooting._q_func(coeffs, spec.angular_momentum, 5.5)
         paths = [Contour(0.25, x_max).left_nodes() for x_max in (3.9, 2.5, 1.0)]
-        paths += [shooting._shifted(Contour(0.5, 2.0), 0.3).left_nodes(),
+        paths += [[complex(-2, -0.5), complex(0.3, -0.5)],
                   Contour(waypoints=BENT_WAYPOINTS, x_max=1.9).right_nodes(),
                   Contour(waypoints=TWO_LEG_WAYPOINTS, x_max=2.5).left_nodes(),
                   Contour(waypoints=TWO_LEG_WAYPOINTS, x_max=1.4).right_nodes()]
@@ -629,7 +630,7 @@ class TestClosedFormOracle:
         assert shooting._start_radius(q, Contour(epsilon=0.25), shooting._RTOL) == 1.5
         for half in (contour.left_nodes(), contour.right_nodes()):
             _, err = q.start(half[0])
-            assert err * math.exp(-shooting._damping(q, half)) > shooting._RTOL
+            assert err * math.exp(-shooting._dampings(q, [half])[0]) > shooting._RTOL
         assert self.failures(contour) != []
 
 
@@ -1221,34 +1222,49 @@ class TestPoles:
         monkeypatch.setattr(shooting, "_mismatch_and_slope", poled)
         return ends
 
-    @pytest.mark.parametrize("x_max", [None, 4.0], ids=["derived", "given"])
-    @pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.0])
-    def test_centre_pole_retries_off_centre(self, monkeypatch, epsilon, x_max):
+    def test_pole_ends_the_shot_unconverged(self, monkeypatch):
+        # a pole on the default contour ends the search at its guess after
+        # one evaluation, with no retry, and reports the contour it shot
         spec, _, coeffs, _ = reference_m2_n3()
-        contour = Contour(epsilon=epsilon, x_max=x_max)
-        unpoled = find_eigenvalue(coeffs, spec.angular_momentum, 5.5, contour)
+        unpoled = find_eigenvalue(coeffs, spec.angular_momentum, 5.5, Contour())
         ends = self.poles_at(monkeypatch, 0.0)
-        result = find_eigenvalue(coeffs, spec.angular_momentum, 5.5, contour)
-        assert ends[0] == 0.0 and abs(ends[-1] - 0.3) <= 1e-12
-        assert result.converged
-        assert abs(result.energy - CBRT192) <= 1e-6
-        # the shot reports the default contour, not the retried one
+        result = find_eigenvalue(coeffs, spec.angular_momentum, 5.5, Contour())
+        assert ends == [0.0]
+        assert (result.energy, result.wronskian_residual, result.iterations,
+                result.converged) == (5.5, math.inf, 0, False)
         assert result.contour == unpoled.contour
         assert result.contour.waypoints is None
 
-    def test_persistent_centre_poles_do_not_converge(self, monkeypatch):
+    def test_start_beyond_the_threshold_raises_at_the_start(self):
+        # the event is armed from the start: a start value at or beyond
+        # _POLE_THRESHOLD stops the leg at z0
         spec, _, coeffs, _ = reference_m2_n3()
-        self.poles_at(monkeypatch, 0.0, 0.3, -0.3)
-        result = find_eigenvalue(coeffs, spec.angular_momentum, 5.5, Contour())
-        assert (result.energy, result.wronskian_residual, result.iterations,
-                result.converged) == (5.5, math.inf, 0, False)
-        assert result.contour.waypoints is None
+        q = shooting._q_func(coeffs, spec.angular_momentum, 5.5)
+        z0, z1 = complex(-4, -0.5), complex(0, -0.5)
+        for y0 in (1e9 + 0j, complex(0, -shooting._POLE_THRESHOLD)):
+            with pytest.raises(PoleError) as info:
+                shooting.solve_ivp(q.terms, z0, z1, y0, 1e-10, 1e-10)
+            assert info.value.location == z0
 
-    def test_retry_match_point_must_lie_inside_the_contour(self, monkeypatch):
-        spec, _, coeffs, _ = reference_m2_n3()
-        self.poles_at(monkeypatch, 0.0)
-        with pytest.raises(ValueError, match="strictly inside the contour"):
-            find_eigenvalue(coeffs, spec.angular_momentum, 5.5, Contour(epsilon=0.05, x_max=0.25))
+    def test_overflowing_start_series_ends_unconverged(self):
+        # the series coefficients of a = 1e40 overflow at c_8, in the third
+        # block, where inf - inf leaves NaN; the start sums the first two,
+        # to |y0| ~ 1e197, so the first leg stops at its start.  The
+        # recurrence used to raise OverflowError out of the radius scan
+        huge = PotentialCoeffs(a=1e40, b=0.0, c=0.0, f=0.0, d=0.0)
+        result = find_eigenvalue(huge, 0.5, 1.0, Contour())
+        assert (result.energy, result.wronskian_residual, result.iterations,
+                result.converged) == (1.0, math.inf, 0, False)
+
+    def test_start_beyond_the_threshold_exits_one(self):
+        # at alpha = 1e20 the derived radius is 1.9 and |y0| ~ 1.4e39: the
+        # shot used to spin in solve_ivp for minutes.  A subprocess with a
+        # timeout, so that a spin fails here rather than hanging the suite
+        argv = ["shoot", "-M", "2", "-N", "3", "--alpha=1e20", "--d=0", "--e-guess=1"]
+        proc = subprocess.run([sys.executable, "-m", "decadic.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert '"converged":false' in proc.stdout
 
 
 class TestBentContour:

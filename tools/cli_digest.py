@@ -1,6 +1,6 @@
 """Digest of the decadic CLI's stdout and exit codes over a fixed grid.
 
-Runs 1940 invocations in-process through ``decadic.cli.main`` and prints one
+Runs 1941 invocations in-process through ``decadic.cli.main`` and prints one
 line per invocation: the exit code, the sha256 of stdout and the argv.  Two
 checkouts whose digests are equal line for line give the same exit codes and
 byte-identical stdout on the whole grid (stderr is not compared).
@@ -23,7 +23,11 @@ The grid:
   {-2, -1, 0, 0.5, 1, 2, 3, 4.5}: each side of the real-compatible window
   1 < delta < 3, its ends, and the invalid -2 (exit 2);
 * the three reference shots again with ``--x-max=4`` in place of the
-  radius derived from the potential.
+  radius derived from the potential;
+* one shot at alpha = 1e20 (M=2, N=3, d=0, E guess 1), whose start value
+  at the derived radius 1.9 already lies beyond the pole threshold: it
+  ends unconverged at once (exit 1), and a shot that spins there instead
+  stalls the digest.
 
 Uses only the stdlib and the ``decadic`` found on ``sys.path``, so point
 PYTHONPATH at the checkout to digest:
@@ -55,6 +59,9 @@ DELTAS = ("-2", "-1", "0", "0.5", "1", "2", "3", "4.5")
 WEDGES += [["wedges", f"--delta={delta}"] for delta in DELTAS]
 # the reference shots from the fixed radius 4 in place of the derived one
 FIXED_RADIUS_SHOTS = [argv + ["--x-max=4"] for argv in SHOTS[:3]]
+# a start already beyond the pole threshold, listed last so that every
+# earlier line keeps its place
+HUGE_START_SHOTS = [["shoot", "-M", "2", "-N", "3", "--alpha=1e20", "--d=0", "--e-guess=1"]]
 
 
 def grid():
@@ -74,6 +81,7 @@ def grid():
     yield from SHOTS
     yield from WEDGES
     yield from FIXED_RADIUS_SHOTS
+    yield from HUGE_START_SHOTS
 
 
 def run(argv):

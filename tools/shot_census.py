@@ -9,7 +9,7 @@ shot falls in one category:
 * ``off``: converged farther than that, but within 1e-2;
 * ``far``: converged farther than 1e-2 (on another level, or run off);
 * ``unconverged``: the search reports no convergence;
-* ``pole``: every match point the search tried met a pole;
+* ``pole``: the search met a pole and ended at its guess;
 * ``failure``: ``find_eigenvalue`` raised.
 
 The grid: (alpha, beta) in {-3, -1.5, -0.625, 0, 0.375, 1, 2.25}^2 as exact
@@ -83,7 +83,7 @@ def shoot(spec, energy, coupling, guess):
         return "failure", None
     miss = abs(result.energy - energy)
     if not result.converged:
-        # find_eigenvalue's result when every match point met a pole
+        # find_eigenvalue's result when the search met a pole
         poled = result.iterations == 0 and result.wronskian_residual == math.inf
         return ("pole" if poled else "unconverged"), result
     if miss <= 1e-7 * (1 + abs(energy)):
