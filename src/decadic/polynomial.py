@@ -8,17 +8,16 @@ det_coeffs, expands a determinant whose entries are plain coefficient lists
 (polynomials in one variable over ints, or over Polys in E for det_bipoly),
 by a last-column minor recurrence on the banded secular matrices that is
 exact and evaluation-order independent; the solvers hand it int lists built
-from the numerators of alpha and beta, so a substitution such as d = E^2/4
-goes into the entries and the determinant is expanded once, without a
-Fraction or a Poly operation.  det takes scalar or Poly entries: on
-rational ones it scales each row by the lcm of its denominators, runs the
-kernel on ints and divides the result once at the end.  Elimination of d
-between the two secular determinants uses the Sylvester resultant.
+from the numerators of alpha and beta (recurrence.integer_matrix), so a
+substitution such as d = E^2/4 goes into the entries and the determinant
+is expanded once, without a Fraction operation.  det takes scalar or Poly
+entries and runs the kernel on their coefficients as they are; this
+module clears no denominators.  Elimination of d between the two secular
+determinants uses the Sylvester resultant.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -278,21 +277,6 @@ def det_coeffs(rows):
     return _det_memo(rows)
 
 
-def _denominator(v):
-    """lcm of the denominators of v's leaves (v a scalar or a Poly, nested
-    or not); None when a leaf is not an int or a Fraction."""
-    if isinstance(v, Poly):
-        dens = [_denominator(c) for c in v.coeffs]
-        return None if None in dens else math.lcm(*dens)
-    return v.denominator if isinstance(v, (int, Fraction)) else None
-
-
-def _map_leaves(v, f):
-    if isinstance(v, Poly):
-        return Poly(tuple(_map_leaves(c, f) for c in v.coeffs))
-    return f(v)
-
-
 def _coeff_list(v):
     """A scalar or Poly entry as det_coeffs takes it."""
     if isinstance(v, Poly):
@@ -300,40 +284,19 @@ def _coeff_list(v):
     return [v] if v != 0 else []
 
 
-def _expand(rows):
-    """det_coeffs of rows of scalars or Polys: a Poly when an entry is one,
-    else a scalar."""
+def det(m):
+    """Division-free determinant of a square matrix whose entries are
+    scalars or Poly: det_coeffs over the coefficients of the entries, a
+    Poly when an entry is one, else a scalar.  Exact on exact entries, in
+    their own arithmetic; the solvers clear denominators before they expand
+    (recurrence.integer_matrix)."""
+    rows = [list(r) for r in m]
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("matrix must be square")
     result = det_coeffs([[_coeff_list(v) for v in row] for row in rows])
     if any(isinstance(v, Poly) for row in rows for v in row):
         return Poly(result)
     return result[0] if result else 0
-
-
-def det(m):
-    """Division-free determinant of a square matrix whose entries are
-    scalars or Poly; exact for rational coefficients.
-
-    With int and Fraction leaves only, row i is scaled by the lcm k_i of its
-    leaf denominators, the integer matrix expanded and each leaf of the
-    result divided once by prod k_i, since det(diag(k) A) = prod k * det(A).
-    A matrix with other leaves (floats) is expanded as it is.  Either way
-    the expansion is det_coeffs', over the coefficients of the Poly entries.
-    """
-    rows = [list(r) for r in m]
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("matrix must be square")
-    if len(rows) == 1:
-        return rows[0][0]
-    scales = []
-    for row in rows:
-        dens = [_denominator(v) for v in row]
-        if None in dens:
-            return _expand(rows)
-        scales.append(math.lcm(*dens))
-    total = math.prod(scales)
-    result = _expand([[_map_leaves(v, lambda x, k=k: x.numerator * (k // x.denominator))
-                       for v in row] for row, k in zip(rows, scales)])
-    return result if total == 1 else _map_leaves(result, lambda x: Fraction(x, total))
 
 
 def char_poly(m) -> Poly:

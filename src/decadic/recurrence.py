@@ -22,19 +22,20 @@ polynomial.COUPLING for the two variables) give symbolic entries.
 float_coeffs gives the float value of every row's (A_n, B_n, C_n, D_n) at
 float energy and coupling, equal bit for bit to float() of coeffs' entries:
 each rational product beta k, beta^2 or alpha k is rounded once, by one
-int / int, as float(Fraction) rounds it.  integer_main_matrix gives the
-exact main matrix at a polynomial energy and coupling on ints alone: every
-entry an int coefficient list, all under one common scale.
+int / int, as float(Fraction) rounds it.  integer_matrix gives either
+square matrix at a polynomial energy and coupling on ints alone, every
+entry a coefficient list under one common scale: the one place where an
+exact secular matrix loses its denominators.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .model import ModelSpec
+from .polynomial import Poly
 
-__all__ = ["coeffs", "float_coeffs", "main_matrix", "integer_main_matrix", "small_matrix",
+__all__ = ["coeffs", "float_coeffs", "main_matrix", "integer_matrix", "small_matrix",
            "full_system"]
 
 
@@ -97,30 +98,41 @@ def main_matrix(spec: ModelSpec, energy, coupling):
                  1, spec.n_states)
 
 
-def integer_main_matrix(spec: ModelSpec, energy, coupling):
-    """main_matrix at a polynomial energy and coupling, times one int scale.
+def _scaled(c, scale):
+    """c * scale, an int unless c is a Poly; scale clears c's denominator."""
+    return c * scale if isinstance(c, Poly) else c.numerator * (scale // c.denominator)
+
+
+def integer_matrix(spec: ModelSpec, first: int, last: int, energy, coupling):
+    """The square matrix of rows n = first..last over (h_0 .. h_{last-first})
+    at a polynomial energy and coupling, times one int scale: rows 1..N give
+    main_matrix, rows 0..M-1 small_matrix.
 
     alpha and beta must be ints or Fractions, and energy and coupling are
-    polynomials in one variable, as ascending sequences of int or Fraction
-    coefficients.  Returns (rows, scale): scale is the lcm of the
-    denominators of alpha, beta^2 and every coefficient, and each entry of
-    rows is scale times main_matrix's, as an ascending list of ints (0 for
-    a zero entry), so that polynomial.det_coeffs(rows) is scale^N times the
-    main determinant, built from numerators without a Fraction operation.
+    polynomials in one variable, as ascending sequences of int, Fraction or
+    Poly coefficients (Polys in a second variable, with int coefficients).
+    Returns (rows, scale): scale is the lcm of the denominators of alpha,
+    beta^2 and every scalar coefficient, and each entry of rows is scale
+    times the matrix's, as an ascending coefficient list (0 for a zero
+    entry), so that polynomial.det_coeffs(rows) is scale^(last - first + 1)
+    times the determinant, without a Fraction operation.
     """
+    if last > spec.n_states:
+        raise ValueError(f"row {last} lies beyond the recurrence's last row "
+                         f"N = {spec.n_states}; require M <= N + 1")
     al, be = spec.alpha, spec.beta
     scale = math.lcm(al.denominator, be.denominator ** 2,
-                     *(Fraction(c).denominator for c in (*energy, *coupling)))
+                     *(c.denominator for c in (*energy, *coupling) if not isinstance(c, Poly)))
     a_k = al.numerator * (scale // al.denominator)  # alpha * scale
     b_k = be.numerator * (scale // be.denominator)  # beta * scale
     b_sq = be.numerator ** 2 * (scale // be.denominator ** 2)  # beta^2 * scale
-    e = [int(c * scale) for c in energy]
-    c0 = [-int(c * scale) for c in coupling]  # (beta^2 - coupling) * scale
+    e = [_scaled(c, scale) for c in energy]
+    c0 = [-_scaled(c, scale) for c in coupling]  # (beta^2 - coupling) * scale
     c0[0] += b_sq
     m2 = 2 * spec.big_m
     top = spec.n_states
     values = []
-    for n in range(1, top + 1):
+    for n in range(first, last + 1):
         a = (2 * n + 2) * (2 * n + 2 - m2) * scale
         b = e.copy()
         b[0] -= b_k * (4 * n + 2 - m2)
@@ -128,7 +140,7 @@ def integer_main_matrix(spec: ModelSpec, energy, coupling):
         c[0] -= a_k * (4 * n - m2)
         values.append(([a] if a else 0, b if any(b) else 0, c if any(c) else 0,
                        [4 * (top + 1 - n) * scale]))
-    return _rows(values, 1, top), scale
+    return _rows(values, first, last - first + 1), scale
 
 
 def small_matrix(spec: ModelSpec, energy, coupling):

@@ -735,10 +735,14 @@ def _integrate_half(q, nodes, rtol: float, atol: float):
     u = dy/dE at the matching point.  y starts on the decaying branch
     (q.start), u at u0 = -1/(2 y0), the leading term of the start's
     E-derivative (only the r^0 coefficient -E of Q depends on E, and the
-    series term it enters, c_5 r^(-5), has dc_5/dE = 1/2)."""
+    series term it enters, c_5 r^(-5), has dc_5/dE = 1/2).  A start whose
+    first blocks already overflow to inf or NaN stops the half there, as a
+    start beyond the pole threshold does: PoleError at nodes[0]."""
     if not cmath.isfinite(q(nodes[0])):
         raise ValueError(f"Q overflows at the contour start {nodes[0]}: x_max is too large")
     y, _ = q.start(nodes[0])
+    if not cmath.isfinite(y):
+        raise PoleError(nodes[0])
     u = -0.5 / y
     rs = [nodes[0]]
     ys = [y]

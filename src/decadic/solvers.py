@@ -11,10 +11,9 @@ Three regimes:
   in d over polynomials in E, eliminate d with a resultant and
   back-substitute each real E.
 
-The M = 2 eliminant and the M = 1 coupling polynomial are expanded from
-the integer numerators and denominators of alpha and beta under one
-common scale (recurrence.integer_main_matrix, polynomial.det_coeffs), and
-divided once at the end.
+All three regimes expand their determinants on ints, from the numerators
+and denominators of alpha and beta under one common scale
+(recurrence.integer_matrix), and divide each coefficient once at the end.
 
 The M = 2 and coupled routes share one candidate loop: each real root E of
 the float eliminant, paired with each coupling d that back-substitution
@@ -190,9 +189,9 @@ def shifted_coupling_poly(spec: ModelSpec) -> pl.Poly:
 
 def _main_det(exact, energy, coupling):
     """(coefficients, denominator): the main determinant of the exact spec at
-    a polynomial energy and coupling (see recurrence.integer_main_matrix),
-    as ascending ints over one int denominator."""
-    rows, scale = recurrence.integer_main_matrix(exact, energy, coupling)
+    a polynomial energy and coupling (see recurrence.integer_matrix), as
+    ascending ints over one int denominator."""
+    rows, scale = recurrence.integer_matrix(exact, 1, exact.n_states, energy, coupling)
     return pl.det_coeffs(rows), scale ** exact.n_states
 
 
@@ -281,6 +280,25 @@ def _through_gate(spec, eliminant, couplings_at) -> Multiplet:
          for (e0, d0), directions in zip(candidates, _null_spaces(fulls)) for h in directions])
 
 
+def _coupled_system(spec):
+    """(dets, eliminant): the small and main determinants as (p, den), p a
+    Poly in d over Polys in E with int coefficients and p / den the exact
+    determinant, and the float resultant, each coefficient one int / int."""
+    exact, _ = _exact_spec(spec)
+    dets = []
+    for first, last in ((0, exact.big_m - 1), (1, exact.n_states)):
+        rows, scale = recurrence.integer_matrix(exact, first, last, (pl.Poly((0, 1)),), (0, 1))
+        dets.append((pl.det_bipoly([[pl.Poly(v) if v else 0 for v in row] for row in rows]),
+                     scale ** (last - first + 1)))
+    (p_small, den_small), (p_main, den_main) = dets
+    # the Sylvester determinant has deg_d(main) rows of the small
+    # determinant's coefficients and deg_d(small) rows of the main one's
+    den = den_small ** p_main.degree * den_main ** p_small.degree
+    with _float_range("the coupled resultant", spec):
+        eliminant = pl.Poly(tuple(c / den for c in pl.resultant(p_small, p_main).coeffs))
+    return dets, eliminant
+
+
 def solve_coupled(spec: ModelSpec) -> Multiplet:
     """Simultaneous (E, d) multiplet from the coupled secular system at M >= 2.
 
@@ -295,12 +313,7 @@ def solve_coupled(spec: ModelSpec) -> Multiplet:
     """
     if spec.big_m < 2:
         raise WrongModeError(f"the coupled solver requires M >= 2, got M = {spec.big_m}")
-    exact, _ = _exact_spec(spec)
-    p_small = pl.det_bipoly(recurrence.small_matrix(exact, pl.ENERGY, pl.COUPLING))
-    p_main = pl.det_bipoly(recurrence.main_matrix(exact, pl.ENERGY, pl.COUPLING))
-    eliminant = pl.resultant(p_small, p_main)
-    with _float_range("the coupled resultant", spec):
-        eliminant = eliminant.as_float()
+    dets, eliminant = _coupled_system(spec)
     if eliminant.is_zero:
         raise pl.DegenerateResultantError(
             "the resultant vanishes identically; the secular determinants "
@@ -308,7 +321,8 @@ def solve_coupled(spec: ModelSpec) -> Multiplet:
     # float copies of both determinants, and copies with |coefficients|:
     # evaluated at (|E|, |d|) those give a cancellation-free scale
     with _float_range("a secular determinant", spec):
-        dets_f = [pl.Poly(tuple(c.as_float() for c in p.coeffs)) for p in (p_small, p_main)]
+        dets_f = [pl.Poly(tuple(pl.Poly(tuple(x / den for x in c.coeffs)) for c in p.coeffs))
+                  for p, den in dets]
     dets_abs = [pl.Poly(tuple(pl.Poly(tuple(abs(x) for x in c.coeffs)) for c in p.coeffs))
                 for p in dets_f]
 

@@ -17,7 +17,7 @@ from decadic import (
     det,
     det_bipoly,
     det_coeffs,
-    integer_main_matrix,
+    integer_matrix,
     main_matrix,
     real_filter,
     resultant,
@@ -223,8 +223,9 @@ class TestDetBipoly:
 
 
 class TestDetIntegerKernel:
-    """det scales rational rows to ints and divides once; other entries
-    must expand exactly as given."""
+    """det expands exact and float entries as they are, in their own
+    arithmetic; the solvers' int rows (integer_matrix) clear the
+    denominators before the kernel runs."""
 
     def test_float_entries_expand_unscaled(self):
         rng = random.Random(8)
@@ -238,47 +239,57 @@ class TestDetIntegerKernel:
             main_matrix(spec, Poly((0.5, 1.0)), 0.25),  # float Poly leaves
         ]
         for m in matrices:
-            got, want = det(m), polynomial._expand([list(r) for r in m])
-            if isinstance(want, Poly):
-                assert got.coeffs == want.coeffs
-                assert all(type(c) is type(w) for c, w in zip(got.coeffs, want.coeffs))
+            got = det(m)
+            if isinstance(got, Poly):
+                assert all(type(c) is float for c in got.coeffs)
             else:
-                assert type(got) is type(want)
-                assert got == want
+                assert type(got) is type(m[0][0])
+                assert got == pytest.approx(np.linalg.det(np.array(m, dtype=float)), rel=1e-9)
 
     def test_rational_entries_equal_fraction_expansion(self):
-        # the per-operation Fraction expansion of the unscaled matrix is the
-        # reference; gauss_det shares no code with either
+        # gauss_det shares no code with det
         rng = random.Random(21)
         for size in range(2, 8):
             m = [[Fraction(rng.randint(-30, 30), rng.choice((1, 3, 7, 10, 27)))
                   for _ in range(size)] for _ in range(size)]
             m[0][0] = rng.randint(-5, 5)  # mixed int and Fraction leaves
-            assert det(m) == polynomial._expand(m) == gauss_det(m)
+            assert det(m) == gauss_det(m)
             symbolic = [[v * ENERGY + Fraction(1, size + 2) if i == j else v
                          for j, v in enumerate(row)] for i, row in enumerate(m)]
-            assert det(symbolic) == polynomial._expand(symbolic)
-        spec = ModelSpec(alpha=Fraction(1, 3), beta=Fraction(-2, 7), big_m=2, n_states=9)
-        m = main_matrix(spec, Poly((0, 1)), Poly((0, 0, Fraction(1, 4))))
-        assert det(m) == polynomial._expand(m)
+            p = det(symbolic)
+            for e0, d0 in ((Fraction(-3, 7), Fraction(5, 2)), (Fraction(2), Fraction(-1, 9))):
+                at = [[v(d0)(e0) if isinstance(v, Poly) else v for v in row] for row in symbolic]
+                assert p(d0)(e0) == gauss_det(at)
         assert det([[1, 2], [3, 4]]) == -2
 
-
     def test_integer_main_matrix_equals_gaussian_elimination(self):
-        # the int rows' det_coeffs over scale^N, at rational points, against
-        # Gaussian elimination of main_matrix built at those points, on
-        # sweep-style floats (power-of-two denominators up to 2^53)
+        # integer_matrix's rows, expanded by det_coeffs and divided by
+        # scale^size, at rational points, against Gaussian elimination of
+        # small_matrix and main_matrix built at those points, on sweep-style
+        # floats (power-of-two denominators up to 2^53).  The variable is E
+        # at M = 2 (d = E^2/4), F at M = 1 (d = F + beta^2) and d, over
+        # Polys in E, on the coupled route's rows at M = 3
+        def at(coeffs, t, e0):
+            # sum_k c_k t^k, a Poly c_k in E taken at e0
+            return Poly(tuple(c(e0) if isinstance(c, Poly) else c for c in coeffs))(t)
+
+        points = ((Fraction(-7, 3), Fraction(3, 5)), (Fraction(1, 2), Fraction(-2)),
+                  (Fraction(5), Fraction(1, 3)))
         for n in (3, 6, 12):
             for al, be in ((-3.6, 0.4), (1.2, -2.8)):
                 for big_m, energy, coupling in ((2, (0, 1), (0, 0, Fraction(1, 4))),
-                                                (1, (0,), (Fraction(be) ** 2, 1))):
+                                                (1, (0,), (Fraction(be) ** 2, 1)),
+                                                (3, (Poly((0, 1)),), (0, 1))):
                     spec = ModelSpec(alpha=Fraction(al), beta=Fraction(be), big_m=big_m,
                                      n_states=n)
-                    rows, scale = integer_main_matrix(spec, energy, coupling)
-                    p = Poly(tuple(Fraction(c, scale ** n) for c in det_coeffs(rows)))
-                    for x in (Fraction(-7, 3), Fraction(1, 2), Fraction(5)):
-                        assert p(x) == gauss_det(main_matrix(spec, Poly(energy)(x),
-                                                             Poly(coupling)(x)))
+                    for first, last, build in ((0, big_m - 1, small_matrix),
+                                               (1, n, main_matrix)):
+                        rows, scale = integer_matrix(spec, first, last, energy, coupling)
+                        p = det_coeffs(rows)
+                        for t, e0 in points:
+                            want = gauss_det(build(spec, at(energy, t, e0), at(coupling, t, e0)))
+                            assert Fraction(at(p, t, e0), scale ** (last - first + 1)) == want
+
 
 class TestRoots:
     def test_plus_minus_one(self):

@@ -1256,6 +1256,16 @@ class TestPoles:
         assert (result.energy, result.wronskian_residual, result.iterations,
                 result.converged) == (1.0, math.inf, 0, False)
 
+    @pytest.mark.parametrize("a", [1e63, 1e70])
+    def test_non_finite_start_ends_unconverged(self, a):
+        # from a about 1e62 up, c_5 already overflows and the start's first
+        # two blocks, which are summed unchecked, give NaN: solve_ivp used
+        # to raise ValueError on y0
+        huge = PotentialCoeffs(a=a, b=0.0, c=0.0, f=0.0, d=0.0)
+        result = find_eigenvalue(huge, 0.5, 1.0, Contour())
+        assert (result.energy, result.wronskian_residual, result.iterations,
+                result.converged) == (1.0, math.inf, 0, False)
+
     def test_start_beyond_the_threshold_exits_one(self):
         # at alpha = 1e20 the derived radius is 1.9 and |y0| ~ 1.4e39: the
         # shot used to spin in solve_ivp for minutes.  A subprocess with a

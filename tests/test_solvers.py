@@ -21,6 +21,7 @@ from decadic import (
     recurrence_residual,
     shifted_coupling,
     shifted_coupling_poly,
+    small_matrix,
     solve_coupled,
     solve_energies,
     solve_sturmian,
@@ -374,6 +375,31 @@ class TestCoupled:
             spec = ModelSpec(alpha=rng.uniform(-2.5, 2.5), beta=rng.uniform(-2.5, 2.5),
                              big_m=2, n_states=rng.randint(1, 4))
             assert solve_coupled(spec) == solve_energies(spec)
+
+    def test_integer_route_equals_fraction_expansion(self):
+        # the coupled route's int determinants over their powers of the scale
+        # S, and its float eliminant, against det_bipoly and resultant on
+        # the Fraction matrices: every beta has an odd, non-dyadic
+        # denominator, so S >= 9 and a power of S off by one changes every
+        # coefficient
+        rng = random.Random(31)
+        checked = 0
+        for big_m in range(2, 6):
+            for n in range(big_m - 1, 9):
+                spec = ModelSpec(
+                    alpha=Fraction(rng.randint(-15, 15), rng.choice((3, 5, 7, 15))),
+                    beta=Fraction(rng.choice((-13, -8, -5, -2, -1, 1, 2, 4, 5, 8, 13)),
+                                  rng.choice((3, 7, 9, 11))),
+                    big_m=big_m, n_states=n)
+                dets, eliminant = solvers._coupled_system(spec)
+                small = det_bipoly(small_matrix(spec, ENERGY, COUPLING))
+                main = det_bipoly(main_matrix(spec, ENERGY, COUPLING))
+                for (p, den), want in zip(dets, (small, main)):
+                    assert Poly(tuple(Poly(tuple(Fraction(x, den) for x in c.coeffs))
+                                      for c in p.coeffs)) == want
+                assert eliminant.coeffs == pl.resultant(small, main).as_float().coeffs
+                checked += 1
+        assert checked == 26
 
     @pytest.mark.parametrize("alpha, beta, coupling", [(0.1, 20.0, 400.2), (6.0, 1 / 3, 109 / 9)])
     def test_state_at_near_double_eliminant_root(self, alpha, beta, coupling):

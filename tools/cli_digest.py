@@ -1,6 +1,6 @@
 """Digest of the decadic CLI's stdout and exit codes over a fixed grid.
 
-Runs 1941 invocations in-process through ``decadic.cli.main`` and prints one
+Runs 1944 invocations in-process through ``decadic.cli.main`` and prints one
 line per invocation: the exit code, the sha256 of stdout and the argv.  Two
 checkouts whose digests are equal line for line give the same exit codes and
 byte-identical stdout on the whole grid (stderr is not compared).
@@ -27,7 +27,12 @@ The grid:
 * one shot at alpha = 1e20 (M=2, N=3, d=0, E guess 1), whose start value
   at the derived radius 1.9 already lies beyond the pole threshold: it
   ends unconverged at once (exit 1), and a shot that spins there instead
-  stalls the digest.
+  stalls the digest;
+* three ``coupled`` solves whose states need both determinants in the
+  back-substitution: at M=3, N=2 with (alpha, beta) = (0.1, 20) and
+  (6, 0.3333333333333333) the small determinant loses d to cancellation
+  at E ~ 0, and at M=3, N=4 with (3, 2) it vanishes identically in d at
+  E = 0.
 
 Uses only the stdlib and the ``decadic`` found on ``sys.path``, so point
 PYTHONPATH at the checkout to digest:
@@ -62,6 +67,11 @@ FIXED_RADIUS_SHOTS = [argv + ["--x-max=4"] for argv in SHOTS[:3]]
 # a start already beyond the pole threshold, listed last so that every
 # earlier line keeps its place
 HUGE_START_SHOTS = [["shoot", "-M", "2", "-N", "3", "--alpha=1e20", "--d=0", "--e-guess=1"]]
+# coupled states that back-substitution on one determinant alone loses,
+# listed last for the same reason
+BACK_SUBSTITUTION = [["coupled", "-M", "3", "-N", str(n), f"--alpha={alpha}", f"--beta={beta}"]
+                     for n, alpha, beta in ((2, "0.1", "20"), (2, "6", "0.3333333333333333"),
+                                            (4, "3", "2"))]
 
 
 def grid():
@@ -82,6 +92,7 @@ def grid():
     yield from WEDGES
     yield from FIXED_RADIUS_SHOTS
     yield from HUGE_START_SHOTS
+    yield from BACK_SUBSTITUTION
 
 
 def run(argv):
