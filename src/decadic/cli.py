@@ -11,9 +11,13 @@ fixed constants the solvers read; every solver document reports them under
 
 Exit codes: 0 solutions emitted, 1 valid run with an empty result (or a
 non-converged shot), 2 usage or validation error, or an --out path that
-cannot be written.  JSON output is
-canonical: fixed key order and %.12e floats, so parse -> re-serialize is
-byte-identical.
+cannot be written.  A solver failure also exits 2 today, since every
+ValueError, TypeError and ArithmeticError does: that covers the 539
+invocations of the tools/cli_digest.py grid where roots raises
+ArithmeticError on a float eliminant, and the overflows of the float range
+(each names alpha and beta).  Giving solver failures their own code is
+ROADMAP item 2.  JSON output is canonical: fixed key order and %.12e
+floats, so parse -> re-serialize is byte-identical.
 """
 
 from __future__ import annotations

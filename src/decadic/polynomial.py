@@ -3,17 +3,18 @@
 One polynomial type, Poly, generic over its coefficients and exact
 whenever they are ints or Fractions.  A polynomial in the energy E and the
 quadratic coupling d is a Poly in d whose coefficients are Polys in E; the
-generators are ENERGY and COUPLING, and p(d)(E) evaluates one.  One kernel,
-det_coeffs, expands a determinant whose entries are plain coefficient lists
-(polynomials in one variable over ints, or over Polys in E for det_bipoly),
-by a last-column minor recurrence on the banded secular matrices that is
-exact and evaluation-order independent; the solvers hand it int lists built
-from the numerators of alpha and beta (recurrence.integer_matrix), so a
-substitution such as d = E^2/4 goes into the entries and the determinant
-is expanded once, without a Fraction operation.  det takes scalar or Poly
-entries and runs the kernel on their coefficients as they are; this
-module clears no denominators.  Elimination of d between the two secular
-determinants uses the Sylvester resultant.
+generators are ENERGY and COUPLING, and p(d)(E) evaluates one.  One kernel
+works on plain coefficient lists (ascending, over ints, Fractions, floats
+or Polys in E): _add and _mul, which are Poly's +, - and *, and det_coeffs,
+which expands a determinant of such lists by a last-column minor recurrence
+on the banded secular matrices that is exact and evaluation-order
+independent; the solvers hand it int lists built from the numerators of
+alpha and beta (recurrence.integer_matrix), so a substitution such as
+d = E^2/4 goes into the entries and the determinant is expanded once,
+without a Fraction operation.  det takes scalar or Poly entries and runs
+the kernel on their coefficients as they are; this module clears no
+denominators.  The Sylvester resultant eliminates d between the two
+secular determinants, expanding its list rows with det_coeffs.
 """
 
 from __future__ import annotations
@@ -97,13 +98,7 @@ class Poly:
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        return Poly(_add(self.coeffs, other.coeffs, 1))
 
     __radd__ = __add__
 
@@ -114,26 +109,19 @@ class Poly:
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return Poly(_add(self.coeffs, other.coeffs, -1))
 
     def __rsub__(self, other):
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return Poly(_add(other.coeffs, self.coeffs, -1))
 
     def __mul__(self, other):
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return Poly(out)
+        return Poly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -379,11 +367,9 @@ def roots(p: Poly) -> RootSet:
         raise ValueError("zero polynomial has no well-defined roots")
     if p.degree < 1:
         raise ValueError("constant polynomial has no roots")
-    desc = np.array([float(c) for c in reversed(p.coeffs)], dtype=float)
-    raw = np.roots(desc)
-
     pf = p.as_float()
     rc, drc = pf.coeffs[::-1], pf.derivative().coeffs[::-1]
+    raw = np.roots(rc)
     polished = []
     done = {}
     for z in map(complex, raw.tolist()):
@@ -441,20 +427,9 @@ def resultant(p: Poly, q: Poly) -> Poly:
         raise DegenerateResultantError(
             f"cannot eliminate d: degrees in d are {m} and {n}; "
             "both inputs must depend on d")
-    size = m + n
-    zero = Poly((0,))
-    rows = []
     # ascending-coefficient Sylvester blocks: a row/column permutation of
     # the classical layout (so still vanishes exactly at common roots),
     # with the sign normalized so that res_d(E^2 - 4d, d - 1) = E^2 - 4
-    for i in range(n):
-        row = [zero] * size
-        for k, c in enumerate(pc):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(m):
-        row = [zero] * size
-        for k, c in enumerate(qc):
-            row[i + k] = c
-        rows.append(row)
-    return _as_poly(det(rows))
+    rows = ([[0] * i + list(pc) + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + list(qc) + [0] * (m - 1 - i) for i in range(m)])
+    return Poly(det_coeffs([[_coeff_list(v) for v in row] for row in rows]))

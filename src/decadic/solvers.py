@@ -13,7 +13,8 @@ Three regimes:
 
 All three regimes expand their determinants on ints, from the numerators
 and denominators of alpha and beta under one common scale
-(recurrence.integer_matrix), and divide each coefficient once at the end.
+(recurrence.integer_matrix); one function, _float_poly, makes every float
+polynomial from those ints, one int / int per coefficient.
 
 The M = 2 and coupled routes share one candidate loop: each real root E of
 the float eliminant, paired with each coupling d that back-substitution
@@ -35,7 +36,6 @@ test _DET_RTOL and validation verify._RESIDUAL_TOL.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 from dataclasses import dataclass
@@ -183,8 +183,9 @@ def shifted_coupling_poly(spec: ModelSpec) -> pl.Poly:
         raise WrongModeError(f"coupling multiplets require M = 1, got M = {spec.big_m}")
     exact, was_float = _exact_spec(spec)
     coeffs, den = _main_det(exact, (0,), (-shifted_coupling(0, exact), 1))
-    result = pl.Poly(coeffs if den == 1 else tuple(Fraction(c, den) for c in coeffs))
-    return result.as_float() if was_float else result
+    if was_float:
+        return _float_poly("the M = 1 coupling polynomial", spec, coeffs, den)
+    return pl.Poly(coeffs if den == 1 else tuple(Fraction(c, den) for c in coeffs))
 
 
 def _main_det(exact, energy, coupling):
@@ -234,17 +235,16 @@ def solve_energies(spec: ModelSpec) -> Multiplet:
         raise WrongModeError(f"energy multiplets require M = 2, got M = {spec.big_m}")
     exact, _ = _exact_spec(spec)
     coeffs, den = _main_det(exact, (0, 1), (0, 0, Fraction(1, 4)))
-    with _float_range("the M = 2 eliminant", spec):
-        eliminant = pl.Poly(tuple(c / den for c in coeffs))
+    eliminant = _float_poly("the M = 2 eliminant", spec, coeffs, den)
     return _through_gate(spec, eliminant, lambda e: (e * e / 4,))
 
 
-@contextlib.contextmanager
-def _float_range(name, spec):
-    """Raises ValueError in place of the OverflowError of an exact
-    coefficient of the polynomial called name beyond the float range."""
+def _float_poly(name, spec, coeffs, den):
+    """Poly(coeffs / den) for ints coeffs, den, each coefficient correctly
+    rounded; ValueError naming the polynomial when one is beyond the float
+    range."""
     try:
-        yield
+        return pl.Poly(tuple(c / den for c in coeffs))
     except OverflowError:
         raise ValueError(f"{name} overflows the float range at "
                          f"alpha = {spec.alpha}, beta = {spec.beta}") from None
@@ -294,8 +294,8 @@ def _coupled_system(spec):
     # the Sylvester determinant has deg_d(main) rows of the small
     # determinant's coefficients and deg_d(small) rows of the main one's
     den = den_small ** p_main.degree * den_main ** p_small.degree
-    with _float_range("the coupled resultant", spec):
-        eliminant = pl.Poly(tuple(c / den for c in pl.resultant(p_small, p_main).coeffs))
+    eliminant = _float_poly("the coupled resultant", spec,
+                            pl.resultant(p_small, p_main).coeffs, den)
     return dets, eliminant
 
 
@@ -320,9 +320,8 @@ def solve_coupled(spec: ModelSpec) -> Multiplet:
             "share a common factor in d")
     # float copies of both determinants, and copies with |coefficients|:
     # evaluated at (|E|, |d|) those give a cancellation-free scale
-    with _float_range("a secular determinant", spec):
-        dets_f = [pl.Poly(tuple(pl.Poly(tuple(x / den for x in c.coeffs)) for c in p.coeffs))
-                  for p, den in dets]
+    dets_f = [pl.Poly(tuple(_float_poly("a secular determinant", spec, c.coeffs, den)
+                            for c in p.coeffs)) for p, den in dets]
     dets_abs = [pl.Poly(tuple(pl.Poly(tuple(abs(x) for x in c.coeffs)) for c in p.coeffs))
                 for p in dets_f]
 

@@ -92,6 +92,71 @@ class TestPolyArithmetic:
             assert all(table.get(k) == "v" and k in table for k in group)
 
 
+def as_terms(p):
+    """A Poly over scalars or over Polys in E as a dict
+    {(power of its variable, power of E): nonzero coefficient}."""
+    terms = {}
+    for k, c in enumerate(p.coeffs):
+        for j, x in enumerate(c.coeffs if isinstance(c, Poly) else (c,)):
+            if x != 0:
+                terms[(k, j)] = x
+    return terms
+
+
+def terms_add(a, b, sign):
+    out = dict(a)
+    for key, x in b.items():
+        out[key] = out.get(key, 0) + sign * x
+    return {key: x for key, x in out.items() if x != 0}
+
+
+def terms_mul(a, b):
+    """Dict convolution: a reference for Poly's product that shares none of
+    its code."""
+    out = {}
+    for (i, p), x in a.items():
+        for (j, q), y in b.items():
+            key = (i + j, p + q)
+            out[key] = out.get(key, 0) + x * y
+    return {key: x for key, x in out.items() if x != 0}
+
+
+def random_poly(rng, kind):
+    """A Poly of length 1..6 (zero and constant ones included) whose
+    coefficients are ints, Fractions, or Polys in E mixed with ints."""
+    def scalar():
+        v = rng.choice((0, rng.randint(-9, 9)))
+        return Fraction(v, rng.randint(1, 6)) if kind == "fraction" else v
+
+    def coeff():
+        if kind == "energy" and rng.random() < 0.7:
+            return Poly(scalar() for _ in range(rng.randint(1, 4)))
+        return scalar()
+
+    return Poly(coeff() for _ in range(rng.choice((1, 1, 2, 3, 6))))
+
+
+class TestPolyArithmeticAgainstTerms:
+    @pytest.mark.parametrize("kinds", [("int", "int"), ("fraction", "fraction"),
+                                       ("energy", "energy"), ("int", "energy"),
+                                       ("fraction", "int")])
+    def test_ring_ops_equal_dict_reference(self, kinds):
+        rng = random.Random(" ".join(kinds))
+        for _ in range(200):
+            p, q = (random_poly(rng, kind) for kind in kinds)
+            # a scalar on the left: a Poly there would be a Poly in p's variable
+            c = random_poly(rng, "fraction" if "fraction" in kinds else "int").coeffs[0]
+            tp, tq, tc = as_terms(p), as_terms(q), as_terms(Poly((c,)))
+            cases = [(p + q, terms_add(tp, tq, 1)), (p - q, terms_add(tp, tq, -1)),
+                     (p * q, terms_mul(tp, tq)), (c - p, terms_add(tc, tp, -1)),
+                     (c + p, terms_add(tc, tp, 1)), (c * p, terms_mul(tc, tp))]
+            for result, terms in cases:
+                assert isinstance(result, Poly)
+                assert as_terms(result) == terms, (p, q, c)
+                # trimmed: the leading coefficient of a nonconstant result is nonzero
+                assert result.degree == 0 or result.coeffs[-1] != 0
+
+
 class TestEnergyCouplingPoly:
     def test_vars_and_eval(self):
         e, d = ENERGY, COUPLING
@@ -504,7 +569,48 @@ class TestRealFilter:
         assert real_filter(rs) == []
 
 
+def poly_row_resultant(p, q):
+    """The Sylvester resultant from rows of Poly entries padded with the
+    zero Poly, expanded by det: the reference for resultant's list rows."""
+    pc, qc = p.coeffs, q.coeffs
+    m, n = len(pc) - 1, len(qc) - 1
+    zero = Poly((0,))
+    rows = []
+    for coeffs, count in ((pc, n), (qc, m)):
+        for i in range(count):
+            row = [zero] * (m + n)
+            for k, c in enumerate(coeffs):
+                row[i + k] = c
+            rows.append(row)
+    r = det(rows)
+    return r if isinstance(r, Poly) else Poly((r,))
+
+
 class TestResultant:
+    @pytest.mark.parametrize("over_energy", [False, True])
+    def test_list_rows_equal_poly_row_reference(self, over_energy):
+        rng = random.Random(23 + over_energy)
+
+        def coeff():
+            if over_energy:
+                return Poly(rng.randint(-5, 5) for _ in range(rng.randint(1, 3)))
+            return rng.randint(-9, 9)
+
+        def poly_in_d(degree):
+            coeffs = [coeff() for _ in range(degree)]
+            lead = coeff()
+            while lead == 0:
+                lead = coeff()
+            return Poly(coeffs + [lead])
+
+        for deg_p in (1, 2):
+            for deg_q in range(1, 9):
+                p, q = poly_in_d(deg_p), poly_in_d(deg_q)
+                for a, b in ((p, q), (q, p)):
+                    r = resultant(a, b)
+                    assert isinstance(r, Poly)
+                    assert r.coeffs == poly_row_resultant(a, b).coeffs, (a, b)
+
     def test_substitution_case(self):
         e, d = ENERGY, COUPLING
         r = resultant(e * e - 4 * d, d - 1)

@@ -236,6 +236,20 @@ class TestShiftedCouplingPoly:
         with pytest.raises(WrongModeError):
             shifted_coupling_poly(ModelSpec(alpha=0, beta=0, big_m=2, n_states=2))
 
+    def test_overflowing_float_spec_raises_named_value_error(self):
+        # solve_sturmian's float matrix is finite at alpha = 1e200, but the
+        # polynomial's coefficient of F (about 16 alpha^2) is beyond the float range
+        spec = ModelSpec(alpha=1e200, beta=0.0, big_m=1, n_states=3)
+        result = solve_sturmian(spec)
+        for build in (lambda: shifted_coupling_poly(spec), lambda: result.coupling_poly):
+            with pytest.raises(ValueError, match="the M = 1 coupling polynomial overflows") as info:
+                build()
+            assert "alpha = 1e+200, beta = 0.0" in str(info.value)
+        al = Fraction(1e200)
+        exact = shifted_coupling_poly(ModelSpec(alpha=al, beta=Fraction(0), big_m=1, n_states=3))
+        assert all(isinstance(c, (int, Fraction)) for c in exact.coeffs)
+        assert exact == table_poly(3, al, Fraction(0))
+
     @staticmethod
     def gcd_degree(p, q):
         """Degree of gcd(p, q) by Euclid's algorithm over Fraction, on
