@@ -43,29 +43,23 @@ first Newton step with that same Q, start series and all.
 V is the decadic well of model.potential_coeffs, with real coefficients,
 so at a real energy V(-conj r) = conj V(r): on a contour that is its own PT
 mirror (r -> -conj r) the left log-derivative is -conj of the right one,
-bit for bit, since IEEE complex arithmetic and cmath.sqrt commute with
-conjugation and DOP853 takes the same steps.  mismatch_and_slope then
+bit for bit, since IEEE complex arithmetic commutes with conjugation and
+the mirrored legs take mirrored Taylor steps.  mismatch_and_slope then
 integrates the left half only, and u of the right half is -conj of the
 left one too.
 
-The integrator is scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
-section II.10) run on one complex scalar in this module: scipy's step,
-generated from its tableau as straight-line code with the Riccati
-right-hand side written into every stage, and scipy's error estimate and
-step control, without solve_ivp's per-step numpy work on a two-element real
-state.  u rides along: each stage also takes the variational right-hand
-side, and u is updated with the same weights, but the error estimate and
-so the steps are y's alone, so every y is the one a y-only step gives.
-The tableau is kept here as literal floats, scipy's bit for bit
-(_Tableau), so shooting does not import scipy; the step is generated from
-it on the first integration.
+The integrator (solve_ivp) is a Taylor series method on one complex
+scalar (Corliss & Chang, ACM TOMS 8, 114, 1982; Jorba & Zou, Exp. Math.
+14, 99, 2005): Q is a polynomial plus L(L+1)/r^2, so the Taylor
+coefficients of y and u at a step's start follow from Q's by a two-line
+recurrence; both series set the step and are summed by Horner.  It needs
+no scipy.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 import itertools
 import math
 import operator
@@ -273,25 +267,14 @@ class ShootingResult:
     contour: Contour  # the contour shot, its derived x_max filled in
 
 
-# Q(r) of the decadic well in Horner form in r2 = r * r, with its float
-# terms a, b, c, d, ll1 = L(L+1) and e0 = E: the one place it is written.
-# _q_func compiles it into q, and _dop853 writes it into every stage
-_Q = "((((r2 + a) * r2 + b) * r2 + c) * r2 + d) * r2 + ll1 / r2 - e0"
-
-
-def _define(source: str, name: str):
-    """The function name defined by the Python source."""
-    namespace = {}
-    exec(source, namespace)
-    return namespace[name]
-
-
-_q_of_terms = _define(f"""\
-def q_of_terms(a, b, c, d, ll1, e0):
+def _q_of_terms(a, b, c, d, ll1, e0):
+    """Q(r) of the decadic well with these float terms, in Horner form in
+    r2 = r * r: the one place it is written.  solve_ivp expands the same
+    terms in Taylor series (_q_series)."""
     def q(r):
         r2 = r * r
-        return {_Q}
-    return q""", "q_of_terms")
+        return ((((r2 + a) * r2 + b) * r2 + c) * r2 + d) * r2 + ll1 / r2 - e0
+    return q
 
 
 def _q_func(coeffs: PotentialCoeffs, big_l, energy):
@@ -404,168 +387,84 @@ class _SeriesStart:
         return size[rows, first + 2 - grows[rows, first]], stops[rows, first]
 
 
-# step control of scipy.integrate's explicit Runge-Kutta methods
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-_ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
+# a smaller rtol is raised to this
 _RTOL_FLOOR = 100 * sys.float_info.epsilon
+# the Taylor step below _ORDER_RTOL and from it up: (K, share_y, share_u),
+# its degree and the shares of atol + rtol * |v| that the terms of degree
+# K - 1 and K of y and of u = dy/dE may take.  u, which only sets Newton's
+# slope, needs less than y: with share_y 1 (or 0.1) the tight phase
+# converged four (two) shots of tests/test_shot_census.py's subset 1e-7 to
+# 3e-7 off their exact energies.  The step is _STEP_SAFETY of the radius
+# these allow
+_ORDER_RTOL = 1e-7
+_TIGHT_STEP = (20, 0.01, 1.0)
+_LOOSE_STEP = (12, 1.0, 10.0)
+_STEP_SAFETY = 0.8
 
 
 @dataclass(frozen=True)
 class IvpResult:
+    """One leg of solve_ivp: its accepted Taylor steps and u at the end."""
+
     t: list  # accepted times along the leg, 0 to 1 (a leg that stops raises PoleError)
     y: list  # complex solution at those times
     u: complex  # dy/dE at t = 1, carried from u0 by the variational equation
-    nfev: int  # counted as scipy counts: 2 for the start, 12 per attempted step
+    nfev: int  # the Taylor degree K of every step: K + 1 coefficients of y and of u each
 
 
-def _riccati(y, t, k, u=None, v=None):
-    """Source of one leg's Riccati stage k = dr * (Q(z0 + t * dr) - y^2)
-    and, given u and v, of the stage v = dr * (dQ/dE - 2 y u) =
-    m2dr * (y * u) - dr of u = dy/dE beside it.  Stage values far past a
-    pole would overflow y * y, so they give 0j, and the pole event raises
-    PoleError on the accepted values."""
-    lines = [f"        if abs({y}) <= 1e100:",
-             f"            r = z0 + {t} * dr",
-             "            r2 = r * r",
-             f"            {k} = dr * ({_Q} - {y} * {y})"]
-    if v:
-        lines.append(f"            {v} = m2dr * ({y} * {u}) - dr")
-    lines += ["        else:", f"            {k} = {v + ' = ' if v else ''}0j"]
-    return "\n".join(lines)
-
-
-class _Tableau:
-    """The entries of scipy's DOP853 tableau (Hairer, Norsett & Wanner,
-    Solving ODEs I, section II.10) that _dop853 reads, named as on
-    scipy.integrate.DOP853, each the repr of scipy's float64, zeros
-    included: the rows A[s, :s], the nodes C, the weights B and the error
-    weights E3 and E5 over the stages and f_new."""
-
-    n_stages = 12
-    A = (
-        (),
-        (0.05260015195876773,),
-        (0.0197250569845379, 0.0591751709536137),
-        (0.02958758547680685, 0.0, 0.08876275643042054),
-        (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
-        (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
-        (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
-        (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
-         -0.015319437748624402, 0.008273789163814023),
-        (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
-         27.59209969944671, 20.154067550477894, -43.48988418106996),
-        (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
-         21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
-        (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
-         -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
-         -3.0467644718982196),
-        (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
-         -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
-         12.360567175794303, 0.6433927460157636))
-    C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
-         0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
-         0.8571428571428571, 1.0)
-    B = (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
-         -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
-         0.04471061572777259)
-    E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
-          -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
-          0.02265179219836082, 0.0)
-    E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
-          1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
-          -0.022355307863886294, 0.0)
-
-
-@functools.cache
-def _dop853():
-    """The DOP853 step for the Riccati leg, generated from _Tableau.
-
-    Returns leg(z0, dr, a, b, c, d, ll1, e0), which gives the leg's
-    right-hand side rhs(t, y) and step(t, h, t_new, y, f, u) -> (y_new,
-    f_new, err3, err5, u_new): the eleven stages after f, the update,
-    f_new = rhs(t_new, y_new) and the two error estimates as straight-line
-    code, with no call per stage.  The coefficients are written in with repr
-    and the zero ones left out; every sum starts from 0j and runs in the
-    tableau's order, as a loop over it would, so the results are the loop's
-    bit for bit.  u = dy/dE takes the same stages and weights (v0..v11 beside
-    k0..k11); no y line reads it, so y is what a y-only step gives.
-    """
-    def combination(weights, k="k"):
-        return "0j" + "".join(f" + {k}{j} * {w!r}" for j, w in enumerate(weights) if w)
-
-    source = ["def leg(z0, dr, a, b, c, d, ll1, e0):", "    m2dr = -2 * dr",
-              "    def rhs(t, y):", _riccati("y", "t", "f"), "        return f",
-              "    def step(t, h, t_new, y, k0, u):",
-              "        v0 = m2dr * (y * u) - dr if abs(y) <= 1e100 else 0j"]
-    for s in range(1, _Tableau.n_stages):
-        source += [f"        y_s = y + ({combination(_Tableau.A[s])}) * h",
-                   f"        u_s = u + ({combination(_Tableau.A[s], 'v')}) * h",
-                   _riccati("y_s", f"(t + {_Tableau.C[s]!r} * h)", f"k{s}", "u_s", f"v{s}")]
-    n = _Tableau.n_stages  # k{n} is f_new, as in scipy's K
-    source += [f"        y_new = y + h * ({combination(_Tableau.B)})",
-               f"        u_new = u + h * ({combination(_Tableau.B, 'v')})",
-               _riccati("y_new", "t_new", f"k{n}"),
-               f"        err3 = {combination(_Tableau.E3)}",
-               f"        err5 = {combination(_Tableau.E5)}",
-               f"        return y_new, k{n}, err3, err5, u_new",
-               "    return rhs, step"]
-    return _define("\n".join(source), "leg")
-
-
-def _rms(z: complex, scale_re: float, scale_im: float) -> float:
-    """scipy's RMS norm of [re, im] / scale."""
-    a, b = z.real / scale_re, z.imag / scale_im
-    return math.sqrt(a * a + b * b) / math.sqrt(2.0)
-
-
-def _initial_step(fun, y0, f0, rtol, atol):
-    """scipy.integrate._ivp.common.select_initial_step for error order 7."""
-    scale_re = atol + abs(y0.real) * rtol
-    scale_im = atol + abs(y0.imag) * rtol
-    d0 = _rms(y0, scale_re, scale_im)
-    d1 = _rms(f0, scale_re, scale_im)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, 1.0)
-    f1 = fun(h0, y0 + h0 * f0)
-    d2 = _rms(f1 - f0, scale_re, scale_im) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, 1.0)
+def _q_series(terms, rc: complex, count: int) -> list:
+    """The Taylor coefficients Q_0 .. Q_(count-1) of Q at rc, in powers of
+    r - rc: the shift of the even degree-10 polynomial by repeated
+    synthetic division, plus ll1 (k + 1) (-1)^k / rc^(k + 2) of L(L+1)/r^2."""
+    a, b, c, d, ll1, e0 = terms
+    shifted = [1.0, 0.0, a, 0.0, b, 0.0, c, 0.0, d, 0.0, -e0]  # descending powers of r
+    n = len(shifted) - 1
+    for i in range(n):
+        for j in range(1, n + 1 - i):
+            shifted[j] += rc * shifted[j - 1]
+    series = shifted[::-1] + [0j] * (count - n - 1)
+    w = 1 / rc
+    power = ll1 * w * w
+    for k in range(count):
+        series[k] += (k + 1) * power
+        power = -power * w
+    return series[:count]
 
 
 def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol, u0=0j) -> IvpResult:
     """Integrate the Riccati equation of the Q with these terms (q.terms of
     _q_func) along the straight leg r = z0 + t * (z1 - z0), t from 0 to 1,
-    with DOP853:
 
-        dy/dt = (z1 - z0) * (Q(r) - y^2),
+        dy/dr = Q(r) - y^2,
 
     where y is the log-derivative in r, and beside it, from u0 = dy0/dE, its
     variational equation for u = dy/dE (dQ/dE = -1):
 
-        du/dt = (z1 - z0) * (-1 - 2 y u).
+        du/dr = -1 - 2 y u.
 
-    scipy's step, generated from its tableau (_Tableau, _dop853), with the
-    step control of scipy.integrate.solve_ivp(method="DOP853") and a
-    terminal event on |y| - _POLE_THRESHOLD, armed from the start: the
-    real and imaginary parts are scaled and normed separately, as scipy
-    does on the state [re, im], so the steps are scipy's.  Sums run in sequence rather than through
-    BLAS, so results may differ from scipy's in the last bits.  Raises
-    PoleError where the leg stops: at z0 when |y0| is not below the
-    threshold, at the first accepted point that is not, placed by linear
-    interpolation of |y| within the step that crosses it, or at the last
-    accepted t when the step size collapses.  The steps, and so every y, do
-    not depend on u.
+    Taylor series method (Corliss & Chang, ACM TOMS 8, 114, 1982; Jorba &
+    Zou, Exp. Math. 14, 99, 2005): at each step's start rc, with Q_k of
+    _q_series, the coefficients of y and u in powers of r - rc follow from
+
+        y_(k+1) = (Q_k - sum_(i<=k) y_i y_(k-i)) / (k + 1),
+        u_(k+1) = (-[k = 0] - 2 sum_(i<=k) y_i u_(k-i)) / (k + 1),
+
+    up to degree K, and both series are summed by Horner.  The step in r
+    is _STEP_SAFETY times the smallest (tol_v / |v_k|)^(1/k) over v in
+    {y, u} and k in {K - 1, K}, tol_v = share_v * (atol + rtol * |v|) at
+    the step's start, with (K, share_y, share_u) _TIGHT_STEP below
+    _ORDER_RTOL and _LOOSE_STEP from it up.  Every operation commutes with
+    conjugation, and with r -> -conj r, y -> -conj y, so mirrored legs take
+    mirrored steps, bit for bit.  Raises PoleError where the leg stops: at
+    z0 when |y0| is not below _POLE_THRESHOLD, at the first accepted point
+    that is not, placed by linear interpolation of |y| within its step, or
+    at the last accepted t when the step collapses below 10 ulp of t or
+    gives a NaN.
     """
-    t, t_bound = 0.0, 1.0
     y, u = complex(y0), complex(u0)
     if not cmath.isfinite(y):
         raise ValueError(f"y0 must be finite, got {y}")
-    # atol = 0 would divide by a zero scale where a part of y stays 0
+    # atol = 0 would let a coefficient's tolerance vanish where v does
     if not atol > 0:
         raise ValueError(f"atol must be positive, got {atol}")
     if math.isnan(rtol):
@@ -573,46 +472,45 @@ def solve_ivp(terms, z0: complex, z1: complex, y0, rtol, atol, u0=0j) -> IvpResu
     if not abs(y) < _POLE_THRESHOLD:
         raise PoleError(z0)
     rtol = max(rtol, _RTOL_FLOOR)
-    rhs, step = _dop853()(z0, z1 - z0, *terms)
-    f = rhs(t, y)
-    h_abs = _initial_step(rhs, y, f, rtol, atol)
-    nfev = 2
+    order, share_y, share_u = _TIGHT_STEP if rtol < _ORDER_RTOL else _LOOSE_STEP
+    dr = z1 - z0
+    length = abs(dr)
+    t = 0.0
     ts, ys = [t], [y]
     g = abs(y) - _POLE_THRESHOLD
-    while t < t_bound:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:  # also ends a NaN step size
-                raise PoleError(z0 + t * (z1 - z0))
-            t_new = min(t + h_abs, t_bound)
-            h = h_abs = t_new - t
-            y_new, f_new, err3, err5, u_new = step(t, h, t_new, y, f, u)
-            nfev += 12
-            scale_re = atol + max(abs(y.real), abs(y_new.real)) * rtol
-            scale_im = atol + max(abs(y.imag), abs(y_new.imag)) * rtol
-            err5_2 = (err5.real / scale_re) ** 2 + (err5.imag / scale_im) ** 2
-            err3_2 = (err3.real / scale_re) ** 2 + (err3.imag / scale_im) ** 2
-            denom = err5_2 + 0.01 * err3_2
-            error_norm = h * err5_2 / math.sqrt(denom * 2) if denom else 0.0
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-            rejected = True
+    while t < 1.0:
+        q = _q_series(terms, z0 + t * dr, order)
+        yk, uk = [y], [u]
+        for k in range(order):
+            yk.append((q[k] - sum(map(operator.mul, yk, reversed(yk)))) / (k + 1))
+            # yk already holds y_(k+1); the map stops at the end of uk
+            uk.append((-2 * sum(map(operator.mul, yk, reversed(uk))) - (k == 0)) / (k + 1))
+        radius = math.inf
+        for series, value, share in ((yk, y, share_y), (uk, u, share_u)):
+            tol = share * (atol + rtol * abs(value))
+            for k in (order - 1, order):
+                size = abs(series[k])
+                if size:
+                    radius = min(radius, (tol / size) ** (1 / k))
+        # a leg of length 0 (repeated waypoints) is one step that keeps y and u
+        h = _STEP_SAFETY * radius / length if length else math.inf
+        if not h >= 10 * abs(math.nextafter(t, math.inf) - t):
+            raise PoleError(z0 + t * dr)
+        t_new = min(t + h, 1.0)
+        step = (t_new - t) * dr
+        y_new, u_new = yk[order], uk[order]
+        for k in range(order - 1, -1, -1):
+            y_new = y_new * step + yk[k]
+            u_new = u_new * step + uk[k]
         ts.append(t_new)
         ys.append(y_new)
         g_new = abs(y_new) - _POLE_THRESHOLD
-        if g_new >= 0:
-            crossing = g / (g - g_new)
-            raise PoleError(z0 + (t + crossing * (t_new - t)) * (z1 - z0))
-        t, y, f, g, u = t_new, y_new, f_new, g_new, u_new
-    return IvpResult(ts, ys, u, nfev)
+        if not g_new < 0:
+            # a NaN value stops the leg where its step started
+            crossing = g / (g - g_new) if g_new >= 0 else 0.0
+            raise PoleError(z0 + (t + crossing * (t_new - t)) * dr)
+        t, y, g, u = t_new, y_new, g_new, u_new
+    return IvpResult(ts, ys, u, order * (len(ts) - 1))
 
 
 def _dampings(q, paths):

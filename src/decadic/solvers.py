@@ -219,7 +219,8 @@ def sturmian_multiplet(spec: ModelSpec) -> Multiplet:
     """solve_sturmian repackaged as a validated multiplet (E = 0 throughout)."""
     result = solve_sturmian(spec)
     return Multiplet.from_entries(
-        [_entry(spec, 0.0, d, h) for d, h in zip(result.d_values, result.h_vectors)])
+        [_entry(0.0, d, h, verify.recurrence_residual(spec, 0.0, d, h))
+         for d, h in zip(result.d_values, result.h_vectors)])
 
 
 def solve_energies(spec: ModelSpec) -> Multiplet:
@@ -250,10 +251,9 @@ def _float_poly(name, spec, coeffs, den):
                          f"alpha = {spec.alpha}, beta = {spec.beta}") from None
 
 
-def _entry(spec, e0, d0, h) -> MultipletEntry:
-    """One multiplet entry, validated when its recurrence residual is at
-    most verify._RESIDUAL_TOL."""
-    res = verify.recurrence_residual(spec, e0, d0, h)
+def _entry(e0, d0, h, res) -> MultipletEntry:
+    """One multiplet entry with recurrence residual res, validated when res
+    is at most verify._RESIDUAL_TOL."""
     return MultipletEntry(
         energy=float(e0), quadratic_coupling=float(d0), h=tuple(map(float, h)),
         recurrence_residual=res, validated=res <= verify._RESIDUAL_TOL)
@@ -269,15 +269,18 @@ def _through_gate(spec, eliminant, couplings_at) -> Multiplet:
     couplings_at(E), at every real root E of the float eliminant, goes
     through the acceptance gate, which gives one validated-or-not entry per
     null direction of the float full recurrence system at (E, d); one SVD
-    serves every candidate."""
+    serves every candidate.  Each candidate's float rows are computed once,
+    for its full system and for its entries' residuals."""
     candidates, fulls = [], []
     for e0 in _real_roots(eliminant):
         for d0 in couplings_at(e0):
-            candidates.append((e0, d0))
-            fulls.append(recurrence.full_system(spec, e0, d0))
+            rows = recurrence.float_coeffs(spec, e0, d0)
+            candidates.append((e0, d0, rows))
+            fulls.append(recurrence._rows(rows, 0, spec.n_states))
     return Multiplet.from_entries(
-        [_entry(spec, e0, d0, h)
-         for (e0, d0), directions in zip(candidates, _null_spaces(fulls)) for h in directions])
+        [_entry(e0, d0, h, verify._rows_residual(rows, [float(x) for x in h]))
+         for (e0, d0, rows), directions in zip(candidates, _null_spaces(fulls))
+         for h in directions])
 
 
 def _coupled_system(spec):

@@ -58,6 +58,13 @@ def recurrence_residual(spec: ModelSpec, energy, coupling, h) -> float:
         rows = recurrence.float_coeffs(spec, e0, d0)
     except OverflowError:
         return math.inf
+    return _rows_residual(rows, hs)
+
+
+def _rows_residual(rows, hs) -> float:
+    """recurrence_residual over the float (A_n, B_n, C_n, D_n) rows of
+    recurrence.float_coeffs and the N finite floats hs, checked by the
+    caller."""
     shift = _unit_exponent(hs)
     # h_{-2} .. h_{N+1}, so that row n reads hp[n .. n+3]
     hp = [0.0, 0.0, *(math.ldexp(x, -shift) for x in hs), 0.0, 0.0]

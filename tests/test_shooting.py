@@ -702,9 +702,15 @@ class TestMirrorHalf:
             assert len(calls) == expected, (contour, e)
 
 
+def bits(values):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
 class TestScalarDop853:
-    """shooting.solve_ivp is scipy's DOP853 on one complex scalar; scipy's own
-    solve_ivp on the [re, im] state of the same Riccati leg is the reference."""
+    """shooting.solve_ivp, the Taylor series step on one complex scalar,
+    against scipy's DOP853 run tight on the [re, im] state of the same
+    Riccati leg and of its variational equation."""
 
     @staticmethod
     def legs(contour, direction, energy):
@@ -716,30 +722,20 @@ class TestScalarDop853:
         return q, list(zip(nodes[:-1], nodes[1:])), q.start(nodes[0])[0]
 
     @staticmethod
-    def riccati(q, z0, z1):
-        """The leg's right-hand side in t, with the guard of the generated step."""
+    def scipy_dop853(q, z0, z1, y0, u0):
+        """(y, u) at z1 of the leg by scipy's DOP853 at rtol = atol = 1e-13."""
+        from scipy.integrate import solve_ivp
         dr = z1 - z0
 
-        def rhs(t, y):
-            return dr * (q(z0 + t * dr) - y * y) if abs(y) <= 1e100 else 0j
-
-        return rhs
-
-    @staticmethod
-    def scipy_dop853(rhs, y0):
-        from scipy.integrate import solve_ivp
-
         def real_rhs(t, state):
-            dy = rhs(t, complex(state[0], state[1]))
-            return [dy.real, dy.imag]
+            y, u = complex(state[0], state[1]), complex(state[2], state[3])
+            dy, du = dr * (q(z0 + t * dr) - y * y), dr * (-1 - 2 * y * u)
+            return [dy.real, dy.imag, du.real, du.imag]
 
-        def blowup(t, state):
-            return math.hypot(state[0], state[1]) - 1e8
-
-        blowup.terminal = True
-        blowup.direction = 1.0
-        return solve_ivp(real_rhs, (0.0, 1.0), [y0.real, y0.imag], method="DOP853",
-                         rtol=1e-10, atol=1e-10, events=blowup)
+        ref = solve_ivp(real_rhs, (0.0, 1.0), [y0.real, y0.imag, u0.real, u0.imag],
+                        method="DOP853", rtol=1e-13, atol=1e-13)
+        assert ref.status == 0
+        return complex(ref.y[0][-1], ref.y[1][-1]), complex(ref.y[2][-1], ref.y[3][-1])
 
     # x_max = 4, so that the comparison covers the stiff outer stretch
     @pytest.mark.parametrize("contour", [
@@ -749,31 +745,61 @@ class TestScalarDop853:
     @pytest.mark.parametrize("direction", ["from_left", "from_right"])
     @pytest.mark.parametrize("energy", [5.5, CBRT192], ids=["E5.5", "E_exact"])
     def test_matches_scipy_dop853(self, contour, direction, energy):
+        # y and u = dy/dE at the end of every leg, within 1e-9 of the tight
+        # reference.  The steps are chosen by u's series too: by y's alone,
+        # u came out wrong by up to 1e2 relative
         q, legs, y0 = self.legs(contour, direction, energy)
+        u0 = -0.5 / y0
         for z0, z1 in legs:
-            ours = shooting.solve_ivp(q.terms, z0, z1, y0, 1e-10, 1e-10)
-            ref = self.scipy_dop853(self.riccati(q, z0, z1), y0)
+            ours = shooting.solve_ivp(q.terms, z0, z1, y0, 1e-10, 1e-10, u0)
             # a return from ours means that it reached t = 1
-            assert ref.status == 0
-            steps, ref_steps = len(ours.t) - 1, len(ref.t) - 1
-            assert abs(steps - ref_steps) <= 0.01 * ref_steps
-            assert ours.nfev > steps
-            y_ref = complex(ref.y[0][-1], ref.y[1][-1])
+            assert ours.t[-1] == 1.0
+            assert ours.nfev == shooting._TIGHT_STEP[0] * (len(ours.t) - 1)
+            y_ref, u_ref = self.scipy_dop853(q, z0, z1, y0, u0)
             assert abs(ours.y[-1] - y_ref) <= 1e-9 * abs(y_ref)
-            # both integrators start the next leg from the same value
-            y0 = ours.y[-1]
+            assert abs(ours.u - u_ref) <= 1e-9 * abs(u_ref)
+            # both integrators start the next leg from the same values
+            y0, u0 = ours.y[-1], ours.u
 
-    def test_y_does_not_depend_on_u(self):
-        # u = dy/dE rides along: the steps, the values and the count of
-        # right-hand sides are those of u0 = 0 for every u0
-        q, legs, y0 = self.legs(Contour(epsilon=0.5, x_max=4.0), "from_left", 5.5)
-        (z0, z1), = legs
-        runs = [shooting.solve_ivp(q.terms, z0, z1, y0, rtol, 1e-10, u0)
-                for rtol in (1e-10, 1e-5) for u0 in (0j, -0.5 / y0, complex(1e3, -1e3))]
-        for plain, *carried in (runs[:3], runs[3:]):
-            for sol in carried:
-                assert (sol.t, sol.nfev) == (plain.t, plain.nfev)
-                assert TestGeneratedStep.bits(sol.y) == TestGeneratedStep.bits(plain.y)
+    @pytest.mark.parametrize("contour", [Contour(epsilon=0.5), Contour(waypoints=BENT_WAYPOINTS)],
+                             ids=["eps0.5", "bent"])
+    @pytest.mark.parametrize("rtol", [shooting._RTOL, shooting._LOOSE_RTOL])
+    def test_log_derivative_and_slope_take_the_same_steps(self, monkeypatch, contour, rtol):
+        # integrate_log_derivative and mismatch_and_slope integrate each half
+        # alike, u included: the same legs, steps and values, bit for bit
+        spec, _, coeffs, _ = reference_m2_n3()
+        big_l = spec.angular_momentum
+        runs = []
+        solve_ivp = shooting.solve_ivp
+
+        def recording_solve_ivp(*args):
+            sol = solve_ivp(*args)
+            runs.append((args, sol.t, bits(sol.y), bits([sol.u]), sol.nfev))
+            return sol
+
+        monkeypatch.setattr(shooting, "solve_ivp", recording_solve_ivp)
+        shooting.mismatch_and_slope(coeffs, big_l, 5.5, contour, rtol=rtol)
+        slope_runs = runs[:]
+        runs.clear()
+        directions = ["from_left"] if contour.waypoints is None else ["from_left", "from_right"]
+        for direction in directions:
+            integrate_log_derivative(coeffs, big_l, 5.5, contour, direction, rtol=rtol)
+        assert len(slope_runs) == len(directions)
+        assert runs == slope_runs
+
+    def test_zero_length_leg_keeps_its_values(self):
+        # a repeated waypoint makes a leg of length 0, on which the step
+        # size divided by zero
+        q, _, y0 = self.legs(Contour(epsilon=0.5, x_max=4.0), "from_left", 5.5)
+        z = complex(-1, -0.5)
+        sol = shooting.solve_ivp(q.terms, z, z, y0, 1e-10, 1e-10, -0.5 / y0)
+        assert (sol.t, sol.y, sol.u) == ([0.0, 1.0], [y0, y0], -0.5 / y0)
+        spec, energy, coeffs, _ = reference_m2_n3()
+        repeated = Contour(waypoints=(complex(-4, -0.5), z, z, complex(1, -0.5),
+                                      complex(4, -0.5)))
+        result = find_eigenvalue(coeffs, spec.angular_momentum, 5.6, repeated)
+        assert result.converged
+        assert abs(result.energy - energy) <= 1e-9
 
     def test_non_finite_start_raises_at_once(self):
         # terms that cannot be unpacked: a leg that were integrated before
@@ -789,7 +815,7 @@ class TestScalarDop853:
             shooting.solve_ivp(terms, z0, z1, 1j, math.nan, 1e-10)
 
     def test_import_leaves_scipy_integrate_unloaded(self, capsys):
-        # the step is generated from the tableau on the first integration
+        # the Taylor step is plain arithmetic on complex scalars
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, decadic; print('scipy.integrate' in sys.modules)"],
             capture_output=True, text=True)
@@ -823,115 +849,6 @@ class TestScalarDop853:
         # |y| = 1e8 lies about 1e-8 from the zero
         t_pole = ((info.value.location - z0) / (z1 - z0)).real
         assert t_pole == pytest.approx(((zero - z0) / (z1 - z0)).real, abs=1e-6)
-
-
-class TestGeneratedStep:
-    """The straight-line step of shooting._dop853 gives, bit for bit, what a
-    loop over scipy's tableau gives with the Riccati right-hand side called
-    once per stage, and u = dy/dE what the same loop gives with the
-    variational right-hand side dr * (-1 - 2 y u) beside it."""
-
-    @staticmethod
-    def looped_step(rhs, slope_rhs, t, h, t_new, y, f, u):
-        from scipy.integrate import DOP853
-
-        def combination(stages, weights):
-            total = 0j
-            for j, w in enumerate(weights):
-                if w:
-                    total += stages[j] * float(w)
-            return total
-
-        k, v = [f], [slope_rhs(y, u)]
-        for s in range(1, DOP853.n_stages):
-            y_s = y + combination(k, DOP853.A[s, :s]) * h
-            u_s = u + combination(v, DOP853.A[s, :s]) * h
-            k.append(rhs(t + float(DOP853.C[s]) * h, y_s))
-            v.append(slope_rhs(y_s, u_s))
-        y_new = y + h * combination(k, DOP853.B)
-        u_new = u + h * combination(v, DOP853.B)
-        k.append(rhs(t_new, y_new))
-        return (y_new, k[-1], combination(k, DOP853.E3), combination(k, DOP853.E5), u_new)
-
-    def test_tableau_is_scipys(self):
-        # every entry shooting keeps, zeros included, so that a moved or
-        # dropped zero fails
-        from scipy.integrate import DOP853
-
-        def hexes(values):
-            return [float(v).hex() for v in values]
-
-        ours = shooting._Tableau
-        n = DOP853.n_stages
-        assert ours.n_stages == n == 12
-        assert [hexes(row) for row in ours.A] == [hexes(DOP853.A[s, :s]) for s in range(n)]
-        assert hexes(ours.C) == hexes(DOP853.C[:n])
-        for name in ("B", "E3", "E5"):
-            assert hexes(getattr(ours, name)) == hexes(getattr(DOP853, name)), name
-
-    @staticmethod
-    def bits(values):
-        # float.hex tells -0.0 from 0.0, which == does not
-        return [(z.real.hex(), z.imag.hex()) for z in values]
-
-    def assert_same_steps(self, q, z0, z1, points):
-        """Compares the steps (t, h, y) of the leg, with u = -1/(2y) (the
-        start's) and u = 0; returns how many stage values of the loop fell
-        outside the guard |y| <= 1e100."""
-        rhs, step = shooting._dop853()(z0, z1 - z0, *q.terms)
-        riccati = TestScalarDop853.riccati(q, z0, z1)
-        dr = z1 - z0
-        guarded = []
-
-        def reference(t, y):
-            if not abs(y) <= 1e100:
-                guarded.append(y)
-            return riccati(t, y)
-
-        def slope_reference(y, u):
-            return -2 * dr * (y * u) - dr if abs(y) <= 1e100 else 0j
-
-        for t, h, y in points:
-            t_new = t + h
-            f = rhs(t, y)
-            assert self.bits([f]) == self.bits([reference(t, y)])
-            steps = []
-            for u in (-0.5 / y if y else 0j, 0j):
-                counted = len(guarded)
-                ours = step(t, t_new - t, t_new, y, f, u)
-                looped = self.looped_step(reference, slope_reference, t, t_new - t, t_new, y, f, u)
-                assert self.bits(ours) == self.bits(looped), (t, h, y, u)
-                steps.append(ours[:4])
-            # the y outputs do not depend on u; the second loop's stages are
-            # the first one's
-            assert self.bits(steps[0]) == self.bits(steps[1])
-            del guarded[counted:]
-        return len(guarded)
-
-    @pytest.mark.parametrize("contour", [
-        Contour(epsilon=0.25, x_max=4.0), Contour(epsilon=1.0, x_max=4.0),
-        Contour(waypoints=BENT_WAYPOINTS)], ids=["eps0.25", "eps1", "bent"])
-    def test_accepted_and_rejected_steps(self, contour):
-        # the accepted steps of each leg from the stiff outer end inward, and
-        # steps twice as long, which the step control would reject
-        q, legs, y0 = TestScalarDop853.legs(contour, "from_left", 5.5)
-        for z0, z1 in legs:
-            sol = shooting.solve_ivp(q.terms, z0, z1, y0, 1e-10, 1e-10)
-            points = [(t, scale * (t_next - t), y)
-                      for t, t_next, y in list(zip(sol.t, sol.t[1:], sol.y))[::7]
-                      for scale in (1, 2)]
-            self.assert_same_steps(q, z0, z1, points)
-            y0 = sol.y[-1]
-
-    def test_guard_branch(self):
-        # stage values beyond |y| = 1e100 take the guard's 0j, as does a
-        # start value beyond it or a NaN
-        q, legs, _ = TestScalarDop853.legs(Contour(epsilon=0.5, x_max=4.0), "from_left", 5.5)
-        (z0, z1), = legs
-        points = [(0.25, h, complex(1e49, s * 1e49)) for h in (1e-3, 1e-2, 0.5) for s in (1, -1)]
-        points += [(0.5, 1e-3, complex(1e101, 0)), (0.0, 1e-2, complex(math.nan, 1)),
-                   (0.75, 1e-4, complex(-1e99, 1e99))]
-        assert self.assert_same_steps(q, z0, z1, points) > len(points)
 
 
 class TestFindEigenvalue:
@@ -1244,6 +1161,15 @@ class TestPoles:
         for y0 in (1e9 + 0j, complex(0, -shooting._POLE_THRESHOLD)):
             with pytest.raises(PoleError) as info:
                 shooting.solve_ivp(q.terms, z0, z1, y0, 1e-10, 1e-10)
+            assert info.value.location == z0
+
+    def test_overflowing_taylor_series_stops_the_leg_at_its_step(self):
+        # at a = 1e200 the Taylor coefficients of y overflow to inf and NaN,
+        # so no term limits the step: it ran to t = 1 and returned NaN
+        terms, z0, z1 = (1e200, 0.0, 0.0, 0.0, 2.0, 1 + 0j), complex(-2, -0.5), -0.5j
+        for y0 in (1 + 0j, 1e7 + 0j):
+            with pytest.raises(PoleError) as info:
+                shooting.solve_ivp(terms, z0, z1, y0, 1e-10, 1e-10)
             assert info.value.location == z0
 
     def test_overflowing_start_series_ends_unconverged(self):

@@ -1,9 +1,12 @@
 """Census of contour shots over the exact states of the CLI digest's grid.
 
 Every entry that a solver validates, with |E| < 200, is shot with
-``find_eigenvalue`` from E + 0.05 and from E - 0.05 on
-``Contour(epsilon=0.5)``, with the start radius derived at the guess.  Each
-shot falls in one category:
+``find_eigenvalue`` from E + 0.05 and from E - 0.05 on one contour, with
+the start radius derived at the guess: by default ``Contour(epsilon=0.5)``,
+the real-axis pair of decay sectors below the spike; with
+``--contour lower``, the lower bent pair ``BENT_WAYPOINTS``, whose ends lie
+at |r| = 4 in the sectors centred on -2pi/3 and -pi/3 (the tests' bent
+contour).  Each shot falls in one category:
 
 * ``confirmed``: converged within 1e-7 (1 + |E|) of the exact energy;
 * ``off``: converged farther than that, but within 1e-2;
@@ -19,17 +22,20 @@ fractions (the values of ``tools/cli_digest.py``), M in {1, 2, 3} solved by
 
 Uses only the stdlib and the ``decadic`` found on ``sys.path``:
 
-    PYTHONPATH=src python3 tools/shot_census.py > census.txt
+    PYTHONPATH=src python3 tools/shot_census.py [--contour default|lower] > census.txt
 
 prints one line per shot: the category, alpha, beta, M, N, the exact
 energy, the guess, the energy found, the iterations and the start radius
 derived at the guess (``result.contour.x_max``), so two checkouts'
 censuses compare line by line, radius included.  The tallies, overall and by alpha, go to
-stderr.  The full grid is 2838 shots, about 4.5 minutes on a 2-core VM.
+stderr.  The full grid is 2838 shots, about 2.5 minutes on the default
+contour and 1 on the lower pair, on a 2-core VM.
 """
 
 from __future__ import annotations
 
+import argparse
+import cmath
 import collections
 import math
 import sys
@@ -50,7 +56,8 @@ SOLVERS = {1: sturmian_multiplet, 2: solve_energies, 3: solve_coupled}
 SIZES = tuple((big_m, n) for big_m in (1, 2, 3) for n in range(2, 6))
 E_LIMIT = 200.0
 OFFSETS = (0.05, -0.05)
-CONTOUR = Contour(epsilon=0.5)
+BENT_WAYPOINTS = (4 * cmath.exp(-2j * math.pi / 3), -0.5j, 4 * cmath.exp(-1j * math.pi / 3))
+CONTOURS = {"default": Contour(epsilon=0.5), "lower": Contour(waypoints=BENT_WAYPOINTS)}
 CATEGORIES = ("confirmed", "off", "far", "unconverged", "pole", "failure")
 
 
@@ -74,11 +81,11 @@ def states(alphas=VALUES, betas=VALUES, sizes=SIZES):
     return found, skipped
 
 
-def shoot(spec, energy, coupling, guess):
+def shoot(spec, energy, coupling, guess, contour=CONTOURS["default"]):
     """(category, result) of one shot; result is None when it raised."""
     coeffs = potential_coeffs(spec, coupling)
     try:
-        result = find_eigenvalue(coeffs, spec.angular_momentum, guess, CONTOUR)
+        result = find_eigenvalue(coeffs, spec.angular_momentum, guess, contour)
     except (ArithmeticError, ValueError):
         return "failure", None
     miss = abs(result.energy - energy)
@@ -91,13 +98,13 @@ def shoot(spec, energy, coupling, guess):
     return ("off" if miss <= 1e-2 else "far"), result
 
 
-def census(found):
+def census(found, contour=CONTOURS["default"]):
     """[(category, spec, E, guess, result)] of both shots of every state."""
     shots = []
     for spec, energy, coupling in found:
         for offset in OFFSETS:
             guess = energy + offset
-            category, result = shoot(spec, energy, coupling, guess)
+            category, result = shoot(spec, energy, coupling, guess, contour)
             shots.append((category, spec, energy, guess, result))
     return shots
 
@@ -108,16 +115,20 @@ def tally(shots):
     return {category: counts[category] for category in CATEGORIES}
 
 
-def main() -> None:
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Census of contour shots of the exact states.")
+    parser.add_argument("--contour", choices=tuple(CONTOURS), default="default",
+                        help="the contour shot: the default one or the lower bent pair")
+    args = parser.parse_args(argv)
     found, skipped = states()
-    shots = census(found)
+    shots = census(found, CONTOURS[args.contour])
     for category, spec, energy, guess, result in shots:
         outcome = ("- - -" if result is None else
                    f"{result.energy!r} {result.iterations} {result.contour.x_max!r}")
         print(category, spec.alpha, spec.beta, spec.big_m, spec.n_states, repr(energy),
               repr(guess), outcome)
-    print(f"{len(found)} states, {len(shots)} shots; {len(skipped)} specs skipped "
-          "(solver raised)", file=sys.stderr)
+    print(f"{len(found)} states, {len(shots)} shots on the {args.contour} contour; "
+          f"{len(skipped)} specs skipped (solver raised)", file=sys.stderr)
     print("all:", tally(shots), file=sys.stderr)
     for alpha in VALUES:
         print(f"alpha={alpha}:", tally([s for s in shots if s[1].alpha == Fraction(alpha)]),
